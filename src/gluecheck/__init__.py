@@ -4,6 +4,7 @@ from gluecheck.exactlin import Matrix, Subspace, kernel, image, preimage, quotie
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, Ideal, quotient_algebra
 from gluecheck.lattice import generate_lattice, is_distributive, check_distributive_family
 from gluecheck.multipullback import (
+    analyse,
     build_pullback,
     check_cocycle,
     check_condition2,
@@ -33,6 +34,7 @@ __all__ = [
     "generate_lattice",
     "is_distributive",
     "check_distributive_family",
+    "analyse",
     "build_pullback",
     "check_cocycle",
     "check_condition2",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -165,12 +166,6 @@ class AlgebraHom:
         return self.matrix.apply(v)
 
 
-def compose(outer: AlgebraHom, inner: AlgebraHom) -> AlgebraHom:
-    if inner.target.dim != outer.source.dim:
-        raise ValueError("homs do not compose")
-    return AlgebraHom(inner.source, outer.target, outer.matrix @ inner.matrix)
-
-
 def validate_hom(f: AlgebraHom) -> Violation | None:
     """Check multiplicativity on basis pairs and that the unit maps to the unit."""
     if f.matrix.apply(f.source.unit) != f.target.unit:
@@ -296,6 +291,9 @@ class GluingFamily:
 
     ``maps[(i, j)]`` is the hom out of piece i into the overlap of {i, j};
     both directions target the same overlap object by construction.
+    Families are immutable by convention, so what is derived from one (its
+    validation, the kernels of its maps, its pullback subspaces) is
+    computed once and kept on it.
     """
 
     labels: tuple[str, ...]
@@ -303,35 +301,39 @@ class GluingFamily:
     overlaps: Mapping[tuple[str, str], Algebra]
     maps: Mapping[tuple[str, str], AlgebraHom]
 
-    @property
-    def sorted_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.labels))
-
     def overlap(self, i: str, j: str) -> Algebra:
         return self.overlaps[pair_key(i, j)]
 
     def map(self, i: str, j: str) -> AlgebraHom:
         return self.maps[(i, j)]
 
-    def problems(self, require_surjective: bool = True) -> list[FamilyProblem]:
-        # memoized per flag; families are immutable by convention
-        cache = self.__dict__.get("_problems_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_problems_cache", cache)
-        if require_surjective not in cache:
-            cache[require_surjective] = tuple(self._compute_problems(require_surjective))
-        return list(cache[require_surjective])
+    @cached_property
+    def map_kernels(self) -> Mapping[tuple[str, str], Subspace]:
+        return {key: kernel(h.matrix) for key, h in self.maps.items()}
 
-    def _compute_problems(self, require_surjective: bool) -> list[FamilyProblem]:
+    @cached_property
+    def map_surjective(self) -> Mapping[tuple[str, str], bool]:
+        return {key: is_surjective(h) for key, h in self.maps.items()}
+
+    @cached_property
+    def pullback_subspaces(self) -> dict:
+        """Memo of ``multipullback.pullback_subspace``, keyed by label subset."""
+        return {}
+
+    def problems(self, require_surjective: bool = True) -> list[FamilyProblem]:
+        """Axiom and shape problems, and unless told otherwise the maps that are not onto."""
+        return [p for p in self._problems if require_surjective or p.kind != "map-not-surjective"]
+
+    @cached_property
+    def _problems(self) -> tuple[FamilyProblem, ...]:
         out: list[FamilyProblem] = []
         if len(set(self.labels)) != len(self.labels):
             out.append(FamilyProblem("labels", (), "duplicate piece labels"))
-            return out
+            return tuple(out)
         for i in self.labels:
             if i not in self.pieces:
                 out.append(FamilyProblem("missing-piece", (i,), f"no algebra for piece {i}"))
-                return out
+                return tuple(out)
             bad = validate_algebra(self.pieces[i])
             if bad is not None:
                 out.append(FamilyProblem("piece-axioms", (i,), f"piece {i}: {bad.message}"))
@@ -344,7 +346,7 @@ class GluingFamily:
             if bad is not None:
                 out.append(FamilyProblem("overlap-axioms", key, f"overlap {key}: {bad.message}"))
         if out:
-            return out
+            return tuple(out)
         for i in self.labels:
             for j in self.labels:
                 if i == j:
@@ -363,9 +365,9 @@ class GluingFamily:
                 if bad is not None:
                     out.append(FamilyProblem("map-axioms", (i, j), f"map ({i}, {j}): {bad.message}"))
                     continue
-                if require_surjective and not is_surjective(h):
+                if not self.map_surjective[(i, j)]:
                     out.append(FamilyProblem("map-not-surjective", (i, j), f"map ({i}, {j}) is not surjective"))
-        return out
+        return tuple(out)
 
     def require_valid(self, require_surjective: bool = True) -> None:
         problems = self.problems(require_surjective)

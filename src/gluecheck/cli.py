@@ -29,16 +29,13 @@ from gluecheck.finset import (
     fixture_gluing,
     glue,
 )
-from gluecheck.lattice import DEFAULT_CAP, check_distributive_family
+from gluecheck.lattice import DEFAULT_CAP
 from gluecheck.multipullback import (
     DEFAULT_MAX_INDICES,
+    ExtensionReport,
     RepairRefused,
     TooManyPieces,
-    build_pullback,
-    check_cocycle,
-    check_condition2,
-    check_condition3,
-    projection_surjective,
+    analyse,
     repair,
 )
 from gluecheck import specfile
@@ -80,19 +77,14 @@ def _witness_text(witness: Mapping | None) -> str:
 
 def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict]:
     if args.fixture:
-        if expect_kind == specfile.KIND_GLUING:
-            if args.fixture not in GLUING_FIXTURES and args.fixture not in FAMILY_FIXTURES:
-                raise specfile.DocumentError(
-                    f"unknown fixture {args.fixture!r}; available: "
-                    + ", ".join(sorted(GLUING_FIXTURES))
-                )
-            return f"fixture:{args.fixture}", fixture_gluing(args.fixture, args.chain), {}
-        if args.fixture not in FAMILY_FIXTURES and args.fixture not in GLUING_FIXTURES:
+        gluing = expect_kind == specfile.KIND_GLUING
+        if args.fixture not in GLUING_FIXTURES and args.fixture not in FAMILY_FIXTURES:
             raise specfile.DocumentError(
                 f"unknown fixture {args.fixture!r}; available: "
-                + ", ".join(sorted(FAMILY_FIXTURES))
+                + ", ".join(sorted(GLUING_FIXTURES if gluing else FAMILY_FIXTURES))
             )
-        return f"fixture:{args.fixture}", dualize(fixture_gluing(args.fixture, args.chain)), {}
+        g = fixture_gluing(args.fixture, args.chain)
+        return f"fixture:{args.fixture}", g if gluing else dualize(g), {}
     if not args.path:
         raise specfile.DocumentError("either a document path or --fixture is required")
     try:
@@ -114,6 +106,21 @@ def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> int:
     return report["exit"]
 
 
+def _extensions_json(ext: ExtensionReport) -> dict:
+    return {
+        "ok": ext.ok,
+        "entries": [
+            {
+                "subset": list(e.subset),
+                "extend_by": e.extend_by,
+                "ok": e.ok,
+                "witness": _witness_json(e.witness),
+            }
+            for e in ext.entries
+        ],
+    }
+
+
 def _triple_name(triple: Sequence[str]) -> str:
     i, j, k = triple
     return f"pi^{i}_{j}(ker pi^{i}_{k})"
@@ -121,13 +128,13 @@ def _triple_name(triple: Sequence[str]) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     source, fam, options = _load(args, specfile.KIND_FAMILY)
-    cap = args.cap or int(options.get("lattice_cap", DEFAULT_CAP))
-    max_j = args.max_j or int(options.get("max_j", DEFAULT_MAX_INDICES))
+    cap = args.cap or options.get("lattice_cap", DEFAULT_CAP)
+    max_j = args.max_j or options.get("max_j", DEFAULT_MAX_INDICES)
 
     report: dict = {"command": "check", "input": source}
     human = [f"checking family from {source}"]
     try:
-        fam.require_valid(require_surjective=False)
+        analysis = analyse(fam, max_indices=max_j, lattice_cap=cap)
     except FamilyValidationError as e:
         report["error"] = {"kind": "invalid-family", "problems": [p.message for p in e.problems]}
         report["exit"] = INVALID
@@ -139,7 +146,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "overlap_dims": {",".join(k): fam.overlaps[k].dim for k in sorted(fam.overlaps)},
     }
 
-    dist = check_distributive_family(fam, cap=cap)
+    dist = analysis.distributive
     report["distributive"] = {
         "ok": dist.ok,
         "surjectivity_failures": [list(p) for p in dist.surjectivity_failures],
@@ -162,13 +169,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         human.append("family is not surjective; the remaining checks need surjectivity")
         return _emit(args, report, human)
 
-    pullback = build_pullback(fam)
-    projections = []
-    for i in sorted(fam.labels):
-        surjective, img = projection_surjective(pullback, i)
-        projections.append({"piece": i, "surjective": surjective, "image_dim": img.dim})
-    report["pullback"] = {"dim": pullback.dim, "projections": projections}
-    human.append(f"pullback dimension {pullback.dim}")
+    projections = [
+        {"piece": i, "surjective": surjective, "image_dim": img.dim}
+        for i, (surjective, img) in analysis.projection_images.items()
+    ]
+    report["pullback"] = {"dim": analysis.pullback.dim, "projections": projections}
+    human.append(f"pullback dimension {analysis.pullback.dim}")
     for entry in projections:
         if not entry["surjective"]:
             human.append(
@@ -176,7 +182,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"(image dimension {entry['image_dim']})"
             )
 
-    cocycle = check_cocycle(fam)
+    cocycle = analysis.cocycle
     report["cocycle"] = {
         "overall": cocycle.overall,
         "condition1": [
@@ -204,19 +210,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         if e.status == "fail":
             human.append(f"  clause 2 fails at {e.triple}")
 
-    pair_ext = check_condition3(fam)
-    report["extension_pairs"] = {
-        "ok": pair_ext.ok,
-        "entries": [
-            {
-                "subset": list(e.subset),
-                "extend_by": e.extend_by,
-                "ok": e.ok,
-                "witness": _witness_json(e.witness),
-            }
-            for e in pair_ext.entries
-        ],
-    }
+    pair_ext = analysis.pairwise_extensions
+    report["extension_pairs"] = _extensions_json(pair_ext)
     human.append(f"pairwise extension: {'holds' if pair_ext.ok else 'FAILS'}")
     for e in pair_ext.failures:
         human.append(
@@ -224,57 +219,38 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"witness {_witness_text(e.witness)}"
         )
 
-    refused = False
-    try:
-        all_ext = check_condition2(fam, max_indices=max_j)
-        report["extension_all"] = {
-            "ok": all_ext.ok,
-            "entries": [
-                {
-                    "subset": list(e.subset),
-                    "extend_by": e.extend_by,
-                    "ok": e.ok,
-                    "witness": _witness_json(e.witness),
-                }
-                for e in all_ext.entries
-            ],
-        }
+    all_ext = analysis.all_extensions
+    refused = isinstance(all_ext, TooManyPieces)
+    if refused:
+        report["extension_all"] = {"refused": str(all_ext)}
+        human.append(f"subset extension: refused ({all_ext})")
+    else:
+        report["extension_all"] = _extensions_json(all_ext)
         human.append(f"subset extension: {'holds' if all_ext.ok else 'FAILS'}")
         for e in all_ext.failures:
             human.append(
                 f"  compatible tuple over {e.subset} does not extend by {e.extend_by}; "
                 f"witness {_witness_text(e.witness)}"
             )
-        verdict_values = [dist.ok, cocycle.overall, pair_ext.ok, all_ext.ok]
-    except TooManyPieces as e:
-        refused = True
-        report["extension_all"] = {"refused": str(e)}
-        human.append(f"subset extension: refused ({e})")
-        verdict_values = [dist.ok, cocycle.overall, pair_ext.ok]
-    verdict_values.extend(entry["surjective"] for entry in projections)
 
-    if dist.ok and not refused:
-        consistent = len({cocycle.overall, all_ext.ok, pair_ext.ok}) == 1
+    theorem = analysis.theorem
+    if theorem.ran:
         report["theorem"] = {
             "ran": True,
-            "verdicts": [cocycle.overall, all_ext.ok, pair_ext.ok],
-            "consistent": consistent,
+            "verdicts": list(analysis.verdicts),
+            "consistent": theorem.consistent,
         }
         human.append(
             "equivalence of the three verdicts: "
-            + ("consistent" if consistent else "INCONSISTENT (tool bug)")
+            + ("consistent" if theorem.consistent else "INCONSISTENT (tool bug)")
         )
-        if not consistent:
-            verdict_values.append(False)
     else:
-        reason = "family is not distributive" if not dist.ok else "subset check refused"
-        report["theorem"] = {"ran": False, "reason": reason}
-        human.append(f"equivalence check skipped: {reason}")
+        report["theorem"] = {"ran": False, "reason": theorem.reason}
+        human.append(f"equivalence check skipped: {theorem.reason}")
 
-    ok = all(verdict_values)
-    report["pass"] = ok
-    report["exit"] = REFUSED if refused else (PASS if ok else FAIL)
-    human.append("result: " + ("PASS" if ok else "FAIL"))
+    report["pass"] = analysis.ok
+    report["exit"] = REFUSED if refused else (PASS if analysis.ok else FAIL)
+    human.append("result: " + ("PASS" if analysis.ok else "FAIL"))
     return _emit(args, report, human)
 
 
@@ -333,7 +309,7 @@ def cmd_glue(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     source, fam, options = _load(args, specfile.KIND_FAMILY)
-    cap = args.cap or int(options.get("lattice_cap", DEFAULT_CAP))
+    cap = args.cap or options.get("lattice_cap", DEFAULT_CAP)
     report: dict = {"command": "repair", "input": source}
     human = [f"re-presenting family from {source}"]
     try:
@@ -376,6 +352,21 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return _emit(args, report, human)
 
 
+def _at_least(least: int):
+    """An argparse type for integer flags; a bad value exits 2 naming the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gluecheck",
@@ -387,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("path", nargs="?", help="JSON document to read")
         p.add_argument("--fixture", help="use a built-in fixture instead of a document")
-        p.add_argument("--chain", type=int, default=3, help="chain length for fixtures (default 3)")
+        p.add_argument("--chain", type=_at_least(2), default=3, help="chain length for fixtures (default 3)")
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
     p_check = sub.add_parser("check", help="run the family checks")
     common(p_check)
-    p_check.add_argument("--cap", type=int, default=0, help=f"lattice closure cap (default {DEFAULT_CAP})")
-    p_check.add_argument("--max-j", type=int, default=0,
+    p_check.add_argument("--cap", type=_at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
+    p_check.add_argument("--max-j", type=_at_least(1),
                          help=f"piece-count bound for the subset check (default {DEFAULT_MAX_INDICES})")
     p_check.set_defaults(fn=cmd_check)
 
@@ -404,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repair = sub.add_parser("repair", help="re-present a family so the cocycle condition holds")
     common(p_repair)
-    p_repair.add_argument("--cap", type=int, default=0, help=f"lattice closure cap (default {DEFAULT_CAP})")
+    p_repair.add_argument("--cap", type=_at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
     p_repair.add_argument("--out", help="write the re-presented family document here")
     p_repair.set_defaults(fn=cmd_repair)
     return parser

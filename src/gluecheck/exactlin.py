@@ -24,22 +24,6 @@ def vec(values: Iterable) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-def vec_add(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c: Fraction, x: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def is_zero_vec(x: Sequence[Fraction]) -> bool:
-    return not any(x)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Dense rational matrix; ``entries[i][j]`` is row i, column j."""
@@ -85,9 +69,6 @@ class Matrix:
             rows.extend(p.entries)
         return Matrix(len(rows), cols, tuple(rows))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
@@ -121,9 +102,6 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.compose(other)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(tuple(r[i] for r in self.entries) for i in range(self.cols)))
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)

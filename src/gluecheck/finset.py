@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, pair_key
-from gluecheck.exactlin import F0, F1, Matrix, span
-from gluecheck.multipullback import check_condition3, pullback_subspace
+from gluecheck.exactlin import F0, F1, Matrix
+from gluecheck.multipullback import build_pullback, check_condition3, projection_surjective
 
 Point = tuple[str, str]  # (piece label, point label)
 
@@ -214,26 +214,22 @@ def duality_check(g: FiniteGluing) -> DualityReport:
     g.require_valid()
     fam = dualize(g)
     glued = glue(g)
-    sub = pullback_subspace(fam)
+    pullback = build_pullback(fam)
     mismatches = []
-    if sub.dim != glued.size:
+    if pullback.dim != glued.size:
         mismatches.append(
-            f"pullback dimension {sub.dim} differs from glued class count {glued.size}"
+            f"pullback dimension {pullback.dim} differs from glued class count {glued.size}"
         )
 
     proj_vs_embed = []
-    offset = 0
     for i in fam.labels:
-        d = fam.pieces[i].dim
-        img = span([row[offset:offset + d] for row in sub.basis_rows], d)
-        surjective = img.dim == d
+        surjective, _ = projection_surjective(pullback, i)
         embedded = check_embedding(g, {i}, g.labels).injective
         proj_vs_embed.append((i, surjective, embedded))
         if surjective != embedded:
             mismatches.append(
                 f"projection onto {i} surjective={surjective} but piece embedding={embedded}"
             )
-        offset += d
 
     ext = check_condition3(fam)
     ext_vs_embed = []
@@ -247,7 +243,7 @@ def duality_check(g: FiniteGluing) -> DualityReport:
                 f"extension of ({i},{j}) by {k} ok={entry.ok} but partial-gluing embedding={embedded}"
             )
     return DualityReport(
-        g, sub.dim, glued.size, tuple(proj_vs_embed), tuple(ext_vs_embed), tuple(mismatches)
+        g, pullback.dim, glued.size, tuple(proj_vs_embed), tuple(ext_vs_embed), tuple(mismatches)
     )
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from gluecheck.algebra import GluingFamily, is_ideal, is_surjective
-from gluecheck.exactlin import Subspace, intersect, kernel, subspace_sum
+from gluecheck.algebra import GluingFamily, is_ideal
+from gluecheck.exactlin import Subspace, intersect, subspace_sum
 
 DEFAULT_CAP = 10_000
 
@@ -29,9 +29,6 @@ class LatticeClosure:
     provenance: tuple[Provenance, ...]
     sum_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
-
-    def index_of(self, s: Subspace) -> int:
-        return self.elements.index(s)
 
 
 def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> LatticeClosure:
@@ -161,13 +158,13 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
         (i, j)
         for i in sorted(fam.labels)
         for j in sorted(fam.labels)
-        if i != j and not is_surjective(fam.map(i, j))
+        if i != j and not fam.map_surjective[(i, j)]
     )
     reports = []
     ok = not surj_failures
     for i in sorted(fam.labels):
         piece = fam.pieces[i]
-        gens = [kernel(fam.map(i, j).matrix) for j in sorted(fam.labels) if j != i]
+        gens = [fam.map_kernels[(i, j)] for j in sorted(fam.labels) if j != i]
         if not gens:
             gens = [Subspace.zero(piece.dim)]
         closure = generate_lattice(gens, cap)

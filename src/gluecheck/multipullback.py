@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from gluecheck.algebra import (
@@ -42,7 +43,13 @@ from gluecheck.exactlin import (
     subspace_sum,
     vec,
 )
-from gluecheck.lattice import DEFAULT_CAP, check_distributive_family, generate_lattice, is_distributive
+from gluecheck.lattice import (
+    DEFAULT_CAP,
+    DistributiveFamilyReport,
+    check_distributive_family,
+    generate_lattice,
+    is_distributive,
+)
 
 DEFAULT_MAX_INDICES = 8
 
@@ -89,17 +96,13 @@ def _block_layout(fam: GluingFamily, over: Iterable[str]) -> tuple[tuple[str, ..
     return order, offsets, total
 
 
-def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None,
-                      _cache: dict | None = None) -> Subspace:
+def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None) -> Subspace:
     """Compatible tuples over the given labels, inside the direct sum.
 
     A tuple is compatible when both maps into each overlap agree on it, so
     the subspace is the kernel of the stacked difference constraints.
     """
     order, offsets, total = _block_layout(fam, fam.labels if over is None else over)
-    key = frozenset(order)
-    if _cache is not None and key in _cache:
-        return _cache[key]
     rows: list[list] = []
     for i, j in itertools.combinations(order, 2):
         fwd = fam.map(i, j).matrix
@@ -113,31 +116,50 @@ def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None,
                 if x:
                     row[offsets[j] + c] -= x
             rows.append(row)
-    sub = kernel(Matrix(len(rows), total, tuple(tuple(r) for r in rows)))
-    if _cache is not None:
-        _cache[key] = sub
-    return sub
+    return kernel(Matrix(len(rows), total, tuple(tuple(r) for r in rows)))
+
+
+def _shared_pullback_subspace(fam: GluingFamily, order: Sequence[str]) -> Subspace:
+    """``pullback_subspace`` over ``order``, computed once per label subset of the family."""
+    key = frozenset(order)
+    if key not in fam.pullback_subspaces:
+        fam.pullback_subspaces[key] = pullback_subspace(fam, order)
+    return fam.pullback_subspaces[key]
 
 
 @dataclass(frozen=True)
 class MultiPullback:
     """The compatible-tuple subalgebra over a label subset.
 
-    ``subspace`` lives in the direct-sum ambient; ``algebra`` is the induced
-    presentation on the subspace basis; ``projections[i]`` maps presentation
-    coordinates onto the piece B_i.
+    ``subspace`` lives in the direct-sum ambient; ``projections[i]`` maps
+    presentation coordinates onto the piece B_i; ``algebra``, the induced
+    presentation on the subspace basis, is built on first use.
     """
 
     family: GluingFamily
     over: tuple[str, ...]
     offsets: Mapping[str, int]
     subspace: Subspace
-    algebra: Algebra
     projections: Mapping[str, Matrix]
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
+
+    @cached_property
+    def algebra(self) -> Algebra:
+        """The induced presentation.
+
+        Closure under the componentwise product and membership of the unit
+        tuple are genuine checks here; either failing means the family data
+        is corrupt, since surjective homomorphism constraints always cut out
+        a unital subalgebra.
+        """
+        ambient = Algebra.direct_sum([self.family.pieces[i] for i in self.over])
+        try:
+            return subspace_algebra(ambient, self.subspace, label="pullback(" + ",".join(self.over) + ")")
+        except ValueError as e:
+            raise StructuralError(f"pullback subspace is not a unital subalgebra: {e}") from e
 
     def ambient_vector(self, components: Mapping[str, Sequence]) -> Vector:
         if set(components) != set(self.over):
@@ -157,21 +179,10 @@ class MultiPullback:
 
 
 def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> MultiPullback:
-    """Build the pullback with its induced algebra structure.
-
-    Closure under the componentwise product and membership of the unit
-    tuple are genuine checks here; either failing means the family data is
-    corrupt, since surjective homomorphism constraints always cut out a
-    unital subalgebra.
-    """
+    """The pullback over a label subset (all labels by default) with its projections."""
     fam.require_valid()
-    order, offsets, total = _block_layout(fam, fam.labels if over is None else over)
-    sub = pullback_subspace(fam, order)
-    ambient = Algebra.direct_sum([fam.pieces[i] for i in order])
-    try:
-        induced = subspace_algebra(ambient, sub, label="pullback(" + ",".join(order) + ")")
-    except ValueError as e:
-        raise StructuralError(f"pullback subspace is not a unital subalgebra: {e}") from e
+    order, offsets, _ = _block_layout(fam, fam.labels if over is None else over)
+    sub = _shared_pullback_subspace(fam, order)
     projections = {
         i: Matrix(
             fam.pieces[i].dim,
@@ -183,7 +194,7 @@ def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> Mult
         )
         for i in order
     }
-    return MultiPullback(fam, order, offsets, sub, induced, projections)
+    return MultiPullback(fam, order, offsets, sub, projections)
 
 
 def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]:
@@ -261,11 +272,11 @@ class ExtensionReport:
         raise KeyError((key, extend_by))
 
 
-def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str, cache: dict) -> ExtensionEntry:
+def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
     sub_order = tuple(i for i in fam.labels if i in set(subset))
     big_order = tuple(i for i in fam.labels if i in set(subset) | {k})
-    small = pullback_subspace(fam, sub_order, cache)
-    big = pullback_subspace(fam, big_order, cache)
+    small = _shared_pullback_subspace(fam, sub_order)
+    big = _shared_pullback_subspace(fam, big_order)
     projected = _projected_to(fam, big, big_order, sub_order)
     if not small.contains_subspace(projected):
         raise StructuralError("projection of a larger pullback escaped the smaller one")
@@ -280,13 +291,12 @@ def check_condition3(fam: GluingFamily) -> ExtensionReport:
     """Pairwise extension: for each pair {i, j} and third index k, do all
     compatible pairs extend to compatible triples?"""
     fam.require_valid()
-    cache: dict = {}
     entries = []
     for i, j in itertools.combinations(sorted(fam.labels), 2):
         for k in sorted(fam.labels):
             if k in (i, j):
                 continue
-            entries.append(_extension_entry(fam, (i, j), k, cache))
+            entries.append(_extension_entry(fam, (i, j), k))
     return ExtensionReport(tuple(entries))
 
 
@@ -302,7 +312,6 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
         raise TooManyPieces(
             f"family has {n} pieces; the exhaustive subset check is capped at {max_indices}"
         )
-    cache: dict = {}
     entries = []
     labels = sorted(fam.labels)
     for size in range(1, n):
@@ -310,7 +319,7 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
             for k in labels:
                 if k in subset:
                     continue
-                entries.append(_extension_entry(fam, subset, k, cache))
+                entries.append(_extension_entry(fam, subset, k))
     return ExtensionReport(tuple(entries))
 
 
@@ -334,17 +343,11 @@ class TripleQuotients:
     iso_inv: Matrix
 
 
-def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str,
-                      kernels: dict | None = None) -> TripleQuotients:
+def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQuotients:
     piece = fam.pieces[i]
     m_ij = fam.map(i, j)
-    if kernels is None:
-        kernels = {}
-    for pair in ((i, j), (i, k)):
-        if pair not in kernels:
-            kernels[pair] = kernel(fam.map(*pair).matrix)
-    ker_ij = kernels[(i, j)]
-    ker_ik = kernels[(i, k)]
+    ker_ij = fam.map_kernels[(i, j)]
+    ker_ik = fam.map_kernels[(i, k)]
     ksum = subspace_sum(ker_ij, ker_ik)
     piece_q, bracket = quotient_algebra(piece, Ideal(ksum), label=f"{i}/({j},{k})")
 
@@ -428,12 +431,7 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
     """
     fam.require_valid()
     labels = sorted(fam.labels)
-    kernels = {
-        (i, j): kernel(fam.map(i, j).matrix)
-        for i in labels
-        for j in labels
-        if i != j
-    }
+    kernels = fam.map_kernels
     cond1: list[KernelImageEntry] = []
     cond1_by_triple: dict[tuple[str, str, str], bool] = {}
     for i, j, k in itertools.permutations(labels, 3):
@@ -451,7 +449,7 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
         # phi(a<-b over c): classes in B_b/(ker+ker) to classes in B_a/(ker+ker)
         for t in ((a, b, c), (b, a, c)):
             if t not in tq:
-                tq[t] = _triple_quotients(fam, *t, kernels=kernels)
+                tq[t] = _triple_quotients(fam, *t)
         return tq[(a, b, c)].iso_inv @ tq[(b, a, c)].iso
 
     for trio in itertools.combinations(labels, 3):
@@ -470,49 +468,110 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    """The three verdicts that are provably equivalent for distributive
-    families; disagreement is flagged as a tool bug, never as a finding."""
+class TheoremVerdict:
+    """Gate and consistency test of the theorem: for a surjective family
+    whose kernels generate distributive lattices of ideals, the cocycle
+    condition, subset extension and pairwise extension agree.
 
-    cocycle: CocycleReport
-    all_extensions: ExtensionReport
-    pairwise_extensions: ExtensionReport
-    verdicts: tuple[bool, bool, bool]
-    consistent: bool
-    note: str = ""
+    ``refusal`` is what kept the test from running (``HypothesisNotMet``,
+    or the subset check's ``TooManyPieces``) and ``reason`` its short form.
+    Inconsistent verdicts are flagged as a tool bug, never as a finding.
+    """
+
+    consistent: bool = False
+    reason: str = ""
+    refusal: Exception | None = None
+
+    @property
+    def ran(self) -> bool:
+        return self.refusal is None
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Every verdict on one family, each stage run once.
+
+    A family with a map that is not onto stops after ``distributive``: the
+    later stages need surjectivity and are None.  ``all_extensions`` holds
+    the ``TooManyPieces`` refusal of a family past the subset bound.
+    """
+
+    distributive: DistributiveFamilyReport
+    theorem: TheoremVerdict
+    pullback: MultiPullback | None = None
+    projection_images: Mapping[str, tuple[bool, Subspace]] | None = None
+    cocycle: CocycleReport | None = None
+    pairwise_extensions: ExtensionReport | None = None
+    all_extensions: ExtensionReport | TooManyPieces | None = None
+
+    @property
+    def verdicts(self) -> tuple[bool, bool, bool]:
+        """Cocycle, subset extension and pairwise extension, once the theorem's test ran."""
+        return (self.cocycle.overall, self.all_extensions.ok, self.pairwise_extensions.ok)
+
+    @property
+    def consistent(self) -> bool:
+        return self.theorem.consistent
+
+    @property
+    def ok(self) -> bool:
+        """Every verdict reached holds (then the theorem's test, if it ran, is consistent too)."""
+        if self.cocycle is None:
+            return False
+        reached = [self.distributive.ok, self.cocycle.overall, self.pairwise_extensions.ok,
+                   *(surjective for surjective, _ in self.projection_images.values())]
+        if not isinstance(self.all_extensions, TooManyPieces):
+            reached.append(self.all_extensions.ok)
+        return all(reached)
+
+
+def _why_not_distributive(dist: DistributiveFamilyReport) -> str:
+    piece = next(p for p in dist.per_piece if not (p.all_ideals and p.verdict))
+    if piece.verdict.status == "indeterminate":
+        return f"kernel lattice of piece {piece.label} hit the closure cap; distributivity undecided"
+    return f"kernels do not generate a distributive lattice of ideals in piece {piece.label}"
+
+
+def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
+            lattice_cap: int = DEFAULT_CAP) -> Analysis:
+    """Run every check on a family: distributivity, the pullback and its
+    projections, the cocycle condition, both extension sweeps, and the
+    theorem's gate and consistency test.
+
+    Raises FamilyValidationError when the family breaks an axiom.
+    """
+    fam.require_valid(require_surjective=False)
+    dist = check_distributive_family(fam, cap=lattice_cap)
+    if dist.surjectivity_failures:
+        i, j = dist.surjectivity_failures[0]
+        refusal = HypothesisNotMet(f"map ({i}, {j}) is not surjective", dist)
+        return Analysis(dist, TheoremVerdict(reason="family is not surjective", refusal=refusal))
+    pullback = build_pullback(fam)
+    images = {i: projection_surjective(pullback, i) for i in sorted(fam.labels)}
+    cocycle = check_cocycle(fam)
+    pair_ext = check_condition3(fam)
+    try:
+        all_ext: ExtensionReport | TooManyPieces = check_condition2(fam, max_indices)
+    except TooManyPieces as e:
+        all_ext = e
+    if not dist.ok:
+        refusal = HypothesisNotMet(_why_not_distributive(dist), dist)
+        theorem = TheoremVerdict(reason="family is not distributive", refusal=refusal)
+    elif isinstance(all_ext, TooManyPieces):
+        theorem = TheoremVerdict(reason="subset check refused", refusal=all_ext)
+    else:
+        theorem = TheoremVerdict(consistent=len({cocycle.overall, all_ext.ok, pair_ext.ok}) == 1)
+    return Analysis(dist, theorem, pullback, images, cocycle, pair_ext, all_ext)
 
 
 def check_theorem_equivalence(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
-                              lattice_cap: int = DEFAULT_CAP) -> EquivalenceReport:
-    fam.require_valid(require_surjective=False)
-    hypothesis = check_distributive_family(fam, cap=lattice_cap)
-    if hypothesis.surjectivity_failures:
-        i, j = hypothesis.surjectivity_failures[0]
-        raise HypothesisNotMet(f"map ({i}, {j}) is not surjective", hypothesis)
-    if not hypothesis.ok:
-        for piece in hypothesis.per_piece:
-            if piece.verdict.status == "indeterminate":
-                raise HypothesisNotMet(
-                    f"kernel lattice of piece {piece.label} hit the closure cap; "
-                    "distributivity undecided",
-                    hypothesis,
-                )
-            if piece.verdict.status == "not-distributive" or not piece.all_ideals:
-                raise HypothesisNotMet(
-                    f"kernels do not generate a distributive lattice of ideals in piece {piece.label}",
-                    hypothesis,
-                )
-        raise HypothesisNotMet("family is not distributive", hypothesis)
-    cocycle = check_cocycle(fam)
-    all_ext = check_condition2(fam, max_indices)
-    pair_ext = check_condition3(fam)
-    verdicts = (cocycle.overall, all_ext.ok, pair_ext.ok)
-    consistent = len(set(verdicts)) == 1
-    note = "" if consistent else (
-        "TOOL BUG: the three verdicts must agree for a distributive family "
-        f"but were {verdicts}"
-    )
-    return EquivalenceReport(cocycle, all_ext, pair_ext, verdicts, consistent, note)
+                              lattice_cap: int = DEFAULT_CAP) -> Analysis:
+    """``analyse``, raising what kept the theorem's test from running:
+    HypothesisNotMet, or TooManyPieces past the subset bound."""
+    analysis = analyse(fam, max_indices, lattice_cap)
+    if analysis.theorem.refusal is not None:
+        raise analysis.theorem.refusal
+    return analysis
 
 
 @dataclass(frozen=True)

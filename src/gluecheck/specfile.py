@@ -34,6 +34,14 @@ def _expect(value: Any, types: type | tuple, path: str, what: str) -> Any:
     return value
 
 
+def _integer(value: Any, least: int, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError("expected an integer", path)
+    if value < least:
+        raise DocumentError(f"expected an integer >= {least}", path)
+    return value
+
+
 def _get(obj: Mapping, key: str, path: str) -> Any:
     if key not in obj:
         raise DocumentError("missing field", f"{path}.{key}" if path else key)
@@ -66,9 +74,7 @@ def _parse_matrix(value: Any, rows: int, cols: int, path: str) -> Matrix:
 
 def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
     _expect(value, dict, path, "an object")
-    dim = _expect(_get(value, "dim", path), int, f"{path}.dim", "an integer")
-    if dim < 0:
-        raise DocumentError("dimension must be nonnegative", f"{path}.dim")
+    dim = _integer(_get(value, "dim", path), 0, f"{path}.dim")
     unit = _parse_vector(_get(value, "unit", path), dim, f"{path}.unit")
     sc = _get(value, "structure_constants", path)
     _expect(sc, list, f"{path}.structure_constants", "a list")
@@ -186,6 +192,9 @@ def parse_document(text: str) -> tuple[str, GluingFamily | FiniteGluing, dict]:
     kind = _get(doc, "kind", "")
     options = doc.get("options", {})
     _expect(options, dict, "options", "an object")
+    for key in ("lattice_cap", "max_j"):  # the options a run reads; others pass through
+        if key in options:
+            _integer(options[key], 1, f"options.{key}")
     if kind == KIND_FAMILY:
         return kind, parse_family(doc), dict(options)
     if kind == KIND_GLUING:
@@ -193,12 +202,8 @@ def parse_document(text: str) -> tuple[str, GluingFamily | FiniteGluing, dict]:
     raise DocumentError(f"unknown kind {kind!r}; expected '{KIND_FAMILY}' or '{KIND_GLUING}'", "kind")
 
 
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
 def vector_json(v) -> list[str]:
-    return [rational_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:

@@ -7,7 +7,6 @@ from gluecheck.algebra import (
     FamilyValidationError,
     GluingFamily,
     Ideal,
-    compose,
     is_ideal,
     is_surjective,
     kernel_ideal,
@@ -190,18 +189,6 @@ class TestHomProperties:
     def test_restriction_homs_validate(self, data):
         n, targets = data
         assert validate_hom(restriction_hom(n, targets)) is None
-
-    @given(set_maps, st.data())
-    def test_kernel_grows_under_composition(self, data, draw):
-        n, mid_targets = data
-        f = restriction_hom(n, mid_targets)
-        outer_targets = draw.draw(
-            st.lists(st.integers(0, max(len(mid_targets) - 1, 0)), min_size=0, max_size=5)
-        ) if mid_targets else []
-        g = restriction_hom(len(mid_targets), outer_targets)
-        gf = compose(g, f)
-        assert validate_hom(gf) is None
-        assert kernel(gf.matrix).contains_subspace(kernel_ideal(f).subspace)
 
     @given(st.integers(1, 6), st.data())
     def test_vanishing_ideal_quotient_counts_points(self, n, data):

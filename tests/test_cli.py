@@ -1,18 +1,34 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gluecheck import specfile
+from gluecheck import algebra, cli, exactlin, multipullback, specfile
 from gluecheck.cli import main
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
 from gluecheck.exactlin import Matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(capsys, *argv):
+    """The process exit code, argparse's usage errors included, and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().err
 
 
 def run_json(capsys, *argv):
@@ -116,6 +132,112 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "expected a 'algebra-family' document" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv,name", [
+        (["check", "--fixture", "example2", "--cap", "-1"], "argument --cap:"),
+        (["check", "--fixture", "example2", "--cap", "0"], "argument --cap:"),
+        (["check", "--fixture", "example2", "--max-j", "-1"], "argument --max-j:"),
+        (["check", "--fixture", "example2", "--max-j", "0"], "argument --max-j:"),
+        (["check", "--fixture", "example2", "--chain", "1"], "argument --chain:"),
+        (["repair", "--fixture", "example2", "--cap", "0"], "argument --cap:"),
+        (["glue", "--fixture", "tstar", "--chain", "0"], "argument --chain:"),
+    ])
+    def test_bad_flag_exits_two_naming_it(self, capsys, argv, name):
+        code, err = exit_code(capsys, *argv)
+        assert code == 2
+        assert name in err
+
+    @pytest.mark.parametrize("command,change,name", [
+        ("check", {"options": {"lattice_cap": "abc"}}, "options.lattice_cap"),
+        ("check", {"options": {"lattice_cap": 0}}, "options.lattice_cap"),
+        ("repair", {"options": {"lattice_cap": True}}, "options.lattice_cap"),
+        ("check", {"options": {"max_j": -1}}, "options.max_j"),
+        ("check", {"options": {"max_j": 0}}, "options.max_j"),
+        ("check", {"options": {"max_j": 2.0}}, "options.max_j"),
+        ("check", {"dim": True}, "pieces.I1.dim"),
+    ])
+    def test_bad_document_field_exits_two_naming_it(self, capsys, tmp_path, command, change, name):
+        doc = specfile.family_json(fixture_family("example3"))
+        if "dim" in change:
+            doc["pieces"]["I1"].update(change)
+        else:
+            doc.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, err = exit_code(capsys, command, str(path))
+        assert code == 2
+        assert name in err
+
+
+class TestOneAnalysisPerFamily:
+    """One `check` computes each fact of its family once."""
+
+    @staticmethod
+    def record(monkeypatch, module, name) -> list:
+        """Arguments of every call of module.name, from every gluecheck module that imported it."""
+        original = getattr(module, name)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.startswith("gluecheck")]:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, recorded)
+        return calls
+
+    @pytest.mark.parametrize("source", ["example2", "seed7"])
+    def test_each_fact_is_computed_once(self, monkeypatch, tmp_path, capsys, source):
+        if source.startswith("seed"):
+            path = tmp_path / "family.json"
+            fam_doc = specfile.family_json(dualize(random_gluing(int(source[4:]))))
+            path.write_text(specfile.dump_document(fam_doc))
+            argv = ["check", str(path)]
+        else:
+            argv = ["check", "--fixture", source]
+        loaded = []
+        load = cli._load
+
+        def capture(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "_load", capture)
+        validated = self.record(monkeypatch, algebra, "validate_algebra")
+        kernels = self.record(monkeypatch, exactlin, "kernel")
+        pullbacks = self.record(monkeypatch, multipullback, "pullback_subspace")
+        induced = self.record(monkeypatch, algebra, "subspace_algebra")
+
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        ((_, fam, _),) = loaded
+        algebras = list(fam.pieces.values()) + list(fam.overlaps.values())
+        assert len(validated) == len(algebras)
+        assert all(sum(a is args[0] for args in validated) == 1 for a in algebras)
+        for h in fam.maps.values():
+            assert sum(h.matrix is args[0] for args in kernels) == 1
+        subsets = [frozenset(args[1]) for args in pullbacks]
+        every_subset = {
+            frozenset(s) for n in range(1, len(fam.labels) + 1)
+            for s in itertools.combinations(fam.labels, n)
+        }
+        assert sorted(map(sorted, subsets)) == sorted(map(sorted, every_subset))
+        assert induced == []
+
+
+class TestScripts:
+    def test_run_corpus_smoke(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_corpus.py"), "--count", "5"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "no equivalence or duality violations" in result.stdout
 
 
 class TestGlueCommand:

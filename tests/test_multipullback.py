@@ -96,6 +96,12 @@ class TestBuildPullback:
 
         assert validate_algebra(p.algebra) is None
 
+    def test_induced_algebra_builds_on_the_corpus(self, corpus):
+        # the closure self-check, which `check` no longer runs
+        for _, fam in corpus:
+            p = build_pullback(fam)
+            assert p.algebra.dim == p.dim
+
     def test_no_overlaps_mean_no_constraints(self):
         fam = no_overlap_family()
         p = build_pullback(fam)
@@ -173,14 +179,13 @@ class TestSubsetExtension:
             check_condition2(example3, max_indices=2)
 
     def test_projection_monotone_under_subset_growth(self, example3):
-        cache = {}
         labels = sorted(example3.labels)
         from gluecheck.multipullback import _projected_to
 
-        full = pullback_subspace(example3, labels, cache)
+        full = pullback_subspace(example3, labels)
         for size in (1, 2):
             for subset in itertools.combinations(labels, size):
-                small = pullback_subspace(example3, subset, cache)
+                small = pullback_subspace(example3, subset)
                 projected = _projected_to(example3, full, labels, subset)
                 assert small.contains_subspace(projected)
 
