@@ -14,16 +14,17 @@ import argparse
 import time
 from collections import Counter
 
+from gluecheck.cli import at_least
 from gluecheck.finset import duality_check, dualize, random_gluing
 from gluecheck.multipullback import check_theorem_equivalence
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--count", type=at_least(1), default=200)
     parser.add_argument("--seed", type=int, default=0, help="first seed of the scan")
-    parser.add_argument("--max-pieces", type=int, default=6)
-    parser.add_argument("--max-points", type=int, default=12)
+    parser.add_argument("--max-pieces", type=at_least(2), default=6)
+    parser.add_argument("--max-points", type=at_least(1), default=12)
     args = parser.parse_args()
 
     verdict_counts: Counter = Counter()

@@ -219,7 +219,10 @@ def quotient_algebra(a: Algebra, ideal: Ideal, label: str = "") -> tuple[Algebra
     """Quotient presentation and its canonical surjection.
 
     The chart picks the non-pivot coordinates of the ideal's RREF, so equal
-    ideals always yield bit-identical quotient presentations.
+    ideals always yield bit-identical quotient presentations.  Raises
+    ValueError unless the subspace is a two-sided ideal; given one, the
+    surjection is a homomorphism with kernel the ideal, which the test
+    suite checks rather than each call.
     """
     s = ideal.subspace
     if not is_ideal(a, s):
@@ -233,13 +236,7 @@ def quotient_algebra(a: Algebra, ideal: Ideal, label: str = "") -> tuple[Algebra
         for x in range(d)
     )
     q = Algebra(d, table, proj.apply(a.unit), label or (a.label + "/ideal" if a.label else ""))
-    surjection = AlgebraHom(a, q, proj)
-    bad = validate_hom(surjection)
-    if bad is not None:
-        raise RuntimeError(f"canonical surjection failed validation: {bad.message}")
-    if kernel(proj) != s:
-        raise RuntimeError("quotient projection kernel differs from the ideal")
-    return q, surjection
+    return q, AlgebraHom(a, q, proj)
 
 
 def subspace_algebra(ambient: Algebra, s: Subspace, label: str = "") -> Algebra:

@@ -352,7 +352,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     return _emit(args, report, human)
 
 
-def _at_least(least: int):
+def at_least(least: int):
     """An argparse type for integer flags; a bad value exits 2 naming the flag."""
 
     def parse(text: str) -> int:
@@ -378,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("path", nargs="?", help="JSON document to read")
         p.add_argument("--fixture", help="use a built-in fixture instead of a document")
-        p.add_argument("--chain", type=_at_least(2), default=3, help="chain length for fixtures (default 3)")
+        p.add_argument("--chain", type=at_least(2), default=3, help="chain length for fixtures (default 3)")
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
     p_check = sub.add_parser("check", help="run the family checks")
     common(p_check)
-    p_check.add_argument("--cap", type=_at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
-    p_check.add_argument("--max-j", type=_at_least(1),
+    p_check.add_argument("--cap", type=at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
+    p_check.add_argument("--max-j", type=at_least(1),
                          help=f"piece-count bound for the subset check (default {DEFAULT_MAX_INDICES})")
     p_check.set_defaults(fn=cmd_check)
 
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repair = sub.add_parser("repair", help="re-present a family so the cocycle condition holds")
     common(p_repair)
-    p_repair.add_argument("--cap", type=_at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
+    p_repair.add_argument("--cap", type=at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
     p_repair.add_argument("--out", help="write the re-presented family document here")
     p_repair.set_defaults(fn=cmd_repair)
     return parser

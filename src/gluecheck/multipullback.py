@@ -24,8 +24,6 @@ from gluecheck.algebra import (
     AlgebraHom,
     GluingFamily,
     Ideal,
-    is_ideal,
-    kernel_ideal,
     pair_key,
     quotient_algebra,
     subspace_algebra,
@@ -278,8 +276,6 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> Extens
     small = _shared_pullback_subspace(fam, sub_order)
     big = _shared_pullback_subspace(fam, big_order)
     projected = _projected_to(fam, big, big_order, sub_order)
-    if not small.contains_subspace(projected):
-        raise StructuralError("projection of a larger pullback escaped the smaller one")
     ok = projected == small
     witness = None
     if not ok:
@@ -325,44 +321,32 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
 
 @dataclass(frozen=True)
 class TripleQuotients:
-    """Quotient data for one ordered triple (i, j, k).
+    """Quotient charts for one ordered triple (i, j, k).
 
-    ``piece_quotient`` is B_i modulo (ker m_ij + ker m_ik) with its bracket
-    surjection; ``overlap_quotient`` is B_ij modulo the pushed kernel
-    m_ij(ker m_ik); ``iso`` carries the bracket class of b to the class of
-    m_ij(b), and is invertible whenever the family is surjective.
+    ``bracket`` projects B_i onto B_i / (ker m_ij + ker m_ik) and
+    ``overlap_projection`` projects B_ij onto B_ij / m_ij(ker m_ik), both in
+    ``quotient`` charts; ``iso`` carries the bracket class of b to the class
+    of m_ij(b), and is invertible whenever the family is surjective.  The
+    charts are the canonical surjections of ``quotient_algebra`` and ``iso``
+    is an algebra isomorphism between the two quotients; the test suite
+    checks that, and clause 2 reads only the matrices.
     """
 
     triple: tuple[str, str, str]
-    piece_quotient: Algebra
-    bracket: AlgebraHom
+    bracket: Matrix
     pushed_kernel: Subspace
-    overlap_quotient: Algebra
-    overlap_surjection: AlgebraHom
+    overlap_projection: Matrix
     iso: Matrix
     iso_inv: Matrix
 
 
 def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQuotients:
-    piece = fam.pieces[i]
-    m_ij = fam.map(i, j)
-    ker_ij = fam.map_kernels[(i, j)]
-    ker_ik = fam.map_kernels[(i, k)]
-    ksum = subspace_sum(ker_ij, ker_ik)
-    piece_q, bracket = quotient_algebra(piece, Ideal(ksum), label=f"{i}/({j},{k})")
-
-    pushed = image(m_ij.matrix, ker_ik)
-    overlap = fam.overlap(i, j)
-    if not is_ideal(overlap, pushed):
-        raise StructuralError(
-            f"image of ker({i}->{k}) under the map {i}->{j} is not an ideal of the overlap"
-        )
-    overlap_q, osurj = quotient_algebra(overlap, Ideal(pushed), label=f"({i},{j})/pushed({k})")
-
-    chart = quotient(piece.dim, ksum)
-    iso = osurj.matrix @ m_ij.matrix @ chart.section
-    if iso @ bracket.matrix != osurj.matrix @ m_ij.matrix:
-        raise StructuralError("triple quotient comparison map is not well defined")
+    m_ij = fam.map(i, j).matrix
+    ksum = subspace_sum(fam.map_kernels[(i, j)], fam.map_kernels[(i, k)])
+    piece_chart = quotient(fam.pieces[i].dim, ksum)
+    pushed = image(m_ij, fam.map_kernels[(i, k)])
+    overlap_chart = quotient(fam.overlap(i, j).dim, pushed)
+    iso = overlap_chart.projection @ m_ij @ piece_chart.section
     try:
         iso_inv = invert(iso)
     except ValueError as e:
@@ -370,7 +354,8 @@ def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQuotie
             f"comparison map for triple ({i},{j},{k}) is not invertible; "
             "this cannot happen for a surjective family"
         ) from e
-    return TripleQuotients((i, j, k), piece_q, bracket, pushed, overlap_q, osurj, iso, iso_inv)
+    return TripleQuotients((i, j, k), piece_chart.projection, pushed,
+                           overlap_chart.projection, iso, iso_inv)
 
 
 def build_triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQuotients:
@@ -596,8 +581,10 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     Requires every projection of the pullback onto a piece to be surjective
     and the projection kernels to generate a distributive lattice inside
     the pullback algebra; refuses with a diagnosis otherwise.  The result
-    is checked to satisfy the cocycle condition and to have a pullback
-    canonically isomorphic to the original one.
+    is checked to satisfy the cocycle condition, which it reports.  That
+    the projection kernels are ideals and that the original pullback maps
+    bijectively onto the new one are theorems for this construction; the
+    test suite checks them, not each call.
     """
     p = build_pullback(fam)
     for i in sorted(p.over):
@@ -608,8 +595,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
                 f"(image has dimension {img.dim} of {fam.pieces[i].dim})",
                 projection=i,
             )
-    proj_homs = {i: AlgebraHom(p.algebra, fam.pieces[i], p.projections[i]) for i in p.over}
-    kernels = {i: kernel_ideal(proj_homs[i]).subspace for i in p.over}
+    kernels = {i: kernel(p.projections[i]) for i in p.over}
     closure = generate_lattice([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     verdict = is_distributive(closure)
     if verdict.status == "indeterminate":
@@ -641,17 +627,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
         maps[(j, i)] = AlgebraHom(fam.pieces[j], overlap_q, osurj.matrix @ lifts[j])
 
     repaired = GluingFamily(fam.labels, dict(fam.pieces), overlaps, maps)
-    repaired.require_valid()
-
     cocycle = check_cocycle(repaired)
     if not cocycle.overall:
         raise StructuralError("re-presented family fails the cocycle condition; this is a tool bug")
-
-    comparison = Matrix.vstack([p.projections[i] for i in repaired.labels if i in p.over], cols=p.dim)
-    repaired_sub = pullback_subspace(repaired)
-    comparison_image = image(comparison, Subspace.full(p.dim))
-    if comparison_image != repaired_sub or kernel(comparison).dim != 0:
-        raise StructuralError(
-            "canonical comparison with the re-presented pullback is not bijective; this is a tool bug"
-        )
     return RepairedFamily(repaired, p, kernels, isos, cocycle)

@@ -92,12 +92,30 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
     return Algebra(dim, tuple(table), unit, str(value.get("label", label)))
 
 
-def parse_family(doc: Mapping, path: str = "") -> GluingFamily:
+def _parse_index(doc: Mapping, path: str) -> tuple[str, ...]:
     labels = _get(doc, "index", path)
     _expect(labels, list, "index", "a list of piece labels")
     labels = tuple(_expect(x, str, f"index[{n}]", "a string") for n, x in enumerate(labels))
+    if not labels:
+        raise DocumentError("expected at least one piece label", "index")
     if len(set(labels)) != len(labels):
         raise DocumentError("duplicate labels", "index")
+    return labels
+
+
+def _parse_pair(item: Mapping, labels: tuple[str, ...], here: str) -> tuple[str, str]:
+    """The ``pair`` of an overlap or identification: two distinct labels of the index."""
+    pair = _get(item, "pair", here)
+    _expect(pair, list, f"{here}.pair", "a pair of labels")
+    if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
+        raise DocumentError("expected two labels", f"{here}.pair")
+    if pair[0] not in labels or pair[1] not in labels or pair[0] == pair[1]:
+        raise DocumentError("labels must be two distinct pieces", f"{here}.pair")
+    return pair[0], pair[1]
+
+
+def parse_family(doc: Mapping, path: str = "") -> GluingFamily:
+    labels = _parse_index(doc, path)
 
     pieces_doc = _expect(_get(doc, "pieces", path), dict, "pieces", "an object")
     pieces = {}
@@ -111,13 +129,7 @@ def parse_family(doc: Mapping, path: str = "") -> GluingFamily:
     for n, item in enumerate(overlaps_doc):
         here = f"overlaps[{n}]"
         _expect(item, dict, here, "an object")
-        pair = _get(item, "pair", here)
-        _expect(pair, list, f"{here}.pair", "a pair of labels")
-        if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
-            raise DocumentError("expected two labels", f"{here}.pair")
-        if pair[0] not in labels or pair[1] not in labels or pair[0] == pair[1]:
-            raise DocumentError("labels must be two distinct pieces", f"{here}.pair")
-        key = pair_key(*pair)
+        key = pair_key(*_parse_pair(item, labels, here))
         if key in overlaps:
             raise DocumentError(f"duplicate overlap for {key}", f"{here}.pair")
         overlaps[key] = _parse_algebra(item, here, f"B({key[0]},{key[1]})")
@@ -144,9 +156,7 @@ def parse_family(doc: Mapping, path: str = "") -> GluingFamily:
 
 
 def parse_gluing(doc: Mapping, path: str = "") -> FiniteGluing:
-    labels = _get(doc, "index", path)
-    _expect(labels, list, "index", "a list of piece labels")
-    labels = tuple(_expect(x, str, f"index[{n}]", "a string") for n, x in enumerate(labels))
+    labels = _parse_index(doc, path)
 
     spaces_doc = _expect(_get(doc, "spaces", path), dict, "spaces", "an object")
     spaces = {}
@@ -161,11 +171,9 @@ def parse_gluing(doc: Mapping, path: str = "") -> FiniteGluing:
     for n, item in enumerate(idents_doc):
         here = f"identifications[{n}]"
         _expect(item, dict, here, "an object")
-        pair = _get(item, "pair", here)
-        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
-            raise DocumentError("expected two labels", f"{here}.pair")
+        pair = _parse_pair(item, labels, here)
         key = pair_key(*pair)
-        flip = tuple(pair) != key
+        flip = pair != key
         matches = _expect(_get(item, "matches", here), list, f"{here}.matches", "a list of pairs")
         out = []
         for m, match in enumerate(matches):

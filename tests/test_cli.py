@@ -170,6 +170,28 @@ class TestMalformedInput:
         assert code == 2
         assert name in err
 
+    EMPTY_FAMILY = {"kind": "algebra-family", "index": [], "pieces": {}, "overlaps": [], "maps": []}
+    EMPTY_GLUING = {"kind": "finite-gluing", "index": [], "spaces": {}, "identifications": []}
+    GLUING = {"kind": "finite-gluing", "index": ["A", "B"], "spaces": {"A": ["x"], "B": ["y"]}}
+
+    @pytest.mark.parametrize("command,doc,name", [
+        ("check", EMPTY_FAMILY, "index:"),
+        ("repair", EMPTY_FAMILY, "index:"),
+        ("glue", EMPTY_GLUING, "index:"),
+        ("glue", {**GLUING, "identifications": [{"pair": ["A", "A"], "matches": [["x", "x"]]}]},
+         "identifications[0].pair:"),
+        ("glue", {**GLUING, "identifications": [
+            {"pair": ["A", "B"], "matches": []}, {"pair": ["A", "Z"], "matches": []}]},
+         "identifications[1].pair:"),
+        ("glue", {**GLUING, "index": ["A", "B", "A"]}, "index:"),
+    ])
+    def test_bad_index_or_pair_exits_two_naming_it(self, capsys, tmp_path, command, doc, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, err = exit_code(capsys, command, str(path))
+        assert code == 2
+        assert name in err
+
 
 class TestOneAnalysisPerFamily:
     """One `check` computes each fact of its family once."""
@@ -229,15 +251,28 @@ class TestOneAnalysisPerFamily:
 
 
 class TestScripts:
-    def test_run_corpus_smoke(self):
+    @staticmethod
+    def run_corpus(*argv):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_corpus.py"), "--count", "5"],
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_corpus.py"), *argv],
             capture_output=True, text=True, env=env, timeout=300,
         )
+
+    def test_run_corpus_smoke(self):
+        result = self.run_corpus("--count", "5")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "no equivalence or duality violations" in result.stdout
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--count", "0"), ("--count", "-3"), ("--max-pieces", "1"), ("--max-points", "0"),
+    ])
+    def test_run_corpus_bad_flag_exits_two_naming_it(self, flag, value):
+        result = self.run_corpus(flag, value)
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert f"argument {flag}:" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestGlueCommand:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, is_ideal
 from gluecheck.exactlin import Matrix, Subspace, intersect, kernel, span, subspace_sum
 from gluecheck.finset import dualize, tcirc_a, tcirc_c, tstar
 from gluecheck.lattice import check_distributive_family, generate_lattice, is_distributive
@@ -114,6 +114,14 @@ class TestDistributiveFamily:
         for piece in report.per_piece:
             assert piece.all_ideals
             assert piece.verdict.status == "distributive"
+
+    def test_every_closure_element_is_an_ideal(self, fresh_families):
+        # the check tests the generators only: kernels of homs are ideals,
+        # and sums and meets of ideals are ideals
+        for name, fam in fresh_families:
+            for piece in check_distributive_family(fam).per_piece:
+                algebra = fam.pieces[piece.label]
+                assert all(is_ideal(algebra, s) for s in piece.closure.elements), (name, piece.label)
 
     def test_non_surjective_map_is_named(self):
         fam = dualize(tcirc_c())

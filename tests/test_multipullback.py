@@ -3,8 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck.algebra import Algebra, AlgebraHom, FamilyValidationError, GluingFamily, Ideal, quotient_algebra
-from gluecheck.exactlin import Matrix, Subspace, kernel, span, vec
+from gluecheck.algebra import (
+    Algebra,
+    AlgebraHom,
+    FamilyValidationError,
+    GluingFamily,
+    Ideal,
+    is_ideal,
+    quotient_algebra,
+    validate_hom,
+)
+from gluecheck.exactlin import Matrix, Subspace, image, kernel, span, subspace_sum, vec
 from gluecheck.finset import FiniteGluing, dualize, random_gluing
 from gluecheck.multipullback import (
     HypothesisNotMet,
@@ -178,41 +187,66 @@ class TestSubsetExtension:
         with pytest.raises(TooManyPieces):
             check_condition2(example3, max_indices=2)
 
-    def test_projection_monotone_under_subset_growth(self, example3):
-        labels = sorted(example3.labels)
-        from gluecheck.multipullback import _projected_to
-
-        full = pullback_subspace(example3, labels)
-        for size in (1, 2):
-            for subset in itertools.combinations(labels, size):
-                small = pullback_subspace(example3, subset)
-                projected = _projected_to(example3, full, labels, subset)
-                assert small.contains_subspace(projected)
+    def test_projection_monotone_under_subset_growth(self, fresh_families):
+        # compatible tuples project to compatible tuples, which the sweep
+        # takes on trust for every entry
+        for name, fam in fresh_families:
+            for e in check_condition2(fam).entries:
+                assert e.expected.contains_subspace(e.projected), (name, e.subset, e.extend_by)
 
 
 class TestTripleQuotients:
     def test_shared_endpoint_quotient_is_a_point(self, example2):
         tq = build_triple_quotients(example2, "I1", "I2", "I3")
-        assert tq.piece_quotient.dim == 1
-        assert tq.overlap_quotient.dim == 1
+        assert tq.bracket.rows == 1
+        assert tq.overlap_projection.rows == 1
 
     def test_quotient_dimensions_match_by_construction(self, example3):
         # both kernels out of I2 vanish at the 1-endpoint, so their sum is
         # the functions vanishing there and the quotient is a line
         tq = build_triple_quotients(example3, "I2", "I3", "I1")
-        assert tq.piece_quotient.dim == 1
-        assert tq.overlap_quotient.dim == 1
+        assert tq.bracket.rows == 1
+        assert tq.overlap_projection.rows == 1
 
-    def test_comparison_map_identity(self, example3):
-        for i, j, k in itertools.permutations(sorted(example3.labels), 3):
-            tq = build_triple_quotients(example3, i, j, k)
-            lhs = tq.iso @ tq.bracket.matrix
-            rhs = tq.overlap_surjection.matrix @ example3.map(i, j).matrix
-            assert lhs == rhs
+    def test_comparison_map_identity(self, fresh_families):
+        # iso is well defined: it carries the bracket class of b to the class of m_ij(b)
+        for name, fam in fresh_families:
+            for i, j, k in itertools.permutations(sorted(fam.labels), 3):
+                tq = build_triple_quotients(fam, i, j, k)
+                lhs = tq.iso @ tq.bracket
+                rhs = tq.overlap_projection @ fam.map(i, j).matrix
+                assert lhs == rhs, (name, tq.triple)
+
+    def test_charts_are_the_canonical_surjections(self, fresh_families):
+        # what clause 2 takes on trust: both subspaces are ideals (which
+        # quotient_algebra checks), the charts are the canonical surjections
+        # onto the quotients, with the ideals as kernels, and iso is a hom
+        # between the quotients
+        for name, fam in fresh_families:
+            quotients = {}
+
+            def checked_quotient(key, algebra, ideal):
+                # built and checked once: (i, j, k) and (i, k, j) share the piece quotient
+                if key not in quotients:
+                    q, surjection = quotient_algebra(algebra, Ideal(ideal))
+                    assert validate_hom(surjection) is None, (name, key)
+                    assert kernel(surjection.matrix) == ideal, (name, key)
+                    quotients[key] = q, surjection.matrix
+                return quotients[key]
+
+            for i, j, k in itertools.permutations(sorted(fam.labels), 3):
+                tq = build_triple_quotients(fam, i, j, k)
+                ksum = subspace_sum(fam.map_kernels[(i, j)], fam.map_kernels[(i, k)])
+                pushed = image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
+                piece_q, bracket = checked_quotient((i, ksum), fam.pieces[i], ksum)
+                overlap_q, overlap_projection = checked_quotient(((i, j), pushed), fam.overlap(i, j), pushed)
+                assert bracket == tq.bracket, (name, tq.triple)
+                assert overlap_projection == tq.overlap_projection, (name, tq.triple)
+                assert validate_hom(AlgebraHom(piece_q, overlap_q, tq.iso)) is None, (name, tq.triple)
 
     def test_degenerate_triple_is_the_zero_algebra(self):
         tq = build_triple_quotients(no_overlap_family(), "A", "B", "C")
-        assert tq.piece_quotient.dim == 0
+        assert tq.bracket.rows == 0
         assert tq.iso == Matrix.identity(0)
 
 
@@ -325,14 +359,29 @@ class TestRepair:
             repair(three_line_kernel_family())
         assert exc.value.witness is not None
 
-    def test_comparison_with_the_repaired_pullback_is_bijective(self, example2):
-        result = repair(example2)
-        comparison = Matrix.vstack(
-            [result.pullback.projections[i] for i in result.family.labels],
-            cols=result.pullback.dim,
-        )
-        repaired_sub = pullback_subspace(result.family)
-        from gluecheck.exactlin import image
+    @pytest.fixture(scope="class")
+    def repairs(self, fresh_families):
+        """(name, result) for every property input that repair accepts."""
+        out = []
+        for name, fam in fresh_families:
+            try:
+                out.append((name, repair(fam)))
+            except RepairRefused:
+                pass
+        return out
 
-        assert image(comparison, Subspace.full(result.pullback.dim)) == repaired_sub
-        assert kernel(comparison).dim == 0
+    def test_projection_kernels_are_ideals(self, repairs):
+        for name, result in repairs:
+            for i, k in result.projection_kernels.items():
+                assert is_ideal(result.pullback.algebra, k), (name, i)
+
+    def test_comparison_with_the_repaired_pullback_is_bijective(self, repairs):
+        assert {name for name, _ in repairs} >= {"example2", "example3"}
+        for name, result in repairs:
+            comparison = Matrix.vstack(
+                [result.pullback.projections[i] for i in result.family.labels],
+                cols=result.pullback.dim,
+            )
+            repaired_sub = pullback_subspace(result.family)
+            assert image(comparison, Subspace.full(result.pullback.dim)) == repaired_sub, name
+            assert kernel(comparison).dim == 0, name
