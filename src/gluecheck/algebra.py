@@ -1,8 +1,10 @@
 """Finite-dimensional unital associative algebras over Q.
 
-An algebra is presented by structure constants: ``table[a][b]`` holds the
-coordinates of the product of basis vectors a and b.  Homomorphisms are
-matrices that are checked, never assumed, to be multiplicative and unital.
+An algebra is presented by structure constants, stored sparse:
+``products[a][b]`` lists the nonzero coordinates ``(k, t)`` of e_a e_b in
+increasing k, and the validators read basis products from them.
+Homomorphisms are matrices that are checked, never assumed, to be
+multiplicative and unital.
 Zero-dimensional algebras are legal everywhere; they show up as quotients
 by the whole algebra and as overlap algebras of empty identifications.
 """
@@ -13,82 +15,86 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from gluecheck.exactlin import F0, F1, Matrix, Subspace, Vector, kernel, quotient, rank, vec
+
+SparseVector = tuple[tuple[int, Fraction], ...]
+
+
+def _sparse(v: Sequence[Fraction]) -> SparseVector:
+    return tuple((k, t) for k, t in enumerate(v) if t)
+
+
+def _dense(v: SparseVector, dim: int) -> Vector:
+    out = [F0] * dim
+    for k, t in v:
+        out[k] = t
+    return tuple(out)
+
+
+def _is_sparse(v: SparseVector, dim: int) -> bool:
+    """Whether v lists nonzero coordinates below dim in increasing order."""
+    ks = [k for k, t in v if t]
+    return len(ks) == len(v) and ks == sorted(set(ks)) and all(0 <= k < dim for k in ks)
+
+
+def _combine(terms: Iterable[tuple[Fraction, SparseVector]], dim: int) -> Vector:
+    """The dense vector sum of c * v over the (c, v) in terms."""
+    acc = [F0] * dim
+    for c, v in terms:
+        for k, t in v:
+            acc[k] += c * t
+    return tuple(acc)
 
 
 @dataclass(frozen=True)
 class Algebra:
-    """Unital associative algebra presented by structure constants."""
+    """Unital associative algebra; ``products`` is the one stored form of its
+    structure constants, and ``table`` the dense view documents are written in.
+    """
 
     dim: int
-    table: tuple[tuple[Vector, ...], ...]
+    products: tuple[tuple[SparseVector, ...], ...]
     unit: Vector
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.table) != self.dim or len(self.unit) != self.dim:
-            raise ValueError("structure constant table does not match the dimension")
-        for row in self.table:
-            if len(row) != self.dim or any(len(v) != self.dim for v in row):
-                raise ValueError("structure constant table does not match the dimension")
-        # sparse view of the table; products in this package are mostly sparse
-        object.__setattr__(
-            self,
-            "_nonzeros",
-            tuple(
-                tuple(tuple((k, t) for k, t in enumerate(v) if t) for v in row)
-                for row in self.table
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_basis",
-            tuple(
-                tuple(F1 if j == i else F0 for j in range(self.dim))
-                for i in range(self.dim)
-            ),
-        )
+        d = self.dim
+        if len(self.products) != d or len(self.unit) != d or not all(
+            len(row) == d and all(_is_sparse(v, d) for v in row) for row in self.products
+        ):
+            raise ValueError("structure constants do not match the dimension")
 
-    def basis_vector(self, i: int) -> Vector:
-        return self._basis[i]
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """Dense constants: ``table[a][b]`` is the coordinate vector of e_a e_b."""
+        return tuple(tuple(_dense(v, self.dim) for v in row) for row in self.products)
 
     def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         """Bilinear product of coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
-        acc = [F0] * self.dim
-        nz = self._nonzeros
-        for a, xa in enumerate(x):
-            if not xa:
-                continue
-            row = nz[a]
-            for b, yb in enumerate(y):
-                if not yb:
-                    continue
-                c = xa * yb
-                for k, t in row[b]:
-                    acc[k] += c * t
-        return tuple(acc)
+        ys = _sparse(y)
+        return _combine(
+            ((xa * yb, self.products[a][b]) for a, xa in _sparse(x) for b, yb in ys), self.dim
+        )
 
     @staticmethod
     def from_table(table: Sequence[Sequence[Sequence]], unit: Sequence, label: str = "") -> "Algebra":
-        tbl = tuple(tuple(vec(v) for v in row) for row in table)
-        return Algebra(len(tbl), tbl, vec(unit), label)
+        """Presentation from dense constants, ``table[a][b]`` being e_a e_b."""
+        d = len(table)
+        if not all(len(row) == d and all(len(v) == d for v in row) for row in table):
+            raise ValueError("structure constants do not match the dimension")
+        products = tuple(tuple(_sparse(vec(v)) for v in row) for row in table)
+        return Algebra(d, products, vec(unit), label)
 
     @staticmethod
     def functions(points: int | Sequence[str], label: str = "") -> "Algebra":
         """Function algebra Q^X with pointwise product and all-ones unit."""
         n = points if isinstance(points, int) else len(points)
-        table = tuple(
-            tuple(
-                tuple(F1 if a == b == k else F0 for k in range(n))
-                for b in range(n)
-            )
-            for a in range(n)
-        )
-        return Algebra(n, table, tuple(F1 for _ in range(n)), label)
+        products = tuple(tuple(((a, F1),) if a == b else () for b in range(n)) for a in range(n))
+        return Algebra(n, products, (F1,) * n, label)
 
     @staticmethod
     def zero(label: str = "") -> "Algebra":
@@ -98,23 +104,15 @@ class Algebra:
     def direct_sum(parts: Sequence["Algebra"], label: str = "") -> "Algebra":
         """Product algebra on the concatenated coordinates."""
         n = sum(p.dim for p in parts)
-        offsets = []
+        products = []
         off = 0
         for p in parts:
-            offsets.append(off)
+            before, after = ((),) * off, ((),) * (n - off - p.dim)
+            for row in p.products:
+                products.append(before + tuple(tuple((off + k, t) for k, t in v) for v in row) + after)
             off += p.dim
-        table = [[tuple(F0 for _ in range(n)) for _ in range(n)] for _ in range(n)]
-        unit = [F0] * n
-        for p, off in zip(parts, offsets):
-            for a in range(p.dim):
-                for b in range(p.dim):
-                    entry = [F0] * n
-                    for k, t in enumerate(p.table[a][b]):
-                        entry[off + k] = t
-                    table[off + a][off + b] = tuple(entry)
-            for k, u in enumerate(p.unit):
-                unit[off + k] = u
-        return Algebra(n, tuple(tuple(row) for row in table), tuple(unit), label)
+        unit = tuple(u for p in parts for u in p.unit)
+        return Algebra(n, tuple(products), unit, label)
 
 
 @dataclass(frozen=True)
@@ -127,19 +125,28 @@ class Violation:
 
 
 def validate_algebra(a: Algebra) -> Violation | None:
-    """Check associativity on basis triples and two-sided unitality."""
-    for i in range(a.dim):
-        e = a.basis_vector(i)
-        if a.multiply(a.unit, e) != e:
+    """Check two-sided unitality and associativity on basis triples.
+
+    Products are read from the constants T: (e_i e_j) e_k is the sum over l
+    of T_ij^l T_lk, and e_i (e_j e_k) the sum of T_jk^l T_il.
+    """
+    d, prods = a.dim, a.products
+    unit = _sparse(a.unit)
+    for i in range(d):
+        e = ((i, F1),)
+        if _sparse(_combine(((u, prods[m][i]) for m, u in unit), d)) != e:
             return Violation("unit", (i,), f"unit * e_{i} != e_{i}")
-        if a.multiply(e, a.unit) != e:
+        if _sparse(_combine(((u, prods[i][m]) for m, u in unit), d)) != e:
             return Violation("unit", (i,), f"e_{i} * unit != e_{i}")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            left = a.table[i][j]
-            for k in range(a.dim):
-                lhs = a.multiply(left, a.basis_vector(k))
-                rhs = a.multiply(a.basis_vector(i), a.table[j][k])
+    nonzero = [[k for k, v in enumerate(row) if v] for row in prods]
+    for i in range(d):
+        row_i = prods[i]
+        for j in range(d):
+            left = row_i[j]
+            # when e_i e_j = 0, both sides vanish unless e_j e_k != 0
+            for k in range(d) if left else nonzero[j]:
+                lhs = _combine(((c, prods[l][k]) for l, c in left), d)
+                rhs = _combine(((c, row_i[l]) for l, c in prods[j][k]), d)
                 if lhs != rhs:
                     return Violation(
                         "associativity", (i, j, k), f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})"
@@ -171,11 +178,11 @@ def validate_hom(f: AlgebraHom) -> Violation | None:
     if f.matrix.apply(f.source.unit) != f.target.unit:
         return Violation("hom-unit", (), "unit does not map to the unit")
     cols = [f.matrix.column(a) for a in range(f.source.dim)]
-    for a in range(f.source.dim):
-        for b in range(f.source.dim):
-            lhs = f.matrix.apply(f.source.table[a][b])
-            rhs = f.target.multiply(cols[a], cols[b])
-            if lhs != rhs:
+    sparse_cols = [_sparse(c) for c in cols]
+    for a, row in enumerate(f.source.products):
+        for b, v in enumerate(row):
+            lhs = _combine(((t, sparse_cols[k]) for k, t in v), f.target.dim)
+            if lhs != f.target.multiply(cols[a], cols[b]):
                 return Violation(
                     "hom-multiplicative", (a, b), f"f(e_{a} e_{b}) != f(e_{a}) f(e_{b})"
                 )
@@ -197,12 +204,13 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
     """Closure of s under left and right multiplication by every basis vector."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace does not live in the algebra's coordinates")
+    prods = a.products
+    rows = [_sparse(r) for r in s.basis_rows]
     for i in range(a.dim):
-        e = a.basis_vector(i)
-        for row in s.basis_rows:
-            if not s.contains(a.multiply(e, row)):
+        for row in rows:
+            if not s.contains(_combine(((x, prods[i][b]) for b, x in row), a.dim)):
                 return False
-            if not s.contains(a.multiply(row, e)):
+            if not s.contains(_combine(((x, prods[b][i]) for b, x in row), a.dim)):
                 return False
     return True
 
@@ -229,13 +237,9 @@ def quotient_algebra(a: Algebra, ideal: Ideal, label: str = "") -> tuple[Algebra
         raise ValueError("subspace is not a two-sided ideal")
     chart = quotient(a.dim, s)
     proj, sect = chart.projection, chart.section
-    d = chart.dim
-    lifts = [sect.column(x) for x in range(d)]
-    table = tuple(
-        tuple(proj.apply(a.multiply(lifts[x], lifts[y])) for y in range(d))
-        for x in range(d)
-    )
-    q = Algebra(d, table, proj.apply(a.unit), label or (a.label + "/ideal" if a.label else ""))
+    lifts = [sect.column(x) for x in range(chart.dim)]
+    table = [[proj.apply(a.multiply(x, y)) for y in lifts] for x in lifts]
+    q = Algebra.from_table(table, proj.apply(a.unit), label or (a.label + "/ideal" if a.label else ""))
     return q, AlgebraHom(a, q, proj)
 
 
@@ -250,19 +254,11 @@ def subspace_algebra(ambient: Algebra, s: Subspace, label: str = "") -> Algebra:
     unit_coords = s.coordinates_of(ambient.unit)
     if unit_coords is None:
         raise ValueError("subspace does not contain the unit")
-    d = s.dim
     rows = s.basis_rows
-    table = []
-    for x in range(d):
-        row = []
-        for y in range(d):
-            prod = ambient.multiply(rows[x], rows[y])
-            coords = s.coordinates_of(prod)
-            if coords is None:
-                raise ValueError("subspace is not closed under the product")
-            row.append(coords)
-        table.append(tuple(row))
-    return Algebra(d, tuple(table), unit_coords, label)
+    table = [[s.coordinates_of(ambient.multiply(x, y)) for y in rows] for x in rows]
+    if any(None in row for row in table):
+        raise ValueError("subspace is not closed under the product")
+    return Algebra.from_table(table, unit_coords, label)
 
 
 def pair_key(i: str, j: str) -> tuple[str, str]:

@@ -341,7 +341,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
     doc = specfile.family_json(repaired, options={"repaired_from": source})
     report["document"] = doc
     if args.out:
-        Path(args.out).write_text(specfile.dump_document(doc))
+        try:
+            Path(args.out).write_text(specfile.dump_document(doc))
+        except OSError as e:
+            raise specfile.DocumentError(f"cannot write {args.out}: {e}", "--out") from None
         human.append(f"wrote re-presented family to {args.out}")
     elif not args.json:
         human.append(specfile.dump_document(doc).rstrip("\n"))

@@ -199,7 +199,8 @@ def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]
     """Whether the coordinate projection onto a piece is onto, with its image."""
     if label not in p.over:
         raise ValueError(f"{label} is not part of this pullback")
-    img = image(p.projections[label], Subspace.full(p.dim))
+    proj = p.projections[label]
+    img = span((proj.column(c) for c in range(p.dim)), proj.rows)
     return img.dim == p.family.pieces[label].dim, img
 
 

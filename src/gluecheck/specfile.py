@@ -9,6 +9,7 @@ in-memory objects bit for bit.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -18,6 +19,7 @@ from gluecheck.finset import FiniteGluing
 
 KIND_FAMILY = "algebra-family"
 KIND_GLUING = "finite-gluing"
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class DocumentError(ValueError):
@@ -49,10 +51,17 @@ def _get(obj: Mapping, key: str, path: str) -> Any:
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
+    """A JSON integer, or a string "p" or "p/q" of decimal digits, p signed."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DocumentError("rationals must be integers or 'p/q' strings", path)
-    try:
+    if isinstance(value, int):
         return Fraction(value)
+    match = _RATIONAL.fullmatch(value)
+    if match is None:
+        raise DocumentError(f"not a valid rational: {value!r} is not 'p' or 'p/q'", path)
+    p, q = match.groups()
+    try:
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"not a valid rational: {e}", path) from None
 
@@ -89,7 +98,7 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
             _parse_vector(v, dim, f"{path}.structure_constants[{a}][{b}]")
             for b, v in enumerate(row)
         ))
-    return Algebra(dim, tuple(table), unit, str(value.get("label", label)))
+    return Algebra.from_table(table, unit, str(value.get("label", label)))
 
 
 def _parse_index(doc: Mapping, path: str) -> tuple[str, ...]:
@@ -159,12 +168,17 @@ def parse_gluing(doc: Mapping, path: str = "") -> FiniteGluing:
     labels = _parse_index(doc, path)
 
     spaces_doc = _expect(_get(doc, "spaces", path), dict, "spaces", "an object")
-    spaces = {}
+    spaces, points = {}, {}
     for i in labels:
         if i not in spaces_doc:
             raise DocumentError(f"no point set for piece {i}", "spaces")
         pts = _expect(spaces_doc[i], list, f"spaces.{i}", "a list of point labels")
-        spaces[i] = tuple(_expect(p, str, f"spaces.{i}[{n}]", "a string") for n, p in enumerate(pts))
+        points[i] = set()
+        for n, p in enumerate(pts):
+            if _expect(p, str, f"spaces.{i}[{n}]", "a string") in points[i]:
+                raise DocumentError(f"duplicate point label {p!r}", f"spaces.{i}[{n}]")
+            points[i].add(p)
+        spaces[i] = tuple(pts)
 
     idents_doc = _expect(doc.get("identifications", []), list, "identifications", "a list")
     identifications = {}
@@ -176,18 +190,22 @@ def parse_gluing(doc: Mapping, path: str = "") -> FiniteGluing:
         flip = pair != key
         matches = _expect(_get(item, "matches", here), list, f"{here}.matches", "a list of pairs")
         out = []
+        matched = (set(), set())
         for m, match in enumerate(matches):
+            at = f"{here}.matches[{m}]"
             if not isinstance(match, list) or len(match) != 2 or not all(isinstance(x, str) for x in match):
-                raise DocumentError("expected a pair of point labels", f"{here}.matches[{m}]")
+                raise DocumentError("expected a pair of point labels", at)
+            for point, piece, seen in zip(match, pair, matched):
+                if point not in points[piece]:
+                    raise DocumentError(f"point {point!r} is not in piece {piece}", at)
+                if point in seen:
+                    raise DocumentError(f"point {point!r} of piece {piece} is matched twice", at)
+                seen.add(point)
             out.append((match[1], match[0]) if flip else tuple(match))
         if key in identifications:
             raise DocumentError(f"duplicate identification for {key}", f"{here}.pair")
         identifications[key] = tuple(out)
-    g = FiniteGluing(labels, spaces, identifications)
-    problems = g.problems()
-    if problems:
-        raise DocumentError(problems[0], "identifications")
-    return g
+    return FiniteGluing(labels, spaces, identifications)
 
 
 def parse_document(text: str) -> tuple[str, GluingFamily | FiniteGluing, dict]:

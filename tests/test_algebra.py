@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +10,7 @@ from gluecheck.algebra import (
     FamilyValidationError,
     GluingFamily,
     Ideal,
+    Violation,
     is_ideal,
     is_surjective,
     kernel_ideal,
@@ -15,7 +19,7 @@ from gluecheck.algebra import (
     validate_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import Matrix, Subspace, kernel, span, vec
+from gluecheck.exactlin import F0, F1, Matrix, Subspace, kernel, span, vec
 
 
 def upper_triangular_2x2() -> Algebra:
@@ -60,6 +64,12 @@ class TestValidateAlgebra:
         a = Algebra.direct_sum([Algebra.functions(2), upper_triangular_2x2()])
         assert validate_algebra(a) is None
         assert a.dim == 5
+
+    @pytest.mark.parametrize("entry", [((1, F1), (0, F1)), ((0, F1), (0, F1)), ((2, F1),), ((0, F0),)],
+                             ids=["unordered", "repeated", "out-of-range", "zero"])
+    def test_products_are_stored_sparse(self, entry):
+        with pytest.raises(ValueError):
+            Algebra(2, ((entry, ()), ((), ())), (F1, F1))
 
 
 def evaluation_hom(points: int, at: int) -> AlgebraHom:
@@ -195,7 +205,7 @@ class TestHomProperties:
         keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         vanish_on = [p for p, k in enumerate(keep) if k]
         a = Algebra.functions(n)
-        rows = [a.basis_vector(p) for p in range(n) if p not in vanish_on]
+        rows = [[1 if c == p else 0 for c in range(n)] for p in range(n) if p not in vanish_on]
         ideal = Ideal(span(rows, n))
         assert is_ideal(a, ideal.subspace)
         q, _ = quotient_algebra(a, ideal)
@@ -271,3 +281,135 @@ class TestGluingFamilyValidation:
     def test_sorted_pairs(self):
         fam = tiny_family()
         assert fam.overlap("B", "A") is fam.overlap("A", "B")
+
+
+# Dense references: the product, validators and ideal test as they were
+# before the structure constants were stored sparse.  They read the dense
+# ``table`` and multiply by one-hot basis vectors.
+
+def one_hot(i: int, dim: int) -> tuple:
+    return tuple(F1 if j == i else F0 for j in range(dim))
+
+
+def dense_multiply(table, x, y) -> tuple:
+    acc = [F0] * len(table)
+    for a, xa in enumerate(x):
+        if not xa:
+            continue
+        for b, yb in enumerate(y):
+            if yb:
+                for k, t in enumerate(table[a][b]):
+                    if t:
+                        acc[k] += xa * yb * t
+    return tuple(acc)
+
+
+def dense_validate_algebra(a: Algebra) -> Violation | None:
+    table, d = a.table, a.dim
+    for i in range(d):
+        e = one_hot(i, d)
+        if dense_multiply(table, a.unit, e) != e:
+            return Violation("unit", (i,), f"unit * e_{i} != e_{i}")
+        if dense_multiply(table, e, a.unit) != e:
+            return Violation("unit", (i,), f"e_{i} * unit != e_{i}")
+    for i, j, k in itertools.product(range(d), repeat=3):
+        lhs = dense_multiply(table, table[i][j], one_hot(k, d))
+        if lhs != dense_multiply(table, one_hot(i, d), table[j][k]):
+            return Violation("associativity", (i, j, k), f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})")
+    return None
+
+
+def dense_validate_hom(f: AlgebraHom) -> Violation | None:
+    if f.matrix.apply(f.source.unit) != f.target.unit:
+        return Violation("hom-unit", (), "unit does not map to the unit")
+    source, target = f.source.table, f.target.table
+    cols = [f.matrix.column(a) for a in range(f.source.dim)]
+    for a, b in itertools.product(range(f.source.dim), repeat=2):
+        if f.matrix.apply(source[a][b]) != dense_multiply(target, cols[a], cols[b]):
+            return Violation("hom-multiplicative", (a, b), f"f(e_{a} e_{b}) != f(e_{a}) f(e_{b})")
+    return None
+
+
+def dense_is_ideal(a: Algebra, s: Subspace) -> bool:
+    table = a.table
+    for i in range(a.dim):
+        e = one_hot(i, a.dim)
+        for row in s.basis_rows:
+            if not (s.contains(dense_multiply(table, e, row)) and s.contains(dense_multiply(table, row, e))):
+                return False
+    return True
+
+
+RATIONALS = st.sampled_from([Fraction(-1), F0, F1, Fraction(1, 2)])
+
+
+@st.composite
+def small_algebras(draw) -> Algebra:
+    """Random constants of dimension 1-3, many basis products zero; most
+    fail an axiom.  Half of them get e_0 as a two-sided unit, so that
+    associativity is what they test."""
+    d = draw(st.integers(1, 3))
+    vectors = st.lists(RATIONALS, min_size=d, max_size=d)
+    products = st.one_of(st.just((F0,) * d), vectors)
+    table = draw(st.lists(st.lists(products, min_size=d, max_size=d), min_size=d, max_size=d))
+    unit = draw(vectors)
+    if draw(st.booleans()):
+        unit = one_hot(0, d)
+        for b in range(d):
+            table[0][b] = table[b][0] = one_hot(b, d)
+    return Algebra.from_table(table, unit)
+
+
+def generated(a: Algebra, x, sides: str) -> Subspace:
+    """The smallest subspace that contains x and is closed under
+    multiplication by basis vectors on the given sides ("l", "r" or "lr")."""
+    table, basis = a.table, [one_hot(i, a.dim) for i in range(a.dim)]
+    s = span([x], a.dim)
+    while True:
+        more = [dense_multiply(table, e, r) for e in basis for r in s.basis_rows if "l" in sides]
+        more += [dense_multiply(table, r, e) for e in basis for r in s.basis_rows if "r" in sides]
+        grown = s + span(more, a.dim)
+        if grown == s:
+            return s
+        s = grown
+
+
+class TestAgainstDenseReference:
+    """The sparse product, validators and ideal test give what the dense
+    one-hot computation they replaced gives: the same first violation, the
+    same verdict, the same products."""
+
+    def test_fresh_families(self, fresh_families):
+        for name, fam in fresh_families:
+            for a in (*fam.pieces.values(), *fam.overlaps.values()):
+                assert validate_algebra(a) == dense_validate_algebra(a), name
+                assert Algebra.from_table(a.table, a.unit, a.label) == a
+            for key, h in fam.maps.items():
+                assert validate_hom(h) == dense_validate_hom(h), (name, key)
+            for i in fam.labels:
+                # one map out of each piece: its kernel, an ideal, and the
+                # kernel plus the unit, which often is not
+                a, ker = fam.pieces[i], fam.map_kernels[next(k for k in fam.maps if k[0] == i)]
+                for s in (ker, ker + span([a.unit], a.dim)):
+                    assert is_ideal(a, s) == dense_is_ideal(a, s), (name, i)
+                for x, y in itertools.product((a.unit, *ker.basis_rows[:2]), repeat=2):
+                    assert a.multiply(x, y) == dense_multiply(a.table, x, y), (name, i)
+
+    @given(small_algebras(), small_algebras(), st.data())
+    def test_small_tables(self, a, b, data):
+        assert validate_algebra(a) == dense_validate_algebra(a)
+        assert Algebra.from_table(a.table, a.unit) == a
+        vectors = st.lists(RATIONALS, min_size=a.dim, max_size=a.dim)
+        x, y = data.draw(vectors), data.draw(vectors)
+        assert a.multiply(x, y) == dense_multiply(a.table, x, y)
+        # one-sided ideals, so that each side of the test is what decides
+        for s in (span(data.draw(st.lists(vectors, max_size=2)), a.dim),
+                  *(generated(a, x, sides) for sides in ("l", "r", "lr"))):
+            assert is_ideal(a, s) == dense_is_ideal(a, s)
+        rows = data.draw(st.lists(vectors, min_size=b.dim, max_size=b.dim))
+        m = Matrix.from_rows(rows, cols=a.dim)
+        # the target's unit is the image of the source's, so that the
+        # multiplicativity check is what runs
+        for h in (AlgebraHom(a, Algebra(b.dim, b.products, m.apply(a.unit)), m),
+                  AlgebraHom(a, a, Matrix.identity(a.dim))):
+            assert validate_hom(h) == dense_validate_hom(h)

@@ -92,9 +92,11 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
 
-    def test_malformed_rational_names_the_field(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", ["1/0", "1e5", "0.5", " 1"],
+                             ids=["zero-denominator", "exponent", "decimal", "whitespace"])
+    def test_malformed_rational_names_the_field(self, capsys, tmp_path, text):
         doc = specfile.family_json(fixture_family("example3"))
-        doc["pieces"]["I1"]["unit"][0] = "1/0"
+        doc["pieces"]["I1"]["unit"][0] = text
         path = tmp_path / "bad.json"
         path.write_text(specfile.dump_document(doc))
         code, _, err = run(capsys, "check", str(path))
@@ -184,6 +186,12 @@ class TestMalformedInput:
             {"pair": ["A", "B"], "matches": []}, {"pair": ["A", "Z"], "matches": []}]},
          "identifications[1].pair:"),
         ("glue", {**GLUING, "index": ["A", "B", "A"]}, "index:"),
+        ("glue", {**GLUING, "spaces": {"A": ["x", "x"], "B": ["y"]}}, "spaces.A[1]:"),
+        ("glue", {**GLUING, "identifications": [{"pair": ["B", "A"], "matches": [["y", "z"]]}]},
+         "identifications[0].matches[0]:"),
+        ("glue", {**GLUING, "spaces": {"A": ["x"], "B": ["y", "w"]},
+                  "identifications": [{"pair": ["A", "B"], "matches": [["x", "y"], ["x", "w"]]}]},
+         "identifications[0].matches[1]:"),
     ])
     def test_bad_index_or_pair_exits_two_naming_it(self, capsys, tmp_path, command, doc, name):
         path = tmp_path / "bad.json"
@@ -191,6 +199,12 @@ class TestMalformedInput:
         code, err = exit_code(capsys, command, str(path))
         assert code == 2
         assert name in err
+
+    @pytest.mark.parametrize("out", ["missing/repaired.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_two_naming_it(self, capsys, tmp_path, out):
+        code, err = exit_code(capsys, "repair", "--fixture", "example3", "--out", str(tmp_path / out))
+        assert code == 2
+        assert "--out:" in err
 
 
 class TestOneAnalysisPerFamily:
