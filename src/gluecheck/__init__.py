@@ -1,6 +1,6 @@
 """Gluing diagnostics for multi-pullbacks of finite-dimensional algebras over Q."""
 
-from gluecheck.exactlin import Matrix, Subspace, kernel, image, preimage, quotient, rref, span
+from gluecheck.exactlin import Matrix, Subspace, kernel, image, quotient, rref, span
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, Ideal, quotient_algebra
 from gluecheck.lattice import generate_lattice, is_distributive, check_distributive_family
 from gluecheck.multipullback import (
@@ -22,7 +22,6 @@ __all__ = [
     "Subspace",
     "kernel",
     "image",
-    "preimage",
     "quotient",
     "rref",
     "span",

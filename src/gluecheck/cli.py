@@ -76,6 +76,8 @@ def _witness_text(witness: Mapping | None) -> str:
 
 
 def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict]:
+    if args.fixture and args.path:
+        raise specfile.DocumentError("give a document path or a fixture, not both", "--fixture")
     if args.fixture:
         gluing = expect_kind == specfile.KIND_GLUING
         if args.fixture not in GLUING_FIXTURES and args.fixture not in FAMILY_FIXTURES:

@@ -224,11 +224,6 @@ class Subspace:
             return None
         return vec(coeffs)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return all(self.contains(r) for r in other.basis_rows)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         return subspace_sum(self, other)
 
@@ -303,14 +298,6 @@ def kernel(f: Matrix) -> Subspace:
                 v[p] = -reduced[i][c]
         rows.append(v)
     return span(rows, f.cols)
-
-
-def preimage(f: Matrix, v: Subspace) -> Subspace:
-    """Solution space of f(x) in v, computed as ker(project-past-v of f)."""
-    if f.rows != v.ambient_dim:
-        raise ValueError("map codomain does not match the subspace ambient dimension")
-    chart = quotient(v.ambient_dim, v)
-    return kernel(chart.projection @ f)
 
 
 def rank(f: Matrix) -> int:

@@ -71,7 +71,7 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
     i = 0
     while i < len(elements):
         a = elements[i]
-        for j in range(i + 1):
+        for j in range(i):  # a + a = a & a = a, recorded below
             b = elements[j]
             si = add(subspace_sum(a, b), ("sum", i, j))
             mi = add(intersect(a, b), ("meet", i, j))
@@ -82,6 +82,7 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
             meets[(i, j)] = mi
         if not complete:
             break
+        sums[(i, i)] = meets[(i, i)] = i
         i += 1
 
     n = len(elements)

@@ -39,7 +39,6 @@ from gluecheck.exactlin import (
     quotient,
     span,
     subspace_sum,
-    vec,
 )
 from gluecheck.lattice import (
     DEFAULT_CAP,
@@ -136,7 +135,6 @@ class MultiPullback:
 
     family: GluingFamily
     over: tuple[str, ...]
-    offsets: Mapping[str, int]
     subspace: Subspace
     projections: Mapping[str, Matrix]
 
@@ -159,22 +157,6 @@ class MultiPullback:
         except ValueError as e:
             raise StructuralError(f"pullback subspace is not a unital subalgebra: {e}") from e
 
-    def ambient_vector(self, components: Mapping[str, Sequence]) -> Vector:
-        if set(components) != set(self.over):
-            raise ValueError("components must be given for exactly the pullback's labels")
-        out = [F0] * self.subspace.ambient_dim
-        for i in self.over:
-            piece = self.family.pieces[i]
-            comp = vec(components[i])
-            if len(comp) != piece.dim:
-                raise ValueError(f"component {i} has length {len(comp)}, expected {piece.dim}")
-            for c, x in enumerate(comp):
-                out[self.offsets[i] + c] = x
-        return tuple(out)
-
-    def contains(self, components: Mapping[str, Sequence]) -> bool:
-        return self.subspace.contains(self.ambient_vector(components))
-
 
 def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> MultiPullback:
     """The pullback over a label subset (all labels by default) with its projections."""
@@ -192,7 +174,7 @@ def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> Mult
         )
         for i in order
     }
-    return MultiPullback(fam, order, offsets, sub, projections)
+    return MultiPullback(fam, order, sub, projections)
 
 
 def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]:
@@ -204,50 +186,20 @@ def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]
     return img.dim == p.family.pieces[label].dim, img
 
 
-def _projected_to(fam: GluingFamily, sub: Subspace, source_over: Sequence[str],
-                  target_over: Sequence[str]) -> Subspace:
-    """Project a pullback subspace onto the blocks of a sub-family."""
-    _, src_offsets, _ = _block_layout(fam, source_over)
-    order, offsets, total = _block_layout(fam, target_over)
-    vectors = []
-    for row in sub.basis_rows:
-        out = [F0] * total
-        for i in order:
-            d = fam.pieces[i].dim
-            out[offsets[i]:offsets[i] + d] = row[src_offsets[i]:src_offsets[i] + d]
-        vectors.append(out)
-    return span(vectors, total)
-
-
-def _first_row_outside(whole: Subspace, part: Subspace) -> Vector:
-    for row in whole.basis_rows:
-        if not part.contains(row):
-            return row
-    raise StructuralError("subspace comparison claimed strict containment but found no witness")
-
-
-def _split_components(fam: GluingFamily, over: Sequence[str], v: Sequence) -> dict[str, Vector]:
-    _, offsets, _ = _block_layout(fam, over)
-    return {
-        i: tuple(v[offsets[i] + c] for c in range(fam.pieces[i].dim))
-        for i in over
-    }
-
-
 @dataclass(frozen=True)
 class ExtensionEntry:
     """Verdict for one partial-pullback extension question.
 
-    ``ok`` says every compatible tuple over ``subset`` extends to one over
-    ``subset + (extend_by,)``; otherwise ``witness`` is a compatible tuple
-    (keyed by label) that admits no extension.
+    ``ok`` says every compatible tuple over ``subset`` (the subspace
+    ``expected``) extends to one over ``subset + (extend_by,)``; otherwise
+    ``witness`` is the first basis tuple of ``expected`` (keyed by label)
+    that admits no extension.
     """
 
     subset: tuple[str, ...]
     extend_by: str
     ok: bool
     expected: Subspace
-    projected: Subspace
     witness: Mapping[str, Vector] | None
 
 
@@ -272,29 +224,42 @@ class ExtensionReport:
 
 
 def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
-    sub_order = tuple(i for i in fam.labels if i in set(subset))
-    big_order = tuple(i for i in fam.labels if i in set(subset) | {k})
-    small = _shared_pullback_subspace(fam, sub_order)
-    big = _shared_pullback_subspace(fam, big_order)
-    projected = _projected_to(fam, big, big_order, sub_order)
-    ok = projected == small
+    """A compatible tuple x over K extends by k exactly when some y in B_k
+    solves m_kj y = m_jk x_j for every j in K, that is when the stacked
+    right-hand sides lie in the column span of the stacked m_kj.  The
+    extending tuples form a subspace, so testing the basis of P(K) decides
+    the entry."""
+    order, offsets, _ = _block_layout(fam, subset)
+    small = _shared_pullback_subspace(fam, order)
+    stacked = Matrix.vstack([fam.map(k, j).matrix for j in order], fam.pieces[k].dim)
+    solvable = span((stacked.column(c) for c in range(stacked.cols)), stacked.rows)
     witness = None
-    if not ok:
-        witness = _split_components(fam, sub_order, _first_row_outside(small, projected))
-    return ExtensionEntry(tuple(sorted(subset)), k, ok, small, projected, witness)
+    for row in small.basis_rows:
+        parts = {j: row[offsets[j]:offsets[j] + fam.pieces[j].dim] for j in order}
+        if not solvable.contains([z for j in order for z in fam.map(j, k).matrix.apply(parts[j])]):
+            witness = parts
+            break
+    return ExtensionEntry(tuple(sorted(subset)), k, witness is None, small, witness)
+
+
+def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport:
+    """Extension entries for every subset K of each size and every k not in
+    K, in label order."""
+    labels = sorted(fam.labels)
+    return ExtensionReport(tuple(
+        _extension_entry(fam, subset, k)
+        for size in sizes
+        for subset in itertools.combinations(labels, size)
+        for k in labels
+        if k not in subset
+    ))
 
 
 def check_condition3(fam: GluingFamily) -> ExtensionReport:
     """Pairwise extension: for each pair {i, j} and third index k, do all
     compatible pairs extend to compatible triples?"""
     fam.require_valid()
-    entries = []
-    for i, j in itertools.combinations(sorted(fam.labels), 2):
-        for k in sorted(fam.labels):
-            if k in (i, j):
-                continue
-            entries.append(_extension_entry(fam, (i, j), k))
-    return ExtensionReport(tuple(entries))
+    return _extension_sweep(fam, (2,))
 
 
 def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) -> ExtensionReport:
@@ -309,15 +274,7 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
         raise TooManyPieces(
             f"family has {n} pieces; the exhaustive subset check is capped at {max_indices}"
         )
-    entries = []
-    labels = sorted(fam.labels)
-    for size in range(1, n):
-        for subset in itertools.combinations(labels, size):
-            for k in labels:
-                if k in subset:
-                    continue
-                entries.append(_extension_entry(fam, subset, k))
-    return ExtensionReport(tuple(entries))
+    return _extension_sweep(fam, range(1, n))
 
 
 @dataclass(frozen=True)
@@ -535,11 +492,13 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
     pullback = build_pullback(fam)
     images = {i: projection_surjective(pullback, i) for i in sorted(fam.labels)}
     cocycle = check_cocycle(fam)
-    pair_ext = check_condition3(fam)
     try:
         all_ext: ExtensionReport | TooManyPieces = check_condition2(fam, max_indices)
     except TooManyPieces as e:
         all_ext = e
+        pair_ext = check_condition3(fam)
+    else:
+        pair_ext = ExtensionReport(tuple(e for e in all_ext.entries if len(e.subset) == 2))
     if not dist.ok:
         refusal = HypothesisNotMet(_why_not_distributive(dist), dist)
         theorem = TheoremVerdict(reason="family is not distributive", refusal=refusal)

@@ -98,7 +98,8 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
             _parse_vector(v, dim, f"{path}.structure_constants[{a}][{b}]")
             for b, v in enumerate(row)
         ))
-    return Algebra.from_table(table, unit, str(value.get("label", label)))
+    name = _expect(value.get("label", label), str, f"{path}.label", "a string")
+    return Algebra.from_table(table, unit, name)
 
 
 def _parse_index(doc: Mapping, path: str) -> tuple[str, ...]:
@@ -214,6 +215,8 @@ def parse_document(text: str) -> tuple[str, GluingFamily | FiniteGluing, dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer literal past Python's digit limit
+        raise DocumentError("invalid JSON: an integer literal has too many digits") from None
     _expect(doc, dict, "", "a JSON object")
     kind = _get(doc, "kind", "")
     options = doc.get("options", {})

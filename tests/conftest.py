@@ -1,6 +1,8 @@
 import pytest
 
+from gluecheck.exactlin import span
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
+from gluecheck.multipullback import pullback_subspace
 
 CORPUS_SEEDS = tuple(range(200))
 PROPERTY_INPUTS = ("example1", "example2", "example3") + tuple(f"seed{n}" for n in range(100))
@@ -38,3 +40,39 @@ def fresh_families():
          else fixture_family(name))
         for name in PROPERTY_INPUTS
     ]
+
+
+def _blocks(fam, order):
+    """The coordinate slice of each piece in the direct sum over ``order``."""
+    slices, start = {}, 0
+    for i in order:
+        slices[i] = slice(start, start + fam.pieces[i].dim)
+        start += fam.pieces[i].dim
+    return slices
+
+
+def _projection_reference(fam, subset, k):
+    """Extension by projection: P(K + {k}) projected onto the blocks of K,
+    and the first basis row of P(K) outside that projection, split into
+    components (None when every row lies inside)."""
+    small_order = [i for i in fam.labels if i in subset]
+    big_order = [i for i in fam.labels if i in subset or i == k]
+    small = pullback_subspace(fam, small_order)
+    big = pullback_subspace(fam, big_order)
+    big_blocks, small_blocks = _blocks(fam, big_order), _blocks(fam, small_order)
+    projected = span(
+        ([x for i in small_order for x in row[big_blocks[i]]] for row in big.basis_rows),
+        small.ambient_dim,
+    )
+    outside = next((row for row in small.basis_rows if not projected.contains(row)), None)
+    witness = None if outside is None else {i: outside[small_blocks[i]] for i in small_order}
+    return projected, witness
+
+
+@pytest.fixture(scope="session")
+def projection_reference():
+    """``(projected, witness)`` for an extension entry ``(fam, subset, k)``,
+    computed by projecting the larger pullback: the reference that the
+    extension sweep, which solves for the missing component, is tested
+    against."""
+    return _projection_reference

@@ -62,7 +62,7 @@ def test_criterion_1_collapsing_fixture(example1):
     report(f"ACCEPTANCE 1 collapsing fixture (dim 5, image dim 2): PASS [{watch.elapsed:.3f}s]")
 
 
-def test_criterion_2_single_overlap_circle(example2):
+def test_criterion_2_single_overlap_circle(example2, projection_reference):
     with Stopwatch() as watch:
         p = build_pullback(example2)
         assert all(projection_surjective(p, i)[0] for i in p.over)
@@ -78,8 +78,9 @@ def test_criterion_2_single_overlap_circle(example2):
         assert not failing.ok
         assert [(e.subset, e.extend_by) for e in ext3.failures] == [(("I2", "I3"), "I1")]
         witness = vec([-1, 0, 1]) + vec([-1, -1, -1])  # identity chart with constant -1
+        projected, _ = projection_reference(example2, failing.subset, failing.extend_by)
         assert failing.expected.contains(witness)
-        assert not failing.projected.contains(witness)
+        assert not projected.contains(witness)
 
         ext2 = check_condition2(example2)
         assert [(e.subset, e.extend_by) for e in ext2.failures] == [(("I2", "I3"), "I1")]

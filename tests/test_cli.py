@@ -145,6 +145,9 @@ class TestMalformedInput:
         (["check", "--fixture", "example2", "--chain", "1"], "argument --chain:"),
         (["repair", "--fixture", "example2", "--cap", "0"], "argument --cap:"),
         (["glue", "--fixture", "tstar", "--chain", "0"], "argument --chain:"),
+        (["check", "family.json", "--fixture", "example2"], "--fixture:"),
+        (["glue", "--fixture", "tstar", "gluing.json"], "--fixture:"),
+        (["repair", "family.json", "--fixture", "example2"], "--fixture:"),
     ])
     def test_bad_flag_exits_two_naming_it(self, capsys, argv, name):
         code, err = exit_code(capsys, *argv)
@@ -159,13 +162,14 @@ class TestMalformedInput:
         ("check", {"options": {"max_j": 0}}, "options.max_j"),
         ("check", {"options": {"max_j": 2.0}}, "options.max_j"),
         ("check", {"dim": True}, "pieces.I1.dim"),
+        ("repair", {"label": {"x": 1}}, "pieces.I1.label"),
     ])
     def test_bad_document_field_exits_two_naming_it(self, capsys, tmp_path, command, change, name):
         doc = specfile.family_json(fixture_family("example3"))
-        if "dim" in change:
-            doc["pieces"]["I1"].update(change)
-        else:
+        if "options" in change:
             doc.update(change)
+        else:
+            doc["pieces"]["I1"].update(change)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, err = exit_code(capsys, command, str(path))
@@ -199,6 +203,14 @@ class TestMalformedInput:
         code, err = exit_code(capsys, command, str(path))
         assert code == 2
         assert name in err
+
+    def test_overlong_integer_exits_two(self, capsys, tmp_path):
+        text = json.dumps({**specfile.family_json(fixture_family("example3")), "options": {"max_j": 1}})
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace('"max_j": 1', '"max_j": ' + "9" * 5000))
+        code, err = exit_code(capsys, "check", str(path))
+        assert code == 2
+        assert "invalid JSON" in err
 
     @pytest.mark.parametrize("out", ["missing/repaired.json", "."], ids=["missing-directory", "directory"])
     def test_unwritable_out_exits_two_naming_it(self, capsys, tmp_path, out):

@@ -10,7 +10,6 @@ from gluecheck.exactlin import (
     intersect,
     invert,
     kernel,
-    preimage,
     quotient,
     rank,
     rref,
@@ -106,15 +105,6 @@ class TestMaps:
         # evaluation at the last point of a 3-point chain
         k = kernel(Matrix.from_rows([[0, 0, 1]]))
         assert k == span([[1, 0, 0], [0, 1, 0]], 3)
-
-    def test_preimage_of_full_space(self):
-        f = Matrix.from_rows([[1, 2, 0], [0, 1, 1]])
-        assert preimage(f, Subspace.full(2)) == Subspace.full(3)
-
-    def test_preimage_pulls_back_members(self):
-        f = Matrix.from_rows([[1, 0], [0, 0]])
-        p = preimage(f, span([[1, 0]], 2))
-        assert p == Subspace.full(2)
 
     @given(matrices())
     def test_rank_nullity(self, f):

@@ -45,6 +45,15 @@ class TestGenerateLattice:
             span([[0, 1, 0]], 3),             # vanish at both endpoints
         }
 
+    def test_tables_are_sum_and_meet(self):
+        # the diagonal included, which the closure records without computing
+        for closure in (generate_lattice([LINE_A, LINE_B, LINE_C]), generate_lattice([LINE_A])):
+            els = closure.elements
+            for x, a in enumerate(els):
+                for y, b in enumerate(els):
+                    assert els[closure.sum_table[x][y]] == subspace_sum(a, b)
+                    assert els[closure.meet_table[x][y]] == intersect(a, b)
+
     def test_cap_reported_honestly(self):
         closure = generate_lattice([LINE_A, LINE_B, LINE_C], cap=3)
         assert not closure.complete

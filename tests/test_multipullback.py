@@ -14,7 +14,7 @@ from gluecheck.algebra import (
     validate_hom,
 )
 from gluecheck.exactlin import Matrix, Subspace, image, kernel, span, subspace_sum, vec
-from gluecheck.finset import FiniteGluing, dualize, random_gluing
+from gluecheck.finset import FiniteGluing, dualize, fixture_family, random_gluing
 from gluecheck.multipullback import (
     HypothesisNotMet,
     RepairRefused,
@@ -96,8 +96,7 @@ class TestBuildPullback:
 
     def test_unit_tuple_is_a_member(self, example2):
         p = build_pullback(example2)
-        ones = {i: [1, 1, 1] for i in p.over}
-        assert p.contains(ones)
+        assert p.subspace.contains([1] * p.subspace.ambient_dim)
 
     def test_induced_algebra_is_associative(self, example1):
         p = build_pullback(example1)
@@ -150,14 +149,15 @@ class TestPairwiseExtension:
         assert not report.ok
         assert [(e.subset, e.extend_by) for e in report.failures] == [(("I2", "I3"), "I1")]
 
-    def test_the_classic_witness_pair(self, example2):
+    def test_the_classic_witness_pair(self, example2, projection_reference):
         # identity chart on one chain, constant -1 on the other: compatible
         # at the shared endpoint yet admitting no third component
         entry = check_condition3(example2).entry(("I2", "I3"), "I1")
+        projected, _ = projection_reference(example2, entry.subset, entry.extend_by)
         witness = {"I2": vec([-1, 0, 1]), "I3": vec([-1, -1, -1])}
         flat = list(witness["I2"]) + list(witness["I3"])
         assert entry.expected.contains(flat)
-        assert not entry.projected.contains(flat)
+        assert not projected.contains(flat)
         assert entry.witness is not None
 
     def test_double_overlap_presentation_passes(self, example3):
@@ -187,12 +187,24 @@ class TestSubsetExtension:
         with pytest.raises(TooManyPieces):
             check_condition2(example3, max_indices=2)
 
-    def test_projection_monotone_under_subset_growth(self, fresh_families):
-        # compatible tuples project to compatible tuples, which the sweep
-        # takes on trust for every entry
+    def test_projection_monotone_under_subset_growth(self, fresh_families, projection_reference):
+        # compatible tuples project to compatible tuples
         for name, fam in fresh_families:
             for e in check_condition2(fam).entries:
-                assert e.expected.contains_subspace(e.projected), (name, e.subset, e.extend_by)
+                projected, _ = projection_reference(fam, e.subset, e.extend_by)
+                assert all(e.expected.contains(r) for r in projected.basis_rows), (name, e.subset, e.extend_by)
+
+    def test_entries_match_the_projection_reference(self, fresh_families, projection_reference):
+        # a basis row of P(K) extends exactly when it lies in the projection
+        # of P(K + {k}), so both algorithms give the same verdict and witness
+        chain8 = [(f"{name}-chain8", fixture_family(name, 8)) for name in ("example1", "example2", "example3")]
+        for name, fam in fresh_families + chain8:
+            for e in check_condition2(fam).entries:
+                projected, witness = projection_reference(fam, e.subset, e.extend_by)
+                where = (name, e.subset, e.extend_by)
+                assert e.ok == (projected == e.expected), where
+                assert e.witness == witness, where
+                assert all(e.expected.contains(r) for r in projected.basis_rows), where
 
 
 class TestTripleQuotients:
