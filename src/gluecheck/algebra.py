@@ -232,9 +232,13 @@ def quotient_algebra(a: Algebra, ideal: Ideal, label: str = "") -> tuple[Algebra
     surjection is a homomorphism with kernel the ideal, which the test
     suite checks rather than each call.
     """
-    s = ideal.subspace
-    if not is_ideal(a, s):
+    if not is_ideal(a, ideal.subspace):
         raise ValueError("subspace is not a two-sided ideal")
+    return _quotient_by(a, ideal.subspace, label)
+
+
+def _quotient_by(a: Algebra, s: Subspace, label: str = "") -> tuple[Algebra, AlgebraHom]:
+    """``quotient_algebra`` for a subspace the caller knows to be an ideal."""
     chart = quotient(a.dim, s)
     proj, sect = chart.projection, chart.section
     lifts = [sect.column(x) for x in range(chart.dim)]

@@ -125,7 +125,8 @@ def _reduce(rows: Iterable[Sequence[Fraction]], cols: int) -> tuple[list[Vector]
         m[r], m[pr] = m[pr], m[r]
         head = m[r][c]
         if head != 1:
-            m[r] = [x / head if x else x for x in m[r]]
+            inv = F1 / head  # a Fraction even when the entries are ints
+            m[r] = [x * inv if x else x for x in m[r]]
         lead = m[r]
         lead_nz = [(j, lead[j]) for j in range(c, cols) if lead[j]]
         for i in range(nrows):
@@ -153,6 +154,7 @@ class Subspace:
     basis_rows: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
+        """Reject a basis that is not in RREF; ``_reduce``'s output skips this."""
         pivots = []
         prev = -1
         for i, row in enumerate(self.basis_rows):
@@ -234,20 +236,29 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _reduced_subspace(ambient_dim: int, rows: list[Vector], pivots: list[int]) -> Subspace:
+    """The Subspace with ``_reduce``'s rows and pivots as its basis.
+
+    ``_reduce`` returns RREF by construction, so the public constructor's
+    re-check is skipped; the test suite checks that it would pass.
+    """
+    s = object.__new__(Subspace)
+    s.__dict__.update(ambient_dim=ambient_dim, basis_rows=tuple(rows), _pivots=tuple(pivots))
+    return s
+
+
 def span(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> Subspace:
     """Canonical basis of the span of the given vectors."""
     rows = [vec(v) for v in vectors]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("generator length does not match the ambient dimension")
-    reduced, _ = _reduce(rows, ambient_dim)
-    return Subspace(ambient_dim, tuple(reduced))
+    return _reduced_subspace(ambient_dim, *_reduce(rows, ambient_dim))
 
 
 def rref(m: Matrix) -> Subspace:
     """Canonical basis of the row space of m."""
-    reduced, _ = _reduce(m.entries, m.cols)
-    return Subspace(m.cols, tuple(reduced))
+    return span(m.entries, m.cols)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, pair_key
@@ -29,7 +30,9 @@ class FiniteGluing:
     """Finite pieces plus pairwise partial identification bijections.
 
     ``identifications[(i, j)]`` (with i < j) lists (point of i, point of j)
-    pairs; a missing pair means nothing is identified there.
+    pairs; a missing pair means nothing is identified there.  Gluings are
+    immutable by convention, so the dual family is built once and kept on
+    the gluing.
     """
 
     labels: tuple[str, ...]
@@ -76,6 +79,29 @@ class FiniteGluing:
         problems = self.problems()
         if problems:
             raise ValueError("; ".join(problems))
+
+    @cached_property
+    def dual_family(self) -> GluingFamily:
+        """Function-algebra family of the gluing: restriction maps to identified points.
+
+        The overlap of {i, j} is the function algebra on the identification
+        pairs; both restriction maps are surjective because the identification
+        is a partial bijection.
+        """
+        self.require_valid()
+        pieces = {i: Algebra.functions(self.spaces[i], label=f"functions({i})") for i in self.labels}
+        overlaps: dict[tuple[str, str], Algebra] = {}
+        maps: dict[tuple[str, str], AlgebraHom] = {}
+        for i, j in itertools.combinations(self.labels, 2):
+            key = pair_key(i, j)
+            pairs = self.identifications.get(key, ())
+            overlap = Algebra.functions(len(pairs), label=f"functions({key[0]}~{key[1]})")
+            overlaps[key] = overlap
+            left = _indicator_matrix(self.spaces[key[0]], [a for a, _ in pairs])
+            right = _indicator_matrix(self.spaces[key[1]], [b for _, b in pairs])
+            maps[(key[0], key[1])] = AlgebraHom(pieces[key[0]], overlap, left)
+            maps[(key[1], key[0])] = AlgebraHom(pieces[key[1]], overlap, right)
+        return GluingFamily(tuple(self.labels), pieces, overlaps, maps)
 
 
 class _UnionFind:
@@ -167,26 +193,9 @@ def _indicator_matrix(points: Sequence[str], chosen: Sequence[str]) -> Matrix:
 
 
 def dualize(g: FiniteGluing) -> GluingFamily:
-    """Function-algebra family of a gluing: restriction maps to identified points.
-
-    The overlap of {i, j} is the function algebra on the identification
-    pairs; both restriction maps are surjective because the identification
-    is a partial bijection.
-    """
-    g.require_valid()
-    pieces = {i: Algebra.functions(g.spaces[i], label=f"functions({i})") for i in g.labels}
-    overlaps: dict[tuple[str, str], Algebra] = {}
-    maps: dict[tuple[str, str], AlgebraHom] = {}
-    for i, j in itertools.combinations(g.labels, 2):
-        key = pair_key(i, j)
-        pairs = g.identifications.get(key, ())
-        overlap = Algebra.functions(len(pairs), label=f"functions({key[0]}~{key[1]})")
-        overlaps[key] = overlap
-        left = _indicator_matrix(g.spaces[key[0]], [a for a, _ in pairs])
-        right = _indicator_matrix(g.spaces[key[1]], [b for _, b in pairs])
-        maps[(key[0], key[1])] = AlgebraHom(pieces[key[0]], overlap, left)
-        maps[(key[1], key[0])] = AlgebraHom(pieces[key[1]], overlap, right)
-    return GluingFamily(tuple(g.labels), pieces, overlaps, maps)
+    """The gluing's function-algebra family, shared by every caller (see
+    ``FiniteGluing.dual_family``)."""
+    return g.dual_family
 
 
 @dataclass(frozen=True)

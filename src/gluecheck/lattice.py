@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from gluecheck.algebra import GluingFamily, is_ideal
+from gluecheck.algebra import GluingFamily
 from gluecheck.exactlin import Subspace, intersect, subspace_sum
 
 DEFAULT_CAP = 10_000
-
-Provenance = tuple  # ("generator", g) | ("sum", a, b) | ("meet", a, b)
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,6 @@ class LatticeClosure:
     elements: tuple[Subspace, ...]
     complete: bool
     cap: int
-    provenance: tuple[Provenance, ...]
     sum_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
 
@@ -49,9 +46,8 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
 
     elements: list[Subspace] = []
     index: dict[Subspace, int] = {}
-    provenance: list[Provenance] = []
 
-    def add(s: Subspace, how: Provenance) -> int | None:
+    def add(s: Subspace) -> int | None:
         found = index.get(s)
         if found is not None:
             return found
@@ -59,11 +55,10 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
             return None
         index[s] = len(elements)
         elements.append(s)
-        provenance.append(how)
         return index[s]
 
-    for g, s in enumerate(generators):
-        add(s, ("generator", g))
+    for s in generators:
+        add(s)
 
     sums: dict[tuple[int, int], int] = {}
     meets: dict[tuple[int, int], int] = {}
@@ -73,8 +68,8 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
         a = elements[i]
         for j in range(i):  # a + a = a & a = a, recorded below
             b = elements[j]
-            si = add(subspace_sum(a, b), ("sum", i, j))
-            mi = add(intersect(a, b), ("meet", i, j))
+            si = add(subspace_sum(a, b))
+            mi = add(intersect(a, b))
             if si is None or mi is None:
                 complete = False
                 break
@@ -92,7 +87,7 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
     meet_table = tuple(
         tuple(meets.get((max(x, y), min(x, y)), -1) for y in range(n)) for x in range(n)
     )
-    return LatticeClosure(generators, tuple(elements), complete, cap, tuple(provenance), sum_table, meet_table)
+    return LatticeClosure(generators, tuple(elements), complete, cap, sum_table, meet_table)
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
 class PieceLatticeReport:
     label: str
     closure: LatticeClosure
-    all_ideals: bool
     verdict: DistributivityVerdict
 
 
@@ -153,7 +147,10 @@ class DistributiveFamilyReport:
 def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> DistributiveFamilyReport:
     """Decide whether a family is distributive: all maps surjective and, for
     each piece, the kernels of its outgoing maps generate a distributive
-    lattice of ideals."""
+    lattice of ideals.
+
+    ``require_valid`` has checked every map to be a homomorphism, whose
+    kernel is a two-sided ideal, so only distributivity is decided here."""
     fam.require_valid(require_surjective=False)
     surj_failures = tuple(
         (i, j)
@@ -162,17 +159,11 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
         if i != j and not fam.map_surjective[(i, j)]
     )
     reports = []
-    ok = not surj_failures
     for i in sorted(fam.labels):
-        piece = fam.pieces[i]
         gens = [fam.map_kernels[(i, j)] for j in sorted(fam.labels) if j != i]
         if not gens:
-            gens = [Subspace.zero(piece.dim)]
+            gens = [Subspace.zero(fam.pieces[i].dim)]
         closure = generate_lattice(gens, cap)
-        # sums and meets of ideals are ideals, so the generators decide the closure
-        all_ideals = all(is_ideal(piece, s) for s in closure.generators)
-        verdict = is_distributive(closure)
-        reports.append(PieceLatticeReport(i, closure, all_ideals, verdict))
-        if not (all_ideals and verdict):
-            ok = False
+        reports.append(PieceLatticeReport(i, closure, is_distributive(closure)))
+    ok = not surj_failures and all(r.verdict for r in reports)
     return DistributiveFamilyReport(tuple(reports), surj_failures, ok)

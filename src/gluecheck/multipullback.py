@@ -23,9 +23,8 @@ from gluecheck.algebra import (
     Algebra,
     AlgebraHom,
     GluingFamily,
-    Ideal,
+    _quotient_by,
     pair_key,
-    quotient_algebra,
     subspace_algebra,
 )
 from gluecheck.exactlin import (
@@ -469,7 +468,7 @@ class Analysis:
 
 
 def _why_not_distributive(dist: DistributiveFamilyReport) -> str:
-    piece = next(p for p in dist.per_piece if not (p.all_ideals and p.verdict))
+    piece = next(p for p in dist.per_piece if not p.verdict)
     if piece.verdict.status == "indeterminate":
         return f"kernel lattice of piece {piece.label} hit the closure cap; distributivity undecided"
     return f"kernels do not generate a distributive lattice of ideals in piece {piece.label}"
@@ -542,9 +541,10 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     and the projection kernels to generate a distributive lattice inside
     the pullback algebra; refuses with a diagnosis otherwise.  The result
     is checked to satisfy the cocycle condition, which it reports.  That
-    the projection kernels are ideals and that the original pullback maps
-    bijectively onto the new one are theorems for this construction; the
-    test suite checks them, not each call.
+    the projection kernels, and so their pairwise sums, are ideals and that
+    the original pullback maps bijectively onto the new one are theorems
+    for this construction; the test suite checks them, not each call, and
+    ``check_cocycle`` validates every repaired overlap and map.
     """
     p = build_pullback(fam)
     for i in sorted(p.over):
@@ -581,7 +581,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     maps: dict[tuple[str, str], AlgebraHom] = {}
     for i, j in itertools.combinations(sorted(p.over), 2):
         ksum = subspace_sum(kernels[i], kernels[j])
-        overlap_q, osurj = quotient_algebra(p.algebra, Ideal(ksum), label=f"pullback/({i}+{j})")
+        overlap_q, osurj = _quotient_by(p.algebra, ksum, label=f"pullback/({i}+{j})")
         overlaps[pair_key(i, j)] = overlap_q
         maps[(i, j)] = AlgebraHom(fam.pieces[i], overlap_q, osurj.matrix @ lifts[i])
         maps[(j, i)] = AlgebraHom(fam.pieces[j], overlap_q, osurj.matrix @ lifts[j])

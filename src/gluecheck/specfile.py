@@ -217,6 +217,8 @@ def parse_document(text: str) -> tuple[str, GluingFamily | FiniteGluing, dict]:
         raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:  # an integer literal past Python's digit limit
         raise DocumentError("invalid JSON: an integer literal has too many digits") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: arrays or objects are nested too deeply") from None
     _expect(doc, dict, "", "a JSON object")
     kind = _get(doc, "kind", "")
     options = doc.get("options", {})

@@ -204,10 +204,14 @@ class TestMalformedInput:
         assert code == 2
         assert name in err
 
-    def test_overlong_integer_exits_two(self, capsys, tmp_path):
-        text = json.dumps({**specfile.family_json(fixture_family("example3")), "options": {"max_j": 1}})
+    @pytest.mark.parametrize("text", [
+        json.dumps({**specfile.family_json(fixture_family("example3")), "options": {"max_j": 1}})
+        .replace('"max_j": 1', '"max_j": ' + "9" * 5000),
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["overlong-integer", "deep-nesting"])
+    def test_unparseable_json_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text(text.replace('"max_j": 1', '"max_j": ' + "9" * 5000))
+        path.write_text(text)
         code, err = exit_code(capsys, "check", str(path))
         assert code == 2
         assert "invalid JSON" in err
@@ -258,6 +262,7 @@ class TestOneAnalysisPerFamily:
         kernels = self.record(monkeypatch, exactlin, "kernel")
         pullbacks = self.record(monkeypatch, multipullback, "pullback_subspace")
         induced = self.record(monkeypatch, algebra, "subspace_algebra")
+        ideal_tests = self.record(monkeypatch, algebra, "is_ideal")
 
         assert main(argv) in (0, 1)
         capsys.readouterr()
@@ -274,6 +279,7 @@ class TestOneAnalysisPerFamily:
         }
         assert sorted(map(sorted, subsets)) == sorted(map(sorted, every_subset))
         assert induced == []
+        assert ideal_tests == []  # kernels of validated homs are ideals
 
 
 class TestScripts:
@@ -289,6 +295,13 @@ class TestScripts:
     def test_run_corpus_smoke(self):
         result = self.run_corpus("--count", "5")
         assert result.returncode == 0, result.stdout + result.stderr
+        assert "no equivalence or duality violations" in result.stdout
+
+    def test_run_corpus_skips_a_family_past_the_subset_bound(self):
+        # seed 9 draws nine pieces, one more than the subset check allows
+        result = self.run_corpus("--count", "1", "--seed", "9", "--max-pieces", "12", "--max-points", "2")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "theorem test skipped on 1 instances: subset check refused" in result.stdout
         assert "no equivalence or duality violations" in result.stdout
 
     @pytest.mark.parametrize("flag,value", [

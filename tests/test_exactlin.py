@@ -187,3 +187,49 @@ class TestMembership:
 
 def test_rank_of_rectangular():
     assert rank(Matrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
+
+
+def _entries(result) -> list:
+    if isinstance(result, Subspace):
+        return [x for row in result.basis_rows for x in row]
+    if isinstance(result, Matrix):
+        return [x for row in result.entries for x in row]
+    return []
+
+
+INT_ROWS = ([[3, 1]], [[2, 1], [1, 1]], [[0, 2, 1], [3, 0, 5]])
+
+
+@pytest.mark.parametrize("op,rows", [(op, rows) for op in (rref, kernel, rank) for rows in INT_ROWS]
+                         + [(invert, [[2, 1], [1, 1]]), (invert, [[1, 2], [3, 4]])])
+def test_int_entries_reduce_exactly(op, rows):
+    # a Matrix built directly may hold ints; int / int would make floats
+    ints = Matrix(len(rows), len(rows[0]), tuple(tuple(r) for r in rows))
+    result = op(ints)
+    assert result == op(Matrix.from_rows(rows))
+    assert all(type(x) is Fraction for x in _entries(result))
+
+
+class TestReducedSubspaces:
+    """Subspaces built from ``_reduce`` skip the RREF re-check, which the
+    public constructor keeps for everyone else."""
+
+    @given(matrices(min_rows=1), st.data())
+    def test_public_constructor_accepts_every_result(self, m, data):
+        u = data.draw(subspaces(ambient=m.cols))
+        v = data.draw(subspaces(ambient=m.cols))
+        results = (span(m.entries, m.cols), rref(m), kernel(m), intersect(u, v), subspace_sum(u, v))
+        for s in results:
+            checked = Subspace(s.ambient_dim, s.basis_rows)
+            assert checked == s
+            assert checked.pivots == s.pivots
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[0, 0]], "zero row"),
+        ([[2, 0]], "reduced row echelon"),
+        ([[1, 1], [0, 1]], "not cleared"),
+        ([[1, 0, 0]], "length"),
+    ], ids=["zero-row", "pivot-not-one", "pivot-column-not-cleared", "wrong-length"])
+    def test_public_constructor_rejects_what_is_not_rref(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Subspace(2, tuple(vec(r) for r in rows))

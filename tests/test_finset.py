@@ -176,6 +176,13 @@ class TestDualityBridge:
         g = FiniteGluing(("A",), {"A": ("x", "y")}, {})
         assert duality_check(g).ok
 
+    def test_reads_the_gluing_s_one_dual_family(self):
+        g = tcirc_a()
+        fam = dualize(g)
+        assert dualize(g) is fam
+        duality_check(g)
+        assert frozenset(g.labels) in fam.pullback_subspaces
+
 
 class TestFixtures:
     def test_chain_points_default(self):

@@ -387,6 +387,15 @@ class TestRepair:
             for i, k in result.projection_kernels.items():
                 assert is_ideal(result.pullback.algebra, k), (name, i)
 
+    def test_overlaps_are_the_checked_quotients(self, repairs):
+        # repair skips quotient_algebra's ideal test; the checked path is the reference
+        for name, result in repairs:
+            kernels = result.projection_kernels
+            for (i, j), overlap in result.family.overlaps.items():
+                ideal = Ideal(subspace_sum(kernels[i], kernels[j]))
+                q, _ = quotient_algebra(result.pullback.algebra, ideal, label=overlap.label)
+                assert overlap == q, (name, i, j)
+
     def test_comparison_with_the_repaired_pullback_is_bijective(self, repairs):
         assert {name for name, _ in repairs} >= {"example2", "example3"}
         for name, result in repairs:
