@@ -260,13 +260,6 @@ def cmd_glue(args: argparse.Namespace) -> int:
     source, g, _ = _load(args, specfile.KIND_GLUING)
     report: dict = {"command": "glue", "input": source}
     human = [f"gluing from {source}"]
-    try:
-        g.require_valid()
-    except ValueError as e:
-        report["error"] = {"kind": "invalid-gluing", "message": str(e)}
-        report["exit"] = INVALID
-        return _emit(args, report, human + [f"invalid gluing: {e}"])
-
     glued = glue(g)
     report["classes"] = [[list(pt) for pt in cls] for cls in glued.classes]
     report["class_count"] = glued.size

@@ -272,7 +272,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     """Largest subspace contained in both u and v (Zassenhaus block trick).
 
     Row-reduce the block matrix [[U U], [V 0]]: the right halves of the rows
-    whose left half vanished span the intersection.
+    whose left half vanished span the intersection, and are already in RREF.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -283,8 +283,8 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     for row in v.basis_rows:
         block.append(list(row) + [F0] * n)
     reduced, pivots = _reduce(block, 2 * n)
-    inter = [row[n:] for i, row in enumerate(reduced) if pivots[i] >= n]
-    return span(inter, n)
+    keep = [r for r, p in enumerate(pivots) if p >= n]
+    return _reduced_subspace(n, [reduced[r][n:] for r in keep], [pivots[r] - n for r in keep])
 
 
 def image(f: Matrix, u: Subspace) -> Subspace:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, pair_key
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family, pair_key
 from gluecheck.exactlin import F0, F1, Matrix
 from gluecheck.multipullback import build_pullback, check_condition3, projection_surjective
 
@@ -31,8 +31,9 @@ class FiniteGluing:
 
     ``identifications[(i, j)]`` (with i < j) lists (point of i, point of j)
     pairs; a missing pair means nothing is identified there.  Gluings are
-    immutable by convention, so the dual family is built once and kept on
-    the gluing.
+    immutable by convention, so what is derived from one (its validation,
+    the glued space of each piece subset, its dual family) is computed once
+    and kept on the gluing.
     """
 
     labels: tuple[str, ...]
@@ -48,6 +49,10 @@ class FiniteGluing:
         return tuple((b, a) for a, b in stored)
 
     def problems(self) -> list[str]:
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
         out = []
         if len(set(self.labels)) != len(self.labels):
             out.append("duplicate piece labels")
@@ -57,7 +62,7 @@ class FiniteGluing:
             elif len(set(self.spaces[i])) != len(self.spaces[i]):
                 out.append(f"duplicate point labels in piece {i}")
         if out:
-            return out
+            return tuple(out)
         for (i, j), pairs in self.identifications.items():
             if (i, j) != pair_key(i, j):
                 out.append(f"identification key ({i}, {j}) is not in canonical order")
@@ -73,7 +78,7 @@ class FiniteGluing:
                 out.append(f"identification ({i}, {j}) uses points not in piece {j}")
             if len(set(left)) != len(left) or len(set(right)) != len(right):
                 out.append(f"identification ({i}, {j}) is not a partial bijection")
-        return out
+        return tuple(out)
 
     def require_valid(self) -> None:
         problems = self.problems()
@@ -81,12 +86,18 @@ class FiniteGluing:
             raise ValueError("; ".join(problems))
 
     @cached_property
+    def glued_spaces(self) -> dict:
+        """Memo of ``glue``, keyed by the chosen labels in label order."""
+        return {}
+
+    @cached_property
     def dual_family(self) -> GluingFamily:
         """Function-algebra family of the gluing: restriction maps to identified points.
 
         The overlap of {i, j} is the function algebra on the identification
         pairs; both restriction maps are surjective because the identification
-        is a partial bijection.
+        is a partial bijection.  The family is valid by construction, so it is
+        built without validation, which the test suite runs instead.
         """
         self.require_valid()
         pieces = {i: Algebra.functions(self.spaces[i], label=f"functions({i})") for i in self.labels}
@@ -101,27 +112,7 @@ class FiniteGluing:
             right = _indicator_matrix(self.spaces[key[1]], [b for _, b in pairs])
             maps[(key[0], key[1])] = AlgebraHom(pieces[key[0]], overlap, left)
             maps[(key[1], key[0])] = AlgebraHom(pieces[key[1]], overlap, right)
-        return GluingFamily(tuple(self.labels), pieces, overlaps, maps)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
+        return _trusted_family(tuple(self.labels), pieces, overlaps, maps)
 
 
 @dataclass(frozen=True)
@@ -138,23 +129,38 @@ class GluedSpace:
 
 
 def glue(g: FiniteGluing, over: Iterable[str] | None = None) -> GluedSpace:
-    """Union-find closure of the identifications among the chosen pieces."""
+    """Union-find closure of the identifications among the chosen pieces,
+    computed once per piece subset of the gluing."""
     g.require_valid()
-    chosen = tuple(g.labels) if over is None else tuple(i for i in g.labels if i in set(over))
-    if not chosen:
+    chosen = set(g.labels if over is None else over)
+    unknown = chosen - set(g.labels)
+    if unknown:
+        raise ValueError(f"labels not in the gluing: {sorted(unknown)}")
+    key = tuple(i for i in g.labels if i in chosen)
+    if not key:
         raise ValueError("the piece subset must be nonempty")
-    points: list[Point] = [(i, p) for i in chosen for p in g.spaces[i]]
+    if key in g.glued_spaces:
+        return g.glued_spaces[key]
+    points: list[Point] = [(i, p) for i in key for p in g.spaces[i]]
     idx = {pt: n for n, pt in enumerate(points)}
-    uf = _UnionFind(len(points))
-    for i, j in itertools.combinations(chosen, 2):
+    parent = list(range(len(points)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(key, 2):
         for a, b in g.pairs(i, j):
-            uf.union(idx[(i, a)], idx[(j, b)])
+            parent[find(idx[(i, a)])] = find(idx[(j, b)])
     groups: dict[int, list[Point]] = {}
-    for pt in points:
-        groups.setdefault(uf.find(idx[pt]), []).append(pt)
-    classes = tuple(tuple(groups[root]) for root in sorted(groups))
+    for n in range(len(points)):
+        groups.setdefault(find(n), []).append(points[n])
+    classes = tuple(map(tuple, groups.values()))  # ordered by their first point
     class_of = {pt: c for c, cls in enumerate(classes) for pt in cls}
-    return GluedSpace(chosen, classes, class_of)
+    g.glued_spaces[key] = GluedSpace(key, classes, class_of)
+    return g.glued_spaces[key]
 
 
 @dataclass(frozen=True)
@@ -169,11 +175,10 @@ class EmbeddingReport:
 
 def check_embedding(g: FiniteGluing, inner: Iterable[str], outer: Iterable[str]) -> EmbeddingReport:
     """Whether a partial gluing sits inside a larger one without collapsing."""
-    inner_set, outer_set = set(inner), set(outer)
-    if not inner_set <= outer_set:
+    small = glue(g, inner)
+    big = glue(g, outer)
+    if not set(small.over) <= set(big.over):
         raise ValueError("the inner piece subset must be contained in the outer one")
-    small = glue(g, inner_set)
-    big = glue(g, outer_set)
     hits: dict[int, list[int]] = {}
     for c, cls in enumerate(small.classes):
         hits.setdefault(big.class_of[cls[0]], []).append(c)
@@ -220,7 +225,6 @@ class DualityReport:
 
 
 def duality_check(g: FiniteGluing) -> DualityReport:
-    g.require_valid()
     fam = dualize(g)
     glued = glue(g)
     pullback = build_pullback(fam)

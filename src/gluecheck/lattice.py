@@ -2,7 +2,7 @@
 distributivity test on that closure.
 
 Closure of four or more generators can be infinite inside a modular
-lattice, so the closure carries a cap and an honest ``complete`` flag;
+lattice, so the closure stops at a cap with an honest ``complete`` flag;
 distributivity of an incomplete closure is reported as indeterminate,
 never silently as true or false.
 """
@@ -20,10 +20,8 @@ DEFAULT_CAP = 10_000
 
 @dataclass(frozen=True)
 class LatticeClosure:
-    generators: tuple[Subspace, ...]
     elements: tuple[Subspace, ...]
     complete: bool
-    cap: int
     sum_table: tuple[tuple[int, ...], ...]
     meet_table: tuple[tuple[int, ...], ...]
 
@@ -87,7 +85,7 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
     meet_table = tuple(
         tuple(meets.get((max(x, y), min(x, y)), -1) for y in range(n)) for x in range(n)
     )
-    return LatticeClosure(generators, tuple(elements), complete, cap, sum_table, meet_table)
+    return LatticeClosure(tuple(elements), complete, sum_table, meet_table)
 
 
 @dataclass(frozen=True)
@@ -136,12 +134,6 @@ class DistributiveFamilyReport:
     per_piece: tuple[PieceLatticeReport, ...]
     surjectivity_failures: tuple[tuple[str, str], ...]
     ok: bool
-
-    def piece(self, label: str) -> PieceLatticeReport:
-        for p in self.per_piece:
-            if p.label == label:
-                return p
-        raise KeyError(label)
 
 
 def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> DistributiveFamilyReport:

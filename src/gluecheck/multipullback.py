@@ -243,15 +243,14 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> Extens
 
 def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport:
     """Extension entries for every subset K of each size and every k not in
-    K, in label order."""
+    K, in label order, each computed once per family."""
     labels = sorted(fam.labels)
-    return ExtensionReport(tuple(
-        _extension_entry(fam, subset, k)
-        for size in sizes
-        for subset in itertools.combinations(labels, size)
-        for k in labels
-        if k not in subset
-    ))
+    keys = [(subset, k) for size in sizes for subset in itertools.combinations(labels, size)
+            for k in labels if k not in subset]
+    for key in keys:
+        if key not in fam.extension_entries:
+            fam.extension_entries[key] = _extension_entry(fam, *key)
+    return ExtensionReport(tuple(fam.extension_entries[key] for key in keys))
 
 
 def check_condition3(fam: GluingFamily) -> ExtensionReport:
@@ -495,9 +494,7 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
         all_ext: ExtensionReport | TooManyPieces = check_condition2(fam, max_indices)
     except TooManyPieces as e:
         all_ext = e
-        pair_ext = check_condition3(fam)
-    else:
-        pair_ext = ExtensionReport(tuple(e for e in all_ext.entries if len(e.subset) == 2))
+    pair_ext = check_condition3(fam)
     if not dist.ok:
         refusal = HypothesisNotMet(_why_not_distributive(dist), dist)
         theorem = TheoremVerdict(reason="family is not distributive", refusal=refusal)
@@ -530,7 +527,6 @@ class RepairedFamily:
     family: GluingFamily
     pullback: MultiPullback
     projection_kernels: Mapping[str, Subspace]
-    piece_isos: Mapping[str, Matrix]
     cocycle: CocycleReport
 
 
@@ -570,12 +566,9 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
         )
 
     lifts: dict[str, Matrix] = {}
-    isos: dict[str, Matrix] = {}
     for i in p.over:
         chart = quotient(p.dim, kernels[i])
-        iso = p.projections[i] @ chart.section
-        isos[i] = iso
-        lifts[i] = chart.section @ invert(iso)
+        lifts[i] = chart.section @ invert(p.projections[i] @ chart.section)
 
     overlaps: dict[tuple[str, str], Algebra] = {}
     maps: dict[tuple[str, str], AlgebraHom] = {}
@@ -590,4 +583,4 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     cocycle = check_cocycle(repaired)
     if not cocycle.overall:
         raise StructuralError("re-presented family fails the cocycle condition; this is a tool bug")
-    return RepairedFamily(repaired, p, kernels, isos, cocycle)
+    return RepairedFamily(repaired, p, kernels, cocycle)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gluecheck import algebra, cli, exactlin, multipullback, specfile
+from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
 from gluecheck.cli import main
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
@@ -224,7 +224,7 @@ class TestMalformedInput:
 
 
 class TestOneAnalysisPerFamily:
-    """One `check` computes each fact of its family once."""
+    """One `check` computes each fact of its family once, one `glue` each fact of its gluing."""
 
     @staticmethod
     def record(monkeypatch, module, name) -> list:
@@ -243,13 +243,14 @@ class TestOneAnalysisPerFamily:
 
     @pytest.mark.parametrize("source", ["example2", "seed7"])
     def test_each_fact_is_computed_once(self, monkeypatch, tmp_path, capsys, source):
+        # read from a document: a fixture family is valid by construction and is not validated
         if source.startswith("seed"):
-            path = tmp_path / "family.json"
-            fam_doc = specfile.family_json(dualize(random_gluing(int(source[4:]))))
-            path.write_text(specfile.dump_document(fam_doc))
-            argv = ["check", str(path)]
+            fam = dualize(random_gluing(int(source[4:])))
         else:
-            argv = ["check", "--fixture", source]
+            fam = fixture_family(source)
+        path = tmp_path / "family.json"
+        path.write_text(specfile.dump_document(specfile.family_json(fam)))
+        argv = ["check", str(path)]
         loaded = []
         load = cli._load
 
@@ -280,6 +281,22 @@ class TestOneAnalysisPerFamily:
         assert sorted(map(sorted, subsets)) == sorted(map(sorted, every_subset))
         assert induced == []
         assert ideal_tests == []  # kernels of validated homs are ideals
+
+    def test_glue_duality_glues_each_piece_subset_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "gluing.json"
+        path.write_text(specfile.dump_document(specfile.gluing_json(random_gluing(7))))
+        validated = self.record(monkeypatch, algebra, "validate_algebra")
+        glued = self.record(monkeypatch, finset, "GluedSpace")  # one per union-find
+
+        assert main(["glue", str(path), "--duality"]) in (0, 1)
+        capsys.readouterr()
+        labels = random_gluing(7).labels
+        assert len(labels) >= 3
+        subsets = {(*labels,)} | {
+            s for n in (1, 2, 3) for s in itertools.combinations(labels, n)
+        }  # whole gluing, pieces and pairs (embeddings), triples (duality)
+        assert sorted(args[0] for args in glued) == sorted(subsets)
+        assert validated == []  # the dual family is valid by construction
 
 
 class TestScripts:

@@ -3,7 +3,8 @@ from collections import deque
 
 import pytest
 
-from gluecheck.algebra import validate_algebra, validate_hom, is_surjective
+from gluecheck import multipullback
+from gluecheck.algebra import GluingFamily, validate_algebra, validate_hom, is_surjective
 from gluecheck.exactlin import Matrix
 from gluecheck.finset import (
     FiniteGluing,
@@ -19,6 +20,7 @@ from gluecheck.finset import (
     tcirc_c,
     tstar,
 )
+from gluecheck.multipullback import analyse
 
 
 def component_count(g: FiniteGluing, over) -> int:
@@ -80,6 +82,15 @@ class TestGlue:
         g = random_gluing(seed)
         assert glue(g).size == component_count(g, g.labels)
 
+    def test_unknown_labels_are_rejected(self):
+        with pytest.raises(ValueError, match="nope"):
+            glue(tstar(), ["I1", "nope"])
+
+    def test_each_piece_subset_is_glued_once(self):
+        g = tcirc_a()
+        assert glue(g, ["I3", "I2"]) is glue(g, {"I2", "I3"})
+        assert set(g.glued_spaces) == {("I2", "I3")}
+
     def test_monotone_onto_touched_classes(self):
         g = tcirc_a()
         small = glue(g, ["I2", "I3"])
@@ -113,6 +124,13 @@ class TestEmbedding:
         with pytest.raises(ValueError):
             check_embedding(tstar(), {"I1", "I2"}, {"I2"})
 
+    @pytest.mark.parametrize(
+        "inner,outer", [({"I1"}, {"I1", "zzz"}), ({"zzz"}, {"I1"})], ids=["outer", "inner"]
+    )
+    def test_unknown_labels_are_rejected(self, inner, outer):
+        with pytest.raises(ValueError, match="zzz"):
+            check_embedding(tstar(), inner, outer)
+
 
 class TestDualize:
     def test_single_point_circle_reproduces_the_evaluation_maps(self):
@@ -142,12 +160,21 @@ class TestDualize:
         assert fam.overlap("A", "B").dim == 0
         fam.require_valid()
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_dualized_families_validate(self, seed):
-        fam = dualize(random_gluing(seed))
-        fam.require_valid()
-        for i in fam.labels:
-            assert validate_algebra(fam.pieces[i]) is None
+    @pytest.mark.parametrize("source", [
+        *range(100), "example1", "example2", "example3", "example1@24", "example2@24", "example3@24",
+    ])
+    def test_dualized_families_validate(self, fresh_families, source):
+        """A dual family is built without validation; the public constructor runs it in full."""
+        if isinstance(source, int):
+            fam = dict(fresh_families)[f"seed{source}"]
+        elif "@" in source:
+            name, chain = source.split("@")
+            fam = fixture_family(name, int(chain))
+        else:
+            fam = dict(fresh_families)[source]
+        assert GluingFamily(fam.labels, fam.pieces, fam.overlaps, fam.maps).problems() == []
+        for a in [*fam.pieces.values(), *fam.overlaps.values()]:
+            assert validate_algebra(a) is None
         for h in fam.maps.values():
             assert validate_hom(h) is None and is_surjective(h)
 
@@ -175,6 +202,20 @@ class TestDualityBridge:
     def test_one_piece_gluing(self):
         g = FiniteGluing(("A",), {"A": ("x", "y")}, {})
         assert duality_check(g).ok
+
+    def test_after_an_analysis_computes_no_extension_entry(self, monkeypatch):
+        g = random_gluing(3)
+        analyse(dualize(g))
+        entries = []
+        compute = multipullback._extension_entry
+
+        def recorded(*args):
+            entries.append(args)
+            return compute(*args)
+
+        monkeypatch.setattr(multipullback, "_extension_entry", recorded)
+        assert duality_check(g).ok
+        assert entries == []
 
     def test_reads_the_gluing_s_one_dual_family(self):
         g = tcirc_a()
