@@ -60,6 +60,11 @@ def _subspace_text(s: Subspace) -> str:
     return f"span{{{rows}}} in Q^{s.ambient_dim}"
 
 
+def _lattice_witness_json(triple: Sequence[Subspace]) -> list[list[list[str]]]:
+    """A failing triple (a, b, c) of a lattice check, each as its basis rows."""
+    return [[specfile.vector_json(r) for r in s.basis_rows] for s in triple]
+
+
 def _witness_json(witness: Mapping | None) -> dict | None:
     if witness is None:
         return None
@@ -149,21 +154,27 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
 
     dist = analysis.distributive
+    per_piece = []
+    human.append(f"distributive family: {'yes' if dist.ok else 'NO'}")
+    for p in dist.per_piece:
+        entry = {
+            "piece": p.label,
+            "lattice_elements": p.elements,
+            "complete": p.complete,
+            "all_ideals": True,  # kernels of validated homs are ideals
+            "status": p.verdict.status,
+        }
+        if p.verdict.witness is not None:
+            entry["witness"] = _lattice_witness_json(p.verdict.witness)
+            a, b, c = (_subspace_text(s) for s in p.verdict.witness)
+            human.append(f"  kernels of piece {p.label} are not distributive: a & (b + c) != "
+                         f"(a & b) + (a & c) for a = {a}, b = {b}, c = {c}")
+        per_piece.append(entry)
     report["distributive"] = {
         "ok": dist.ok,
         "surjectivity_failures": [list(p) for p in dist.surjectivity_failures],
-        "per_piece": [
-            {
-                "piece": p.label,
-                "lattice_elements": len(p.closure.elements),
-                "complete": p.closure.complete,
-                "all_ideals": True,  # kernels of validated homs are ideals
-                "status": p.verdict.status,
-            }
-            for p in dist.per_piece
-        ],
+        "per_piece": per_piece,
     }
-    human.append(f"distributive family: {'yes' if dist.ok else 'NO'}")
     if dist.surjectivity_failures:
         for i, j in dist.surjectivity_failures:
             human.append(f"  map ({i} -> overlap with {j}) is not surjective")
@@ -318,6 +329,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
         result = repair(fam, lattice_cap=cap)
     except RepairRefused as e:
         report["refused"] = {"reason": str(e), "projection": e.projection}
+        if e.witness is not None:
+            report["refused"]["witness"] = _lattice_witness_json(e.witness)
         report["exit"] = REFUSED
         human.append(f"refused: {e}")
         return _emit(args, report, human)

@@ -1,21 +1,26 @@
-"""Sublattice closure of subspaces under sum and intersection, and the
-distributivity test on that closure.
+"""Distributivity of the lattice that subspaces generate under sum and
+intersection.
 
-Closure of four or more generators can be infinite inside a modular
-lattice, so the closure stops at a cap with an honest ``complete`` flag;
-distributivity of an incomplete closure is reported as indeterminate,
-never silently as true or false.
+``decide_distributivity`` decides it by a dimension count over an adapted
+basis, and only when the count fails does it run the closure
+(``generate_lattice``) and the triple test on it (``is_distributive``),
+which give the verdict and its witness.  Closure of four or more
+generators can be infinite inside a modular lattice, so the closure stops
+at a cap with an honest ``complete`` flag; distributivity of an
+incomplete closure is reported as indeterminate, never silently as true
+or false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from gluecheck.algebra import GluingFamily
-from gluecheck.exactlin import Subspace, intersect, subspace_sum
+from gluecheck.exactlin import Subspace, intersect, span, subspace_sum
 
 DEFAULT_CAP = 10_000
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -26,13 +31,7 @@ class LatticeClosure:
     meet_table: tuple[tuple[int, ...], ...]
 
 
-def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> LatticeClosure:
-    """Fixed-point closure of the generators under sum and intersection.
-
-    Elements are deduplicated by canonical form.  On completion the sum and
-    meet tables cover every pair of elements; if the cap is hit first the
-    closure stops with ``complete=False`` and partial tables.
-    """
+def _generators(gens: Iterable[Subspace], cap: int) -> tuple[Subspace, ...]:
     generators = tuple(gens)
     if not generators:
         raise ValueError("at least one generator is required")
@@ -41,11 +40,21 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
         raise ValueError("generators must share the ambient dimension")
     if cap < 1:
         raise ValueError("cap must be positive")
+    return generators
 
-    elements: list[Subspace] = []
-    index: dict[Subspace, int] = {}
 
-    def add(s: Subspace) -> int | None:
+def _close(gens: Sequence[T], join: Callable[[T, T], T], meet: Callable[[T, T], T], cap: int
+           ) -> tuple[list[T], bool, dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Fixed-point closure under ``join`` and ``meet``: the generators first,
+    deduplicated, then each pair (i, j < i) in list order, join before meet.
+
+    Returns the elements, whether the closure finished before the cap, and
+    the join and meet of every pair reached, keyed (larger index, smaller).
+    """
+    elements: list[T] = []
+    index: dict[T, int] = {}
+
+    def add(s: T) -> int | None:
         found = index.get(s)
         if found is not None:
             return found
@@ -55,29 +64,35 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
         elements.append(s)
         return index[s]
 
-    for s in generators:
+    for s in gens:
         add(s)
 
-    sums: dict[tuple[int, int], int] = {}
+    joins: dict[tuple[int, int], int] = {}
     meets: dict[tuple[int, int], int] = {}
-    complete = True
     i = 0
     while i < len(elements):
         a = elements[i]
         for j in range(i):  # a + a = a & a = a, recorded below
             b = elements[j]
-            si = add(subspace_sum(a, b))
-            mi = add(intersect(a, b))
+            si = add(join(a, b))
+            mi = add(meet(a, b))
             if si is None or mi is None:
-                complete = False
-                break
-            sums[(i, j)] = si
+                return elements, False, joins, meets
+            joins[(i, j)] = si
             meets[(i, j)] = mi
-        if not complete:
-            break
-        sums[(i, i)] = meets[(i, i)] = i
+        joins[(i, i)] = meets[(i, i)] = i
         i += 1
+    return elements, True, joins, meets
 
+
+def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> LatticeClosure:
+    """Fixed-point closure of the generators under sum and intersection.
+
+    Elements are deduplicated by canonical form.  On completion the sum and
+    meet tables cover every pair of elements; if the cap is hit first the
+    closure stops with ``complete=False`` and partial tables.
+    """
+    elements, complete, sums, meets = _close(_generators(gens, cap), subspace_sum, intersect, cap)
     n = len(elements)
     sum_table = tuple(
         tuple(sums.get((max(x, y), min(x, y)), -1) for y in range(n)) for x in range(n)
@@ -122,11 +137,91 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
     return DistributivityVerdict("distributive")
 
 
+def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
+    """Each generator as a bit mask over the blocks of an adapted basis, or
+    None when no basis adapts to them all or their meets pass the cap.
+
+    Let X run over the distinct meets of Q^d and the generators, and let
+    X_< be the sum of the meets strictly inside X, which is the sum of the
+    X & S_i over the S_i not containing X.  Complements C_X of X_< in X
+    span every X they lie in, Q^d included, so the c(X) = dim X - dim X_<
+    add up to at least d, and to exactly d when the C_X form a basis; that
+    basis spans each S_i by the C_X with X inside S_i.  A distributive
+    lattice of subspaces has such an adapted basis (Polishchuk and
+    Positselski, *Quadratic Algebras*, Ch. 1 §7), and each of its vectors
+    is counted by the c(X) of the least meet it lies in.  So the
+    generators' lattice is distributive exactly when the c(X) add up to d,
+    and then sum and meet are union and intersection of the masks that
+    give each S_i the blocks C_X with X inside S_i.  No C_X is built.
+    """
+    ambient = gens[0].ambient_dim
+    full = Subspace.full(ambient)
+    meets = [full]
+    index = {full: 0}
+    inside: list[set[int]] = [set()]  # generators known to contain each meet
+    bits: list[int] = []
+    counted = 0
+    x = 0
+    while x < len(meets):
+        here, known = meets[x], inside[x]
+        below = []  # rows spanning the meets strictly inside this one
+        for i, s in enumerate(gens):
+            if i in known:
+                continue
+            y = s if x == 0 else intersect(here, s)
+            if y.dim == here.dim:
+                known.add(i)
+                continue
+            below.extend(y.basis_rows)
+            found = index.get(y)
+            if found is None:
+                if len(meets) >= cap:
+                    return None
+                index[y] = found = len(meets)
+                meets.append(y)
+                inside.append(set())
+            inside[found] |= known
+            inside[found].add(i)
+        c = here.dim - span(below, ambient).dim
+        counted += c
+        if counted > ambient:
+            return None
+        bits.append(1 << x if c else 0)
+        x += 1
+    if counted != ambient:
+        return None
+    return [sum(bit for bit, known in zip(bits, inside) if i in known) for i in range(len(gens))]
+
+
+def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
+                          ) -> tuple[int, DistributivityVerdict]:
+    """Whether the generators' lattice is distributive, with the number of
+    elements ``generate_lattice`` lists for it under the same cap.
+
+    When an adapted basis exists the lattice is distributive, and the count
+    comes from closing the generators' masks in ``generate_lattice``'s
+    order, so a lattice larger than the cap is still indeterminate.
+    Otherwise the closure and ``is_distributive`` give the verdict and its
+    witness triple.
+    """
+    generators = _generators(gens, cap)
+    masks = _adapted_masks(generators, cap)
+    if masks is None:
+        closure = generate_lattice(generators, cap)
+        return len(closure.elements), is_distributive(closure)
+    elements, complete, _, _ = _close(masks, int.__or__, int.__and__, cap)
+    return len(elements), DistributivityVerdict("distributive" if complete else "indeterminate")
+
+
 @dataclass(frozen=True)
 class PieceLatticeReport:
     label: str
-    closure: LatticeClosure
+    elements: int  # of the kernels' closure, up to the cap
     verdict: DistributivityVerdict
+
+    @property
+    def complete(self) -> bool:
+        return self.verdict.status != "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -155,7 +250,6 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
         gens = [fam.map_kernels[(i, j)] for j in sorted(fam.labels) if j != i]
         if not gens:
             gens = [Subspace.zero(fam.pieces[i].dim)]
-        closure = generate_lattice(gens, cap)
-        reports.append(PieceLatticeReport(i, closure, is_distributive(closure)))
+        reports.append(PieceLatticeReport(i, *decide_distributivity(gens, cap)))
     ok = not surj_failures and all(r.verdict for r in reports)
     return DistributiveFamilyReport(tuple(reports), surj_failures, ok)

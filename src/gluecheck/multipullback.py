@@ -43,8 +43,7 @@ from gluecheck.lattice import (
     DEFAULT_CAP,
     DistributiveFamilyReport,
     check_distributive_family,
-    generate_lattice,
-    is_distributive,
+    decide_distributivity,
 )
 
 DEFAULT_MAX_INDICES = 8
@@ -552,8 +551,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
                 projection=i,
             )
     kernels = {i: kernel(p.projections[i]) for i in p.over}
-    closure = generate_lattice([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
-    verdict = is_distributive(closure)
+    _, verdict = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     if verdict.status == "indeterminate":
         raise RepairRefused(
             f"projection-kernel lattice exceeded the closure cap ({lattice_cap}); "

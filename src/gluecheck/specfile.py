@@ -8,6 +8,7 @@ in-memory objects bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -50,18 +51,25 @@ def _get(obj: Mapping, key: str, path: str) -> Any:
     return obj[key]
 
 
+@functools.lru_cache(maxsize=1024)
+def _rational_text(text: str) -> Fraction:
+    """The rational a "p" or "p/q" string names, parsed once per distinct
+    string: dense structure constants repeat a few values many times."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not 'p' or 'p/q'")
+    p, q = match.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+
+
 def parse_rational(value: Any, path: str) -> Fraction:
     """A JSON integer, or a string "p" or "p/q" of decimal digits, p signed."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DocumentError("rationals must be integers or 'p/q' strings", path)
     if isinstance(value, int):
         return Fraction(value)
-    match = _RATIONAL.fullmatch(value)
-    if match is None:
-        raise DocumentError(f"not a valid rational: {value!r} is not 'p' or 'p/q'", path)
-    p, q = match.groups()
     try:
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        return _rational_text(value)
     except (ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"not a valid rational: {e}", path) from None
 

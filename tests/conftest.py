@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
-from gluecheck.exactlin import span
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, Ideal, quotient_algebra
+from gluecheck.exactlin import Matrix, span
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
 from gluecheck.multipullback import pullback_subspace
 
@@ -76,3 +79,45 @@ def projection_reference():
     extension sweep, which solves for the missing component, is tested
     against."""
     return _projection_reference
+
+
+def nilpotent_plane_algebra() -> Algebra:
+    """Q + V with V a square-zero plane; every line of V is an ideal."""
+    u, v1, v2 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
+    zero = [0, 0, 0]
+    table = [
+        [u, v1, v2],
+        [v1, zero, zero],
+        [v2, zero, zero],
+    ]
+    return Algebra.from_table(table, unit=u, label="Q+V")
+
+
+@pytest.fixture
+def three_line_family() -> GluingFamily:
+    """Four pieces whose central kernels are three distinct lines of V,
+    a generated lattice that is not distributive."""
+    hub = nilpotent_plane_algebra()
+    lines = {
+        "P2": span([[0, 1, 0]], 3),
+        "P3": span([[0, 0, 1]], 3),
+        "P4": span([[0, 1, 1]], 3),
+    }
+    labels = ("P1", "P2", "P3", "P4")
+    pieces: dict[str, Algebra] = {"P1": hub}
+    overlaps: dict[tuple[str, str], Algebra] = {}
+    maps: dict[tuple[str, str], AlgebraHom] = {}
+    for spoke, line in lines.items():
+        q, surj = quotient_algebra(hub, Ideal(line), label=f"Q+V/{spoke}")
+        pieces[spoke] = q
+        overlaps[("P1", spoke)] = q
+        maps[("P1", spoke)] = surj
+        maps[(spoke, "P1")] = AlgebraHom(q, q, Matrix.identity(q.dim))
+    trivial = Algebra.zero("0")
+    for i, j in itertools.combinations(("P2", "P3", "P4"), 2):
+        overlaps[(i, j)] = trivial
+        maps[(i, j)] = AlgebraHom(pieces[i], trivial, Matrix.zeros(0, pieces[i].dim))
+        maps[(j, i)] = AlgebraHom(pieces[j], trivial, Matrix.zeros(0, pieces[j].dim))
+    fam = GluingFamily(labels, pieces, overlaps, maps)
+    fam.require_valid()
+    return fam

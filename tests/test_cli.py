@@ -103,6 +103,37 @@ class TestCheckCommand:
         assert code == 2
         assert "pieces.I1.unit[0]" in err
 
+    def test_each_distinct_rational_is_parsed_once(self, monkeypatch):
+        doc = specfile.family_json(fixture_family("example3", 8))
+        distinct = {x for piece in doc["pieces"].values()
+                    for rows in piece["structure_constants"] for v in rows for x in v}
+        matched = []
+        grammar = specfile._RATIONAL
+
+        class Counting:
+            def fullmatch(self, text):
+                matched.append(text)
+                return grammar.fullmatch(text)
+
+        specfile._rational_text.cache_clear()
+        monkeypatch.setattr(specfile, "_RATIONAL", Counting())
+        specfile.parse_document(specfile.dump_document(doc))
+        specfile._rational_text.cache_clear()
+        assert len(matched) == len(set(matched))
+        assert set(matched) >= distinct
+
+    def test_a_repeated_bad_rational_names_each_field(self, capsys, tmp_path):
+        # the first bad entry met is named, on every parse: a bad string is not cached
+        doc = specfile.family_json(fixture_family("example3"))
+        doc["pieces"]["I2"]["structure_constants"][1][1][0] = "1/0"
+        doc["pieces"]["I1"]["structure_constants"][0][1][1] = "1/0"
+        path = tmp_path / "bad.json"
+        path.write_text(specfile.dump_document(doc))
+        for _ in range(2):
+            code, _, err = run(capsys, "check", str(path))
+            assert code == 2
+            assert "pieces.I1.structure_constants[0][1][1]: not a valid rational" in err
+
     def test_invalid_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "algebra-family",\n  "index": [}')
@@ -121,6 +152,24 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 3
         assert "not surjective" in out
+
+    def test_non_distributive_piece_reports_its_witness(self, capsys, tmp_path, three_line_family):
+        path = tmp_path / "three-lines.json"
+        path.write_text(specfile.dump_document(specfile.family_json(three_line_family)))
+        code, report, _ = run_json(capsys, "check", str(path))
+        assert code == 1
+        pieces = {p["piece"]: p for p in report["distributive"]["per_piece"]}
+        assert pieces["P1"]["status"] == "not-distributive"
+        # the kernels of P1's maps: three lines of the square-zero plane
+        assert pieces["P1"]["witness"] == [
+            [["0", "1", "0"]], [["0", "0", "1"]], [["0", "1", "1"]],
+        ]
+        assert all("witness" not in pieces[i] for i in ("P2", "P3", "P4"))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert ("kernels of piece P1 are not distributive: a & (b + c) != (a & b) + (a & c) "
+                "for a = span{[0 1 0]} in Q^3, b = span{[0 0 1]} in Q^3, "
+                "c = span{[0 1 1]} in Q^3") in out
 
     def test_subset_bound_refusal(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example3", "--max-j", "2")
@@ -330,6 +379,16 @@ class TestScripts:
         assert f"argument {flag}:" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv,name", [
+        (["0"], "argument n:"), (["x"], "argument n:"),
+    ])
+    def test_bench_bad_argument_exits_two_naming_it(self, argv, name):
+        result = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *argv],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert name in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestGlueCommand:
     def test_collapsing_fixture(self, capsys):
@@ -394,6 +453,21 @@ class TestRepairCommand:
         code, out, _ = run(capsys, "repair", "--fixture", "example1")
         assert code == 3
         assert "projection onto piece I2" in out
+
+    def test_non_distributive_refusal_reports_its_witness(self, capsys, tmp_path, three_line_family):
+        path = tmp_path / "three-lines.json"
+        path.write_text(specfile.dump_document(specfile.family_json(three_line_family)))
+        code, report, _ = run_json(capsys, "repair", str(path))
+        assert code == 3
+        assert "distributive" in report["refused"]["reason"]
+        a, b, c = (exactlin.span(rows, len(rows[0])) for rows in report["refused"]["witness"])
+        assert a & (b + c) != (a & b) + (a & c)
+
+    def test_refusal_without_a_witness_has_no_witness_key(self, capsys):
+        code, report, _ = run_json(capsys, "repair", "--fixture", "example1")
+        assert code == 3
+        assert report["refused"]["projection"] == "I2"
+        assert "witness" not in report["refused"]
 
     def test_idempotent_fixture(self, capsys):
         code, report, _ = run_json(capsys, "repair", "--fixture", "example3")

@@ -1,16 +1,30 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck.algebra import Algebra, AlgebraHom, FamilyValidationError, GluingFamily, is_ideal
+from gluecheck import lattice
+from gluecheck.algebra import AlgebraHom, FamilyValidationError, GluingFamily, is_ideal
 from gluecheck.exactlin import Matrix, Subspace, intersect, kernel, span, subspace_sum
-from gluecheck.finset import dualize, tcirc_a, tcirc_c, tstar
-from gluecheck.lattice import check_distributive_family, generate_lattice, is_distributive
+from gluecheck.finset import FiniteGluing, dualize, tcirc_a, tcirc_c, tstar
+from gluecheck.lattice import (
+    DEFAULT_CAP,
+    check_distributive_family,
+    decide_distributivity,
+    generate_lattice,
+    is_distributive,
+)
+from gluecheck.multipullback import build_pullback, projection_surjective
 
 LINE_A = span([[1, 0]], 2)
 LINE_B = span([[0, 1]], 2)
 LINE_C = span([[1, 1]], 2)
+
+
+def piece_kernels(fam: GluingFamily, i: str) -> list[Subspace]:
+    """The kernels of the maps out of piece i, the generators its lattice check closes."""
+    return [fam.map_kernels[(i, j)] for j in sorted(fam.labels) if j != i]
 
 
 def random_subspace(rng: random.Random, ambient: int) -> Subspace:
@@ -104,6 +118,90 @@ class TestIsDistributive:
         assert len(statuses) == 1
 
 
+@st.composite
+def subspace_sets(draw):
+    """1-5 subspaces of one Q^d, d in 1..4, spanned by small integer rows."""
+    ambient = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient)
+    return [span(draw(st.lists(row, max_size=ambient)), ambient)
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+class TestAdaptedBasisCertificate:
+    """``decide_distributivity`` against the closure and ``is_distributive``:
+    the same verdict, the same element count and the same ``complete``."""
+
+    @staticmethod
+    def assert_matches_closure(gens, caps=(3, 6, DEFAULT_CAP)):
+        for cap in caps:
+            closure = generate_lattice(gens, cap)
+            elements, verdict = decide_distributivity(gens, cap)
+            expected = is_distributive(closure)
+            assert (elements, verdict.status) == (len(closure.elements), expected.status), cap
+            assert (verdict.status != "indeterminate") == closure.complete
+            assert verdict.witness == expected.witness
+
+    @given(subspace_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_random_subspace_sets(self, gens):
+        # four or more subspaces can generate an infinite lattice, which
+        # the reference closure would list up to the default cap of 10,000
+        # elements; the default cap is compared where 120 already suffices
+        finite = generate_lattice(gens, 120).complete
+        self.assert_matches_closure(gens, (3, 6, 120, DEFAULT_CAP) if finite else (3, 6, 120))
+
+    def test_three_lines_fall_back_to_the_closure_witness(self):
+        elements, verdict = decide_distributivity([LINE_A, LINE_B, LINE_C])
+        assert (elements, verdict.status) == (5, "not-distributive")
+        assert verdict.witness == (LINE_A, LINE_B, LINE_C)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+    def test_generators_past_the_cap_keep_the_closure_order(self, order):
+        # the closure lists no distinct generator beyond the cap, so which
+        # ones it keeps, and whether they close within the cap, follows
+        # their order; the certificate answers as the closure does
+        gens = [span([[1, 0, 0]], 3), span([[1, 0, 0], [0, 1, 0]], 3), span([[0, 0, 1]], 3)]
+        self.assert_matches_closure([gens[n] for n in order], caps=(1, 2, 3))
+
+    def test_piece_kernels_of_every_family(self, fresh_families):
+        for name, fam in fresh_families:
+            for i in sorted(fam.labels):
+                self.assert_matches_closure(piece_kernels(fam, i))
+
+    def test_projection_kernels_that_repair_closes(self, fresh_families):
+        checked = 0
+        for name, fam in fresh_families:
+            p = build_pullback(fam)
+            if all(projection_surjective(p, i)[0] for i in p.over):
+                self.assert_matches_closure([kernel(p.projections[i]) for i in sorted(p.over)])
+                checked += 1
+        assert checked >= 2
+
+    def test_intersections_are_bounded_by_the_meets(self, monkeypatch):
+        # a hub of four points and twelve spokes of one to three points, each
+        # identified with its own subset of the hub: every kernel of the
+        # dual family is a coordinate subspace, so a piece with p points has
+        # at most 2^p distinct meets, while its 12 generators have 2^12
+        # subsets
+        hub = ("a", "b", "c", "d")
+        subsets = [s for size in (1, 2, 3) for s in itertools.combinations(hub, size)][:12]
+        labels = ("H",) + tuple(f"S{n:02d}" for n in range(len(subsets)))
+        spaces = {"H": hub}
+        identifications = {}
+        for label, chosen in zip(labels[1:], subsets):
+            spaces[label] = tuple(f"q{n}" for n in range(len(chosen)))
+            identifications[("H", label)] = tuple(zip(chosen, spaces[label]))
+        fam = dualize(FiniteGluing(labels, spaces, identifications))
+        generators = len(labels) - 1
+        assert generators >= 12
+        calls = []
+        monkeypatch.setattr(lattice, "intersect", lambda u, v: calls.append(1) or intersect(u, v))
+        monkeypatch.setattr(lattice, "generate_lattice", None)  # the closure never runs
+        assert check_distributive_family(fam).ok
+        meets_bound = sum(2 ** len(spaces[i]) for i in labels)
+        assert len(calls) <= meets_bound * generators < 2 ** generators
+
+
 class TestDistributiveFamily:
     @pytest.mark.parametrize("fixture", [tstar, tcirc_a, tcirc_c])
     def test_dualized_fixtures_are_distributive(self, fixture):
@@ -117,9 +215,9 @@ class TestDistributiveFamily:
         # the check tests no element: kernels of homs are ideals, and sums
         # and meets of ideals are ideals
         for name, fam in fresh_families:
-            for piece in check_distributive_family(fam).per_piece:
-                algebra = fam.pieces[piece.label]
-                assert all(is_ideal(algebra, s) for s in piece.closure.elements), (name, piece.label)
+            for i in sorted(fam.labels):
+                closure = generate_lattice(piece_kernels(fam, i))
+                assert all(is_ideal(fam.pieces[i], s) for s in closure.elements), (name, i)
 
     def test_non_surjective_map_is_named(self):
         fam = dualize(tcirc_c())

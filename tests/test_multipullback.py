@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gluecheck.algebra import (
-    Algebra,
     AlgebraHom,
     FamilyValidationError,
     GluingFamily,
@@ -31,47 +30,6 @@ from gluecheck.multipullback import (
 )
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-def nilpotent_plane_algebra() -> Algebra:
-    """Q + V with V a square-zero plane; every line of V is an ideal."""
-    u, v1, v2 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
-    zero = [0, 0, 0]
-    table = [
-        [u, v1, v2],
-        [v1, zero, zero],
-        [v2, zero, zero],
-    ]
-    return Algebra.from_table(table, unit=u, label="Q+V")
-
-
-def three_line_kernel_family() -> GluingFamily:
-    """Four pieces whose central kernels are three distinct lines of V,
-    a generated lattice that is not distributive."""
-    hub = nilpotent_plane_algebra()
-    lines = {
-        "P2": span([[0, 1, 0]], 3),
-        "P3": span([[0, 0, 1]], 3),
-        "P4": span([[0, 1, 1]], 3),
-    }
-    labels = ("P1", "P2", "P3", "P4")
-    pieces: dict[str, Algebra] = {"P1": hub}
-    overlaps: dict[tuple[str, str], Algebra] = {}
-    maps: dict[tuple[str, str], AlgebraHom] = {}
-    for spoke, line in lines.items():
-        q, surj = quotient_algebra(hub, Ideal(line), label=f"Q+V/{spoke}")
-        pieces[spoke] = q
-        overlaps[("P1", spoke)] = q
-        maps[("P1", spoke)] = surj
-        maps[(spoke, "P1")] = AlgebraHom(q, q, Matrix.identity(q.dim))
-    trivial = Algebra.zero("0")
-    for i, j in itertools.combinations(("P2", "P3", "P4"), 2):
-        overlaps[(i, j)] = trivial
-        maps[(i, j)] = AlgebraHom(pieces[i], trivial, Matrix.zeros(0, pieces[i].dim))
-        maps[(j, i)] = AlgebraHom(pieces[j], trivial, Matrix.zeros(0, pieces[j].dim))
-    fam = GluingFamily(labels, pieces, overlaps, maps)
-    fam.require_valid()
-    return fam
 
 
 def no_overlap_family(dims=(2, 3, 2)) -> GluingFamily:
@@ -322,9 +280,9 @@ class TestTheoremEquivalence:
         assert report.verdicts == (True, True, True)
         assert report.consistent
 
-    def test_refuses_non_distributive_families(self):
+    def test_refuses_non_distributive_families(self, three_line_family):
         with pytest.raises(HypothesisNotMet, match="distributive"):
-            check_theorem_equivalence(three_line_kernel_family())
+            check_theorem_equivalence(three_line_family)
 
     def test_refuses_non_surjective_families(self, example3):
         squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
@@ -366,9 +324,9 @@ class TestRepair:
         except RepairRefused as e:
             assert e.projection == "I2"
 
-    def test_refused_when_kernels_are_not_distributive(self):
+    def test_refused_when_kernels_are_not_distributive(self, three_line_family):
         with pytest.raises(RepairRefused, match="distributive") as exc:
-            repair(three_line_kernel_family())
+            repair(three_line_family)
         assert exc.value.witness is not None
 
     @pytest.fixture(scope="class")
