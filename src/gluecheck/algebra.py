@@ -14,15 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from gluecheck.exactlin import F0, F1, Matrix, Subspace, Vector, kernel, quotient, rank, vec
+from gluecheck.exactlin import F0, F1, Matrix, Scalar, Subspace, Vector, kernel, quotient, rank, vec
 
-SparseVector = tuple[tuple[int, Fraction], ...]
+SparseVector = tuple[tuple[int, Scalar], ...]
 
 
-def _sparse(v: Sequence[Fraction]) -> SparseVector:
+def _sparse(v: Sequence[Scalar]) -> SparseVector:
     return tuple((k, t) for k, t in enumerate(v) if t)
 
 
@@ -39,7 +38,7 @@ def _is_sparse(v: SparseVector, dim: int) -> bool:
     return len(ks) == len(v) and ks == sorted(set(ks)) and all(0 <= k < dim for k in ks)
 
 
-def _combine(terms: Iterable[tuple[Fraction, SparseVector]], dim: int) -> Vector:
+def _combine(terms: Iterable[tuple[Scalar, SparseVector]], dim: int) -> Vector:
     """The dense vector sum of c * v over the (c, v) in terms."""
     acc = [F0] * dim
     for c, v in terms:
@@ -71,7 +70,7 @@ class Algebra:
         """Dense constants: ``table[a][b]`` is the coordinate vector of e_a e_b."""
         return tuple(tuple(_dense(v, self.dim) for v in row) for row in self.products)
 
-    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
+    def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear product of coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length does not match the algebra dimension")
@@ -169,7 +168,7 @@ class AlgebraHom:
                 f"expected {self.target.dim}x{self.source.dim}"
             )
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v: Sequence[Scalar]) -> Vector:
         return self.matrix.apply(v)
 
 

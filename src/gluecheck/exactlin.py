@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of ``Fraction``; a matrix acts on column vectors by left
+Vectors are tuples of exact scalars: an ``int`` for every integral entry,
+and a ``Fraction`` only where ``_reduce`` divides a row by its pivot, the
+one division in the package; a matrix acts on column vectors by left
 multiplication.  A subspace of Q^n is stored as the reduced row echelon
 basis of its row space, with no zero rows.  RREF is the canonical form:
-two subspaces are equal exactly when their fields compare equal, so no
-epsilon appears anywhere in the package.
+``Fraction(1) == 1`` and both hash alike, so two subspaces are equal
+exactly when their fields compare equal, and no epsilon appears anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -13,15 +16,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+F0 = 0
+F1 = 1
 
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
+
+
+def scalar(value) -> Scalar:
+    """An exact scalar for a 'p/q' string, a bool or another rational: the
+    ``int`` when its denominator is 1, else the ``Fraction``."""
+    f = Fraction(value)
+    return f.numerator if f.denominator == 1 else f
 
 
 def vec(values: Iterable) -> Vector:
-    """Coerce an iterable of ints / 'p/q' strings / Fractions into a vector."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """A vector of the values: ``int`` and ``Fraction`` entries as they are,
+    anything else through ``scalar``."""
+    return tuple(v if type(v) is int or type(v) is Fraction else scalar(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -72,7 +84,7 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix-vector product (v as a column vector)."""
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} does not match {self.cols} columns")
@@ -108,8 +120,14 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _reduce(rows: Iterable[Sequence[Fraction]], cols: int) -> tuple[list[Vector], list[int]]:
-    """Gauss-Jordan elimination; returns (nonzero RREF rows, pivot columns)."""
+def _reduce(rows: Iterable[Sequence[Scalar]], cols: int) -> tuple[list[Vector], list[int]]:
+    """Gauss-Jordan elimination; returns (nonzero RREF rows, pivot columns).
+
+    The rows must hold exact scalars.  Scaling a row by its pivot's inverse
+    is the one division: an ``int`` pivot gives ``Fraction(1, head)``, so
+    ``int / int`` never makes a float.  A pivot of 1 or -1 needs none, so
+    0/1 matrices, whose pivots almost always are, reduce in ``int``.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots: list[int] = []
@@ -124,8 +142,10 @@ def _reduce(rows: Iterable[Sequence[Fraction]], cols: int) -> tuple[list[Vector]
             continue
         m[r], m[pr] = m[pr], m[r]
         head = m[r][c]
-        if head != 1:
-            inv = F1 / head  # a Fraction even when the entries are ints
+        if head == -1:
+            m[r] = [-x for x in m[r]]
+        elif head != 1:
+            inv = Fraction(1, head) if type(head) is int else 1 / head
             m[r] = [x * inv if x else x for x in m[r]]
         lead = m[r]
         lead_nz = [(j, lead[j]) for j in range(c, cols) if lead[j]]
@@ -198,7 +218,7 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def _residual(self, v: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    def _residual(self, v: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
         """Reduce v against the basis; returns (coefficients, remainder)."""
         rem = list(v)
         coeffs = []
@@ -211,20 +231,20 @@ class Subspace:
                         rem[j] -= c * x
         return coeffs, rem
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
         _, rem = self._residual(v)
         return not any(rem)
 
-    def coordinates_of(self, v: Sequence[Fraction]) -> Vector | None:
+    def coordinates_of(self, v: Sequence[Scalar]) -> Vector | None:
         """Coefficients of v in the canonical basis, or None if v lies outside."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
         coeffs, rem = self._residual(v)
         if any(rem):
             return None
-        return vec(coeffs)
+        return tuple(coeffs)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return subspace_sum(self, other)
@@ -247,7 +267,7 @@ def _reduced_subspace(ambient_dim: int, rows: list[Vector], pivots: list[int]) -
     return s
 
 
-def span(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> Subspace:
+def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
     """Canonical basis of the span of the given vectors."""
     rows = [vec(v) for v in vectors]
     for r in rows:
@@ -265,7 +285,7 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     """Smallest subspace containing both u and v."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return span(list(u.basis_rows) + list(v.basis_rows), u.ambient_dim)
+    return _reduced_subspace(u.ambient_dim, *_reduce(u.basis_rows + v.basis_rows, u.ambient_dim))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -277,7 +297,7 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = u.ambient_dim
-    block: list[list[Fraction]] = []
+    block: list[list[Scalar]] = []
     for row in u.basis_rows:
         block.append(list(row) + list(row))
     for row in v.basis_rows:
@@ -291,7 +311,7 @@ def image(f: Matrix, u: Subspace) -> Subspace:
     """Image of the subspace u under the map f."""
     if f.cols != u.ambient_dim:
         raise ValueError("map domain does not match the subspace ambient dimension")
-    return span([f.apply(row) for row in u.basis_rows], f.rows)
+    return _reduced_subspace(f.rows, *_reduce([f.apply(row) for row in u.basis_rows], f.rows))
 
 
 def kernel(f: Matrix) -> Subspace:
@@ -308,7 +328,7 @@ def kernel(f: Matrix) -> Subspace:
             if reduced[i][c]:
                 v[p] = -reduced[i][c]
         rows.append(v)
-    return span(rows, f.cols)
+    return _reduced_subspace(f.cols, *_reduce(rows, f.cols))
 
 
 def rank(f: Matrix) -> int:

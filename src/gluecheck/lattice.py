@@ -48,8 +48,9 @@ def _close(gens: Sequence[T], join: Callable[[T, T], T], meet: Callable[[T, T], 
     """Fixed-point closure under ``join`` and ``meet``: the generators first,
     deduplicated, then each pair (i, j < i) in list order, join before meet.
 
-    Returns the elements, whether the closure finished before the cap, and
-    the join and meet of every pair reached, keyed (larger index, smaller).
+    Returns the elements, whether the closure finished before the cap (it
+    has not when a distinct generator is past it), and the join and meet of
+    every pair reached, keyed (larger index, smaller).
     """
     elements: list[T] = []
     index: dict[T, int] = {}
@@ -65,7 +66,8 @@ def _close(gens: Sequence[T], join: Callable[[T, T], T], meet: Callable[[T, T], 
         return index[s]
 
     for s in gens:
-        add(s)
+        if add(s) is None:
+            return elements, False, {}, {}
 
     joins: dict[tuple[int, int], int] = {}
     meets: dict[tuple[int, int], int] = {}

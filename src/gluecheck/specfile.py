@@ -11,16 +11,15 @@ from __future__ import annotations
 import functools
 import json
 import re
-from fractions import Fraction
 from typing import Any, Mapping
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, pair_key
-from gluecheck.exactlin import Matrix
+from gluecheck.exactlin import Matrix, Scalar, scalar
 from gluecheck.finset import FiniteGluing
 
 KIND_FAMILY = "algebra-family"
 KIND_GLUING = "finite-gluing"
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class DocumentError(ValueError):
@@ -52,40 +51,61 @@ def _get(obj: Mapping, key: str, path: str) -> Any:
 
 
 @functools.lru_cache(maxsize=1024)
-def _rational_text(text: str) -> Fraction:
+def _rational_text(text: str) -> Scalar:
     """The rational a "p" or "p/q" string names, parsed once per distinct
     string: dense structure constants repeat a few values many times."""
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
+    if _RATIONAL.fullmatch(text) is None:
         raise ValueError(f"{text!r} is not 'p' or 'p/q'")
-    p, q = match.groups()
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    return scalar(text)
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
-    """A JSON integer, or a string "p" or "p/q" of decimal digits, p signed."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DocumentError("rationals must be integers or 'p/q' strings", path)
-    if isinstance(value, int):
-        return Fraction(value)
+def _rational(value: Any) -> Scalar:
+    """``parse_rational`` without the field path; raises ValueError."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, str):
+        raise ValueError("rationals must be integers or 'p/q' strings")
     try:
         return _rational_text(value)
     except (ValueError, ZeroDivisionError) as e:
-        raise DocumentError(f"not a valid rational: {e}", path) from None
+        raise ValueError(f"not a valid rational: {e}") from None
 
 
-def _parse_vector(value: Any, length: int, path: str) -> tuple:
-    _expect(value, list, path, "a list")
+def parse_rational(value: Any, path: str) -> Scalar:
+    """A JSON integer, or a string "p" or "p/q" of decimal digits, p signed:
+    an ``int`` when the denominator is 1, else a ``Fraction``."""
+    try:
+        return _rational(value)
+    except ValueError as e:
+        raise DocumentError(str(e), path) from None
+
+
+def _field(path: str, index: tuple[int, ...]) -> str:
+    return path + "".join(f"[{n}]" for n in index)
+
+
+def _parse_vector(value: Any, length: int, path: str, *index: int) -> tuple:
+    """The vector at ``path`` followed by ``[n]`` for each n in ``index``;
+    that field name is only built for an error, since dense tables hold
+    many vectors."""
+    if not isinstance(value, list):
+        raise DocumentError("expected a list", _field(path, index))
     if len(value) != length:
-        raise DocumentError(f"expected {length} entries, got {len(value)}", path)
-    return tuple(parse_rational(x, f"{path}[{n}]") for n, x in enumerate(value))
+        raise DocumentError(f"expected {length} entries, got {len(value)}", _field(path, index))
+    out = []
+    try:
+        for x in value:
+            out.append(_rational(x))
+    except ValueError as e:
+        raise DocumentError(str(e), _field(path, (*index, len(out)))) from None
+    return tuple(out)
 
 
 def _parse_matrix(value: Any, rows: int, cols: int, path: str) -> Matrix:
     _expect(value, list, path, "a list of rows")
     if len(value) != rows:
         raise DocumentError(f"expected {rows} rows, got {len(value)}", path)
-    entries = tuple(_parse_vector(r, cols, f"{path}[{n}]") for n, r in enumerate(value))
+    entries = tuple(_parse_vector(r, cols, path, n) for n, r in enumerate(value))
     return Matrix(rows, cols, entries)
 
 
@@ -93,19 +113,18 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
     _expect(value, dict, path, "an object")
     dim = _integer(_get(value, "dim", path), 0, f"{path}.dim")
     unit = _parse_vector(_get(value, "unit", path), dim, f"{path}.unit")
+    here = f"{path}.structure_constants"
     sc = _get(value, "structure_constants", path)
-    _expect(sc, list, f"{path}.structure_constants", "a list")
+    _expect(sc, list, here, "a list")
     if len(sc) != dim:
-        raise DocumentError(f"expected {dim} rows", f"{path}.structure_constants")
+        raise DocumentError(f"expected {dim} rows", here)
     table = []
     for a, row in enumerate(sc):
-        _expect(row, list, f"{path}.structure_constants[{a}]", "a list")
+        if not isinstance(row, list):
+            raise DocumentError("expected a list", f"{here}[{a}]")
         if len(row) != dim:
-            raise DocumentError(f"expected {dim} entries", f"{path}.structure_constants[{a}]")
-        table.append(tuple(
-            _parse_vector(v, dim, f"{path}.structure_constants[{a}][{b}]")
-            for b, v in enumerate(row)
-        ))
+            raise DocumentError(f"expected {dim} entries", f"{here}[{a}]")
+        table.append(tuple(_parse_vector(v, dim, here, a, b) for b, v in enumerate(row)))
     name = _expect(value.get("label", label), str, f"{path}.label", "a string")
     return Algebra.from_table(table, unit, name)
 

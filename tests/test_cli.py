@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,39 @@ class TestCheckCommand:
             assert code == 2
             assert "pieces.I1.structure_constants[0][1][1]: not a valid rational" in err
 
+    @pytest.mark.parametrize("where,bad,message", [
+        (("pieces", "I2", 5, 6, 6), "1/0", "not a valid rational: Fraction(1, 0)"),
+        (("pieces", "I3", 6, 0, 3), 0.5, "rationals must be integers or 'p/q' strings"),
+        (("overlaps", 2, 1, 0, 1), True, "rationals must be integers or 'p/q' strings"),
+        (("maps", 3, 1, 7), "x", "not a valid rational: 'x' is not 'p' or 'p/q'"),
+    ], ids=["piece-constant", "last-piece-constant", "overlap-constant", "map-entry"])
+    def test_a_bad_entry_deep_in_a_table_names_its_exact_field(self, where, bad, message):
+        doc = specfile.family_json(fixture_family("example3", 8))
+        head, *index = where
+        node = doc[head][index.pop(0)]
+        node = node["structure_constants"] if head != "maps" else node["matrix"]
+        for n in index[:-1]:
+            node = node[n]
+        node[index[-1]] = bad
+        prefix = {"pieces": f"pieces.{where[1]}.structure_constants",
+                  "overlaps": f"overlaps[{where[1]}].structure_constants",
+                  "maps": f"maps[{where[1]}].matrix"}[head]
+        field = prefix + "".join(f"[{n}]" for n in index)
+        with pytest.raises(specfile.DocumentError) as caught:
+            specfile.parse_document(specfile.dump_document(doc))
+        assert caught.value.path == field
+        assert str(caught.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("value,expected", [
+        (3, 3), ("3", 3), ("-3", -3), ("4/2", 2), ("-6/3", -2), ("0/5", 0),
+        ("1/2", Fraction(1, 2)), ("-3/6", Fraction(-1, 2)),
+    ], ids=["json-integer", "p", "negative-p", "p/q-integral", "negative-p/q-integral",
+            "zero-p/q", "p/q", "negative-p/q-reduced"])
+    def test_rationals_are_ints_unless_they_divide(self, value, expected):
+        x = specfile.parse_rational(value, "here")
+        assert x == expected
+        assert type(x) is type(expected)
+
     def test_invalid_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "algebra-family",\n  "index": [}')
@@ -170,6 +204,22 @@ class TestCheckCommand:
         assert ("kernels of piece P1 are not distributive: a & (b + c) != (a & b) + (a & c) "
                 "for a = span{[0 1 0]} in Q^3, b = span{[0 0 1]} in Q^3, "
                 "c = span{[0 1 1]} in Q^3") in out
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_a_cap_below_the_kernel_count_is_indeterminate(self, capsys, tmp_path,
+                                                           three_line_family, cap):
+        path = tmp_path / "three-lines.json"
+        path.write_text(specfile.dump_document(specfile.family_json(three_line_family)))
+        code, report, _ = run_json(capsys, "check", str(path), "--cap", str(cap))
+        assert code == 1
+        pieces = {p["piece"]: p for p in report["distributive"]["per_piece"]}
+        assert pieces["P1"]["status"] == "indeterminate"
+        assert (pieces["P1"]["complete"], pieces["P1"]["lattice_elements"]) == (False, cap)
+        assert "witness" not in pieces["P1"]
+        assert report["theorem"] == {"ran": False, "reason": "family is not distributive"}
+        code, out, _ = run(capsys, "check", str(path), "--cap", str(cap))
+        assert code == 1
+        assert "distributive family: NO" in out
 
     def test_subset_bound_refusal(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example3", "--max-j", "2")

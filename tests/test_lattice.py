@@ -74,6 +74,21 @@ class TestGenerateLattice:
         assert len(closure.elements) == 3
         assert is_distributive(closure).status == "indeterminate"
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0], [0, 0, 1], [0, 1, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ], ids=["three-lines-of-a-plane", "coordinate-axes"])
+    def test_generators_past_the_cap_leave_it_incomplete(self, rows, cap):
+        # a distinct generator the closure cannot list is work left undone
+        gens = [span([r], 3) for r in rows]
+        closure = generate_lattice(gens, cap)
+        assert not closure.complete
+        assert len(closure.elements) == cap
+        assert is_distributive(closure).status == "indeterminate"
+        elements, verdict = decide_distributivity(gens, cap)
+        assert (elements, verdict.status) == (cap, "indeterminate")
+
     def test_mismatched_ambient_rejected(self):
         with pytest.raises(ValueError):
             generate_lattice([LINE_A, span([[1, 0, 0]], 3)])
