@@ -1,7 +1,7 @@
 """Gluing diagnostics for multi-pullbacks of finite-dimensional algebras over Q."""
 
 from gluecheck.exactlin import Matrix, Subspace, kernel, image, quotient, rref, span
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, Ideal, quotient_algebra
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, quotient_algebra
 from gluecheck.lattice import generate_lattice, is_distributive, check_distributive_family
 from gluecheck.multipullback import (
     analyse,
@@ -28,7 +28,6 @@ __all__ = [
     "Algebra",
     "AlgebraHom",
     "GluingFamily",
-    "Ideal",
     "quotient_algebra",
     "generate_lattice",
     "is_distributive",

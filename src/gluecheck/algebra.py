@@ -192,13 +192,6 @@ def is_surjective(f: AlgebraHom) -> bool:
     return rank(f.matrix) == f.target.dim
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """A subspace together with the claim that it is a two-sided ideal."""
-
-    subspace: Subspace
-
-
 def is_ideal(a: Algebra, s: Subspace) -> bool:
     """Closure of s under left and right multiplication by every basis vector."""
     if s.ambient_dim != a.dim:
@@ -214,15 +207,15 @@ def is_ideal(a: Algebra, s: Subspace) -> bool:
     return True
 
 
-def kernel_ideal(f: AlgebraHom) -> Ideal:
+def kernel_ideal(f: AlgebraHom) -> Subspace:
     """Kernel of a hom, asserted to be an ideal as a self-check."""
     k = kernel(f.matrix)
     if not is_ideal(f.source, k):
         raise RuntimeError("kernel of a homomorphism failed the ideal check; input is corrupt")
-    return Ideal(k)
+    return k
 
 
-def quotient_algebra(a: Algebra, ideal: Ideal, label: str = "") -> tuple[Algebra, AlgebraHom]:
+def quotient_algebra(a: Algebra, ideal: Subspace, label: str = "") -> tuple[Algebra, AlgebraHom]:
     """Quotient presentation and its canonical surjection.
 
     The chart picks the non-pivot coordinates of the ideal's RREF, so equal
@@ -231,14 +224,9 @@ def quotient_algebra(a: Algebra, ideal: Ideal, label: str = "") -> tuple[Algebra
     surjection is a homomorphism with kernel the ideal, which the test
     suite checks rather than each call.
     """
-    if not is_ideal(a, ideal.subspace):
+    if not is_ideal(a, ideal):
         raise ValueError("subspace is not a two-sided ideal")
-    return _quotient_by(a, ideal.subspace, label)
-
-
-def _quotient_by(a: Algebra, s: Subspace, label: str = "") -> tuple[Algebra, AlgebraHom]:
-    """``quotient_algebra`` for a subspace the caller knows to be an ideal."""
-    chart = quotient(a.dim, s)
+    chart = quotient(a.dim, ideal)
     proj, sect = chart.projection, chart.section
     lifts = [sect.column(x) for x in range(chart.dim)]
     table = [[proj.apply(a.multiply(x, y)) for y in lifts] for x in lifts]
@@ -250,7 +238,7 @@ def subspace_algebra(ambient: Algebra, s: Subspace, label: str = "") -> Algebra:
     """Induced presentation on a subspace closed under the ambient product.
 
     Raises ValueError when the subspace misses the unit or is not closed;
-    callers use this as the closure check for pullback subalgebras.
+    the test suite builds a pullback's induced algebra with it.
     """
     if s.ambient_dim != ambient.dim:
         raise ValueError("subspace does not live in the ambient coordinates")

@@ -267,13 +267,18 @@ def _reduced_subspace(ambient_dim: int, rows: list[Vector], pivots: list[int]) -
     return s
 
 
+def _span(rows: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
+    """``span`` for rows already exact and of length ``ambient_dim``."""
+    return _reduced_subspace(ambient_dim, *_reduce(rows, ambient_dim))
+
+
 def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
     """Canonical basis of the span of the given vectors."""
     rows = [vec(v) for v in vectors]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("generator length does not match the ambient dimension")
-    return _reduced_subspace(ambient_dim, *_reduce(rows, ambient_dim))
+    return _span(rows, ambient_dim)
 
 
 def rref(m: Matrix) -> Subspace:
@@ -285,7 +290,7 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     """Smallest subspace containing both u and v."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return _reduced_subspace(u.ambient_dim, *_reduce(u.basis_rows + v.basis_rows, u.ambient_dim))
+    return _span(u.basis_rows + v.basis_rows, u.ambient_dim)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -311,7 +316,7 @@ def image(f: Matrix, u: Subspace) -> Subspace:
     """Image of the subspace u under the map f."""
     if f.cols != u.ambient_dim:
         raise ValueError("map domain does not match the subspace ambient dimension")
-    return _reduced_subspace(f.rows, *_reduce([f.apply(row) for row in u.basis_rows], f.rows))
+    return _span([f.apply(row) for row in u.basis_rows], f.rows)
 
 
 def kernel(f: Matrix) -> Subspace:
@@ -328,7 +333,7 @@ def kernel(f: Matrix) -> Subspace:
             if reduced[i][c]:
                 v[p] = -reduced[i][c]
         rows.append(v)
-    return _reduced_subspace(f.cols, *_reduce(rows, f.cols))
+    return _span(rows, f.cols)
 
 
 def rank(f: Matrix) -> int:

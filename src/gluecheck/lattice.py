@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 from gluecheck.algebra import GluingFamily
-from gluecheck.exactlin import Subspace, intersect, span, subspace_sum
+from gluecheck.exactlin import Subspace, _span, intersect, subspace_sum
 
 DEFAULT_CAP = 10_000
 T = TypeVar("T")
@@ -184,7 +184,7 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
                 inside.append(set())
             inside[found] |= known
             inside[found].add(i)
-        c = here.dim - span(below, ambient).dim
+        c = here.dim - _span(below, ambient).dim
         counted += c
         if counted > ambient:
             return None

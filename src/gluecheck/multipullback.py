@@ -16,27 +16,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from gluecheck.algebra import (
-    Algebra,
-    AlgebraHom,
-    GluingFamily,
-    _quotient_by,
-    pair_key,
-    subspace_algebra,
-)
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family, pair_key
 from gluecheck.exactlin import (
     F0,
     Matrix,
     Subspace,
     Vector,
+    _span,
     image,
     invert,
     kernel,
     quotient,
-    span,
     subspace_sum,
 )
 from gluecheck.lattice import (
@@ -127,8 +119,7 @@ class MultiPullback:
     """The compatible-tuple subalgebra over a label subset.
 
     ``subspace`` lives in the direct-sum ambient; ``projections[i]`` maps
-    presentation coordinates onto the piece B_i; ``algebra``, the induced
-    presentation on the subspace basis, is built on first use.
+    presentation coordinates onto the piece B_i.
     """
 
     family: GluingFamily
@@ -139,21 +130,6 @@ class MultiPullback:
     @property
     def dim(self) -> int:
         return self.subspace.dim
-
-    @cached_property
-    def algebra(self) -> Algebra:
-        """The induced presentation.
-
-        Closure under the componentwise product and membership of the unit
-        tuple are genuine checks here; either failing means the family data
-        is corrupt, since surjective homomorphism constraints always cut out
-        a unital subalgebra.
-        """
-        ambient = Algebra.direct_sum([self.family.pieces[i] for i in self.over])
-        try:
-            return subspace_algebra(ambient, self.subspace, label="pullback(" + ",".join(self.over) + ")")
-        except ValueError as e:
-            raise StructuralError(f"pullback subspace is not a unital subalgebra: {e}") from e
 
 
 def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> MultiPullback:
@@ -180,7 +156,7 @@ def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]
     if label not in p.over:
         raise ValueError(f"{label} is not part of this pullback")
     proj = p.projections[label]
-    img = span((proj.column(c) for c in range(p.dim)), proj.rows)
+    img = _span((proj.column(c) for c in range(p.dim)), proj.rows)
     return img.dim == p.family.pieces[label].dim, img
 
 
@@ -230,7 +206,7 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> Extens
     order, offsets, _ = _block_layout(fam, subset)
     small = _shared_pullback_subspace(fam, order)
     stacked = Matrix.vstack([fam.map(k, j).matrix for j in order], fam.pieces[k].dim)
-    solvable = span((stacked.column(c) for c in range(stacked.cols)), stacked.rows)
+    solvable = _span((stacked.column(c) for c in range(stacked.cols)), stacked.rows)
     witness = None
     for row in small.basis_rows:
         parts = {j: row[offsets[j]:offsets[j] + fam.pieces[j].dim] for j in order}
@@ -295,11 +271,15 @@ class TripleQuotients:
     iso_inv: Matrix
 
 
-def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQuotients:
+def _pushed_kernel(fam: GluingFamily, i: str, j: str, k: str) -> Subspace:
+    """m_ij(ker m_ik), the ideal of B_ij that the triple (i, j, k) quotients by."""
+    return image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
+
+
+def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str, pushed: Subspace) -> TripleQuotients:
     m_ij = fam.map(i, j).matrix
     ksum = subspace_sum(fam.map_kernels[(i, j)], fam.map_kernels[(i, k)])
     piece_chart = quotient(fam.pieces[i].dim, ksum)
-    pushed = image(m_ij, fam.map_kernels[(i, k)])
     overlap_chart = quotient(fam.overlap(i, j).dim, pushed)
     iso = overlap_chart.projection @ m_ij @ piece_chart.section
     try:
@@ -317,7 +297,7 @@ def build_triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQ
     fam.require_valid()
     if len({i, j, k}) != 3 or not {i, j, k} <= set(fam.labels):
         raise ValueError("three distinct family labels are required")
-    return _triple_quotients(fam, i, j, k)
+    return _triple_quotients(fam, i, j, k, _pushed_kernel(fam, i, j, k))
 
 
 @dataclass(frozen=True)
@@ -371,12 +351,12 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
     """
     fam.require_valid()
     labels = sorted(fam.labels)
-    kernels = fam.map_kernels
+    # the rhs of (i, j, k) is the lhs of (j, i, k), and clause 2 quotients by both
+    pushed = {t: _pushed_kernel(fam, *t) for t in itertools.permutations(labels, 3)}
     cond1: list[KernelImageEntry] = []
     cond1_by_triple: dict[tuple[str, str, str], bool] = {}
     for i, j, k in itertools.permutations(labels, 3):
-        lhs = image(fam.map(i, j).matrix, kernels[(i, k)])
-        rhs = image(fam.map(j, i).matrix, kernels[(j, k)])
+        lhs, rhs = pushed[(i, j, k)], pushed[(j, i, k)]
         entry = KernelImageEntry((i, j, k), lhs, rhs, lhs == rhs)
         cond1.append(entry)
         cond1_by_triple[(i, j, k)] = entry.equal
@@ -389,7 +369,7 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
         # phi(a<-b over c): classes in B_b/(ker+ker) to classes in B_a/(ker+ker)
         for t in ((a, b, c), (b, a, c)):
             if t not in tq:
-                tq[t] = _triple_quotients(fam, *t)
+                tq[t] = _triple_quotients(fam, *t, pushed[t])
         return tq[(a, b, c)].iso_inv @ tq[(b, a, c)].iso
 
     for trio in itertools.combinations(labels, 3):
@@ -535,11 +515,13 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     Requires every projection of the pullback onto a piece to be surjective
     and the projection kernels to generate a distributive lattice inside
     the pullback algebra; refuses with a diagnosis otherwise.  The result
-    is checked to satisfy the cocycle condition, which it reports.  That
-    the projection kernels, and so their pairwise sums, are ideals and that
-    the original pullback maps bijectively onto the new one are theorems
-    for this construction; the test suite checks them, not each call, and
-    ``check_cocycle`` validates every repaired overlap and map.
+    is checked to satisfy the cocycle condition, which it reports.  Each
+    overlap P/(K_i+K_j) is presented from the piece B_i = P/K_i, so the
+    pullback's own algebra is never built.  That the projection kernels,
+    and so their pairwise sums, are ideals, that the repaired family is
+    valid and that the original pullback maps bijectively onto the new one
+    are theorems for this construction; the test suite checks them, not
+    each call.
     """
     p = build_pullback(fam)
     for i in sorted(p.over):
@@ -571,13 +553,20 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     overlaps: dict[tuple[str, str], Algebra] = {}
     maps: dict[tuple[str, str], AlgebraHom] = {}
     for i, j in itertools.combinations(sorted(p.over), 2):
-        ksum = subspace_sum(kernels[i], kernels[j])
-        overlap_q, osurj = _quotient_by(p.algebra, ksum, label=f"pullback/({i}+{j})")
-        overlaps[pair_key(i, j)] = overlap_q
-        maps[(i, j)] = AlgebraHom(fam.pieces[i], overlap_q, osurj.matrix @ lifts[i])
-        maps[(j, i)] = AlgebraHom(fam.pieces[j], overlap_q, osurj.matrix @ lifts[j])
+        chart = quotient(p.dim, subspace_sum(kernels[i], kernels[j]))
+        to_i = chart.projection @ lifts[i]
+        # pi_i is a hom and x - lifts[i] pi_i x lies in K_i, so the product of
+        # classes x, y in P/(K_i+K_j) is to_i(pi_i x * pi_i y), read in B_i
+        piece = fam.pieces[i]
+        reps = p.projections[i] @ chart.section
+        cols = [reps.column(x) for x in range(chart.dim)]
+        table = [[to_i.apply(piece.multiply(x, y)) for y in cols] for x in cols]
+        overlap = Algebra.from_table(table, to_i.apply(piece.unit), label=f"pullback/({i}+{j})")
+        overlaps[pair_key(i, j)] = overlap
+        maps[(i, j)] = AlgebraHom(piece, overlap, to_i)
+        maps[(j, i)] = AlgebraHom(fam.pieces[j], overlap, chart.projection @ lifts[j])
 
-    repaired = GluingFamily(fam.labels, dict(fam.pieces), overlaps, maps)
+    repaired = _trusted_family(fam.labels, dict(fam.pieces), overlaps, maps)
     cocycle = check_cocycle(repaired)
     if not cocycle.overall:
         raise StructuralError("re-presented family fails the cocycle condition; this is a tool bug")

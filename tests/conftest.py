@@ -1,8 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, Ideal, quotient_algebra
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, quotient_algebra, subspace_algebra
 from gluecheck.exactlin import Matrix, span
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
 from gluecheck.multipullback import pullback_subspace
@@ -81,6 +82,41 @@ def projection_reference():
     return _projection_reference
 
 
+def _pullback_algebra(p) -> Algebra:
+    """The pullback's subspace of the direct sum of its pieces, presented on
+    its basis; ``subspace_algebra`` checks the unit and the closure."""
+    ambient = Algebra.direct_sum([p.family.pieces[i] for i in p.over])
+    return subspace_algebra(ambient, p.subspace)
+
+
+@pytest.fixture(scope="session")
+def pullback_algebra():
+    """The induced algebra of a ``MultiPullback``, which the library never
+    builds: the reference for the closure of the pullback and for the
+    overlaps of ``repair``."""
+    return _pullback_algebra
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record(module, name)``: a list of the arguments of every call of
+    module.name, from every gluecheck module that imported it."""
+    def record(module, name) -> list:
+        original = getattr(module, name)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.startswith("gluecheck")]:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, recorded)
+        return calls
+
+    return record
+
+
 def nilpotent_plane_algebra() -> Algebra:
     """Q + V with V a square-zero plane; every line of V is an ideal."""
     u, v1, v2 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
@@ -108,7 +144,7 @@ def three_line_family() -> GluingFamily:
     overlaps: dict[tuple[str, str], Algebra] = {}
     maps: dict[tuple[str, str], AlgebraHom] = {}
     for spoke, line in lines.items():
-        q, surj = quotient_algebra(hub, Ideal(line), label=f"Q+V/{spoke}")
+        q, surj = quotient_algebra(hub, line, label=f"Q+V/{spoke}")
         pieces[spoke] = q
         overlaps[("P1", spoke)] = q
         maps[("P1", spoke)] = surj

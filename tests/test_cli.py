@@ -1,16 +1,22 @@
+import contextlib
+import copy
+import functools
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
 from gluecheck.cli import main
-from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c
+from gluecheck.finset import dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
 from gluecheck.exactlin import Matrix
 
@@ -322,26 +328,77 @@ class TestMalformedInput:
         assert "--out:" in err
 
 
+@functools.cache
+def seed_documents() -> tuple[dict, ...]:
+    """The family and gluing documents of the example fixtures and of
+    ``random_gluing`` seeds 0-3."""
+    gluings = [fixture_gluing(name) for name in ("example1", "example2", "example3")]
+    gluings += [random_gluing(seed) for seed in range(4)]
+    return tuple(doc for g in gluings
+                 for doc in (specfile.family_json(dualize(g)), specfile.gluing_json(g)))
+
+
+# values a mutation writes: well-typed and ill-typed, in and out of range
+POOL = (0, 1, -1, 2, "0", "1/2", "-1", "1/0", "x", "", "I1", None, True, 0.5, [], {}, [0], [[0]])
+
+
+@st.composite
+def mutated_documents(draw) -> dict:
+    """A seed document with one field replaced by a pool value, deleted, or
+    duplicated (a list item inserted twice, a mapping's value copied under a
+    second key).  The field is found by walking down from the root and
+    stopping at each level with even odds, so the few top-level fields are
+    not drowned out by the entries of the tables."""
+    doc = copy.deepcopy(draw(st.sampled_from(seed_documents())))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            break
+        node = child
+    action = draw(st.sampled_from(("replace", "delete", "duplicate")))
+    if action == "replace":
+        node[key] = draw(st.sampled_from(POOL))
+    elif action == "delete":
+        del node[key]
+    elif isinstance(node, list):
+        node.insert(key, copy.deepcopy(child))
+    else:
+        node[draw(st.sampled_from(("I1", "A", "kind", "extra")))] = copy.deepcopy(child)
+    return doc
+
+
+class TestMutatedDocuments:
+    """A damaged document never crashes a command: it exits 0-3, and a
+    repair that succeeds writes a document that re-parses and validates."""
+
+    @staticmethod
+    def exit_of(argv: list[str]) -> int:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mutated_documents())
+    def test_every_command_exits_zero_to_three(self, doc):
+        with tempfile.TemporaryDirectory() as work:
+            path, out = Path(work) / "doc.json", Path(work) / "repaired.json"
+            path.write_text(json.dumps(doc))
+            assert self.exit_of(["check", str(path)]) in (0, 1, 2, 3)
+            assert self.exit_of(["glue", str(path), "--duality"]) in (0, 1, 2, 3)
+            code = self.exit_of(["repair", str(path), "--out", str(out)])
+            assert code in (0, 1, 2, 3)
+            if code == 0:
+                kind, repaired, _ = specfile.parse_document(out.read_text())
+                assert kind == specfile.KIND_FAMILY
+                repaired.require_valid()
+
+
 class TestOneAnalysisPerFamily:
     """One `check` computes each fact of its family once, one `glue` each fact of its gluing."""
 
-    @staticmethod
-    def record(monkeypatch, module, name) -> list:
-        """Arguments of every call of module.name, from every gluecheck module that imported it."""
-        original = getattr(module, name)
-        calls = []
-
-        def recorded(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for mod in [m for n, m in sys.modules.items() if n.startswith("gluecheck")]:
-            if vars(mod).get(name) is original:
-                monkeypatch.setattr(mod, name, recorded)
-        return calls
-
     @pytest.mark.parametrize("source", ["example2", "seed7"])
-    def test_each_fact_is_computed_once(self, monkeypatch, tmp_path, capsys, source):
+    def test_each_fact_is_computed_once(self, monkeypatch, record_calls, tmp_path, capsys, source):
         # read from a document: a fixture family is valid by construction and is not validated
         if source.startswith("seed"):
             fam = dualize(random_gluing(int(source[4:])))
@@ -358,11 +415,11 @@ class TestOneAnalysisPerFamily:
             return loaded[-1]
 
         monkeypatch.setattr(cli, "_load", capture)
-        validated = self.record(monkeypatch, algebra, "validate_algebra")
-        kernels = self.record(monkeypatch, exactlin, "kernel")
-        pullbacks = self.record(monkeypatch, multipullback, "pullback_subspace")
-        induced = self.record(monkeypatch, algebra, "subspace_algebra")
-        ideal_tests = self.record(monkeypatch, algebra, "is_ideal")
+        validated = record_calls(algebra, "validate_algebra")
+        kernels = record_calls(exactlin, "kernel")
+        pullbacks = record_calls(multipullback, "pullback_subspace")
+        induced = record_calls(algebra, "subspace_algebra")
+        ideal_tests = record_calls(algebra, "is_ideal")
 
         assert main(argv) in (0, 1)
         capsys.readouterr()
@@ -381,11 +438,11 @@ class TestOneAnalysisPerFamily:
         assert induced == []
         assert ideal_tests == []  # kernels of validated homs are ideals
 
-    def test_glue_duality_glues_each_piece_subset_once(self, monkeypatch, tmp_path, capsys):
+    def test_glue_duality_glues_each_piece_subset_once(self, record_calls, tmp_path, capsys):
         path = tmp_path / "gluing.json"
         path.write_text(specfile.dump_document(specfile.gluing_json(random_gluing(7))))
-        validated = self.record(monkeypatch, algebra, "validate_algebra")
-        glued = self.record(monkeypatch, finset, "GluedSpace")  # one per union-find
+        validated = record_calls(algebra, "validate_algebra")
+        glued = record_calls(finset, "GluedSpace")  # one per union-find
 
         assert main(["glue", str(path), "--duality"]) in (0, 1)
         capsys.readouterr()

@@ -4,11 +4,15 @@ reachable from ``analyse``, ``duality_check`` and ``repair`` holds only
 
 That covers the map matrices and their kernels, the pullback subspaces,
 the extension witnesses, the cocycle's pushed kernels and transition
-matrices, and the repaired family's overlaps and maps.
+matrices, and the repaired family's overlaps and maps.  A scan of the
+source adds that the one division in the package is ``_reduce``'s pivot
+inverse.
 """
 
+import ast
 from collections.abc import Mapping
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -92,4 +96,38 @@ def test_the_guard_sees_a_float():
     m = Matrix(1, 2, ((1, 0.5),))
     assert sorted(inexact({"deep": [(m,)]})) == [
         "float 0.5", "float entry 0.5 in Matrix(1x2: 1 0.5)",
+    ]
+
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "gluecheck"
+ARITHMETIC = (ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+
+
+def arithmetic_sites(tree: ast.AST, module: str) -> list[tuple[str, str, str]]:
+    """(module, enclosing function, operator) for each ``/``, ``//``, ``%``
+    and ``**`` in the tree, augmented assignments included."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ARITHMETIC):
+            sites.append((module, where, type(node.op).__name__))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_the_only_division_is_the_pivot_inverse():
+    sites = [site for path in sorted(SOURCE.glob("*.py"))
+             for site in arithmetic_sites(ast.parse(path.read_text()), path.stem)]
+    assert sites == [("exactlin", "_reduce", "Div")]
+
+
+def test_the_scan_sees_each_operator():
+    code = "def f(x):\n    x /= 2\n    return x // 2 + x % 2 + x ** 2\n"
+    assert sorted(arithmetic_sites(ast.parse(code), "m")) == [
+        ("m", "f", op) for op in ("Div", "FloorDiv", "Mod", "Pow")
     ]

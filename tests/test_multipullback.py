@@ -3,11 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gluecheck import algebra
 from gluecheck.algebra import (
     AlgebraHom,
     FamilyValidationError,
     GluingFamily,
-    Ideal,
     is_ideal,
     quotient_algebra,
     validate_hom,
@@ -56,17 +56,17 @@ class TestBuildPullback:
         p = build_pullback(example2)
         assert p.subspace.contains([1] * p.subspace.ambient_dim)
 
-    def test_induced_algebra_is_associative(self, example1):
+    def test_induced_algebra_is_associative(self, example1, pullback_algebra):
         p = build_pullback(example1)
         from gluecheck.algebra import validate_algebra
 
-        assert validate_algebra(p.algebra) is None
+        assert validate_algebra(pullback_algebra(p)) is None
 
-    def test_induced_algebra_builds_on_the_corpus(self, corpus):
-        # the closure self-check, which `check` no longer runs
+    def test_induced_algebra_builds_on_the_corpus(self, corpus, pullback_algebra):
+        # the closure of the pullback, which no command checks at run time
         for _, fam in corpus:
             p = build_pullback(fam)
-            assert p.algebra.dim == p.dim
+            assert pullback_algebra(p).dim == p.dim
 
     def test_no_overlaps_mean_no_constraints(self):
         fam = no_overlap_family()
@@ -198,7 +198,7 @@ class TestTripleQuotients:
             def checked_quotient(key, algebra, ideal):
                 # built and checked once: (i, j, k) and (i, k, j) share the piece quotient
                 if key not in quotients:
-                    q, surjection = quotient_algebra(algebra, Ideal(ideal))
+                    q, surjection = quotient_algebra(algebra, ideal)
                     assert validate_hom(surjection) is None, (name, key)
                     assert kernel(surjection.matrix) == ideal, (name, key)
                     quotients[key] = q, surjection.matrix
@@ -340,19 +340,42 @@ class TestRepair:
                 pass
         return out
 
-    def test_projection_kernels_are_ideals(self, repairs):
+    def test_projection_kernels_are_ideals(self, repairs, pullback_algebra):
         for name, result in repairs:
+            induced = pullback_algebra(result.pullback)
             for i, k in result.projection_kernels.items():
-                assert is_ideal(result.pullback.algebra, k), (name, i)
+                assert is_ideal(induced, k), (name, i)
 
-    def test_overlaps_are_the_checked_quotients(self, repairs):
-        # repair skips quotient_algebra's ideal test; the checked path is the reference
+    def test_overlaps_are_the_checked_quotients(self, repairs, pullback_algebra):
+        # repair presents P/(K_i+K_j) from the piece B_i; the checked
+        # quotient of the pullback's induced algebra is the reference
         for name, result in repairs:
+            induced = pullback_algebra(result.pullback)
             kernels = result.projection_kernels
             for (i, j), overlap in result.family.overlaps.items():
-                ideal = Ideal(subspace_sum(kernels[i], kernels[j]))
-                q, _ = quotient_algebra(result.pullback.algebra, ideal, label=overlap.label)
+                ideal = subspace_sum(kernels[i], kernels[j])
+                q, surjection = quotient_algebra(induced, ideal, label=overlap.label)
                 assert overlap == q, (name, i, j)
+                for a, b in ((i, j), (j, i)):
+                    through_piece = result.family.map(a, b).matrix @ result.pullback.projections[a]
+                    assert through_piece == surjection.matrix, (name, a, b)
+
+    def test_repaired_families_pass_validation(self, repairs):
+        # repair builds its family with the validation recorded as empty
+        for name, result in repairs:
+            rep = result.family
+            rebuilt = GluingFamily(rep.labels, rep.pieces, rep.overlaps, rep.maps)
+            assert rebuilt.problems() == [], name
+
+    def test_repair_builds_no_pullback_algebra_and_validates_nothing(self, record_calls):
+        fam = fixture_family("example2")
+        fam.require_valid()
+        validated = record_calls(algebra, "validate_algebra")
+        homs = record_calls(algebra, "validate_hom")
+        induced = record_calls(algebra, "subspace_algebra")
+        result = repair(fam)
+        assert result.cocycle.overall
+        assert (validated, homs, induced) == ([], [], [])
 
     def test_comparison_with_the_repaired_pullback_is_bijective(self, repairs):
         assert {name for name, _ in repairs} >= {"example2", "example3"}
