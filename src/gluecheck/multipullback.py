@@ -22,6 +22,7 @@ from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family
 from gluecheck.exactlin import (
     F0,
     Matrix,
+    QuotientChart,
     Subspace,
     Vector,
     _span,
@@ -276,10 +277,15 @@ def _pushed_kernel(fam: GluingFamily, i: str, j: str, k: str) -> Subspace:
     return image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
 
 
-def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str, pushed: Subspace) -> TripleQuotients:
-    m_ij = fam.map(i, j).matrix
+def _piece_chart(fam: GluingFamily, i: str, j: str, k: str) -> QuotientChart:
+    """The chart of B_i / (ker m_ij + ker m_ik), the same for (i, j, k) and (i, k, j)."""
     ksum = subspace_sum(fam.map_kernels[(i, j)], fam.map_kernels[(i, k)])
-    piece_chart = quotient(fam.pieces[i].dim, ksum)
+    return quotient(fam.pieces[i].dim, ksum)
+
+
+def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str, pushed: Subspace,
+                      piece_chart: QuotientChart) -> TripleQuotients:
+    m_ij = fam.map(i, j).matrix
     overlap_chart = quotient(fam.overlap(i, j).dim, pushed)
     iso = overlap_chart.projection @ m_ij @ piece_chart.section
     try:
@@ -297,7 +303,7 @@ def build_triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQ
     fam.require_valid()
     if len({i, j, k}) != 3 or not {i, j, k} <= set(fam.labels):
         raise ValueError("three distinct family labels are required")
-    return _triple_quotients(fam, i, j, k, _pushed_kernel(fam, i, j, k))
+    return _triple_quotients(fam, i, j, k, _pushed_kernel(fam, i, j, k), _piece_chart(fam, i, j, k))
 
 
 @dataclass(frozen=True)
@@ -364,12 +370,16 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
 
     cond2: list[TransitionEntry] = []
     tq: dict[tuple[str, str, str], TripleQuotients] = {}
+    charts: dict[tuple[str, frozenset[str]], QuotientChart] = {}
 
     def transition(a: str, b: str, c: str) -> Matrix:
         # phi(a<-b over c): classes in B_b/(ker+ker) to classes in B_a/(ker+ker)
         for t in ((a, b, c), (b, a, c)):
             if t not in tq:
-                tq[t] = _triple_quotients(fam, *t, pushed[t])
+                key = (t[0], frozenset(t[1:]))
+                if key not in charts:
+                    charts[key] = _piece_chart(fam, *t)
+                tq[t] = _triple_quotients(fam, *t, pushed[t], charts[key])
         return tq[(a, b, c)].iso_inv @ tq[(b, a, c)].iso
 
     for trio in itertools.combinations(labels, 3):

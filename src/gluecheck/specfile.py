@@ -13,7 +13,7 @@ import json
 import re
 from typing import Any, Mapping
 
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, pair_key
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, SparseVector, _sparse_algebra, pair_key
 from gluecheck.exactlin import Matrix, Scalar, scalar
 from gluecheck.finset import FiniteGluing
 
@@ -84,20 +84,44 @@ def _field(path: str, index: tuple[int, ...]) -> str:
     return path + "".join(f"[{n}]" for n in index)
 
 
-def _parse_vector(value: Any, length: int, path: str, *index: int) -> tuple:
-    """The vector at ``path`` followed by ``[n]`` for each n in ``index``;
-    that field name is only built for an error, since dense tables hold
-    many vectors."""
+def _expect_entries(value: Any, length: int, path: str, index: tuple[int, ...]) -> None:
+    """That the vector at ``path`` followed by ``[n]`` for each n in
+    ``index`` is a list of ``length`` entries; that field name is only built
+    for an error, since tables hold many vectors."""
     if not isinstance(value, list):
         raise DocumentError("expected a list", _field(path, index))
     if len(value) != length:
         raise DocumentError(f"expected {length} entries, got {len(value)}", _field(path, index))
+
+
+def _parse_vector(value: Any, length: int, path: str, *index: int) -> tuple:
+    """The dense vector at ``path`` followed by ``[n]`` for each n in ``index``."""
+    _expect_entries(value, length, path, index)
     out = []
     try:
         for x in value:
             out.append(_rational(x))
     except ValueError as e:
         raise DocumentError(str(e), _field(path, (*index, len(out)))) from None
+    return tuple(out)
+
+
+def _parse_product(value: Any, length: int, path: str, a: int, b: int) -> SparseVector:
+    """The constants of e_a e_b at ``path[a][b]``, as the nonzero ``(k, t)``
+    that ``Algebra.products`` stores.  A "0" is skipped unparsed; a JSON
+    ``false`` or ``0.0`` is no "0", so it is still parsed and rejected."""
+    _expect_entries(value, length, path, (a, b))
+    if value.count("0") == length:
+        return ()
+    out = []
+    try:
+        for k, x in enumerate(value):
+            if x != "0":
+                t = _rational(x)
+                if t:
+                    out.append((k, t))
+    except ValueError as e:
+        raise DocumentError(str(e), _field(path, (a, b, k))) from None
     return tuple(out)
 
 
@@ -118,15 +142,15 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
     _expect(sc, list, here, "a list")
     if len(sc) != dim:
         raise DocumentError(f"expected {dim} rows", here)
-    table = []
+    products = []
     for a, row in enumerate(sc):
         if not isinstance(row, list):
             raise DocumentError("expected a list", f"{here}[{a}]")
         if len(row) != dim:
             raise DocumentError(f"expected {dim} entries", f"{here}[{a}]")
-        table.append(tuple(_parse_vector(v, dim, here, a, b) for b, v in enumerate(row)))
+        products.append(tuple(_parse_product(v, dim, here, a, b) for b, v in enumerate(row)))
     name = _expect(value.get("label", label), str, f"{path}.label", "a string")
-    return Algebra.from_table(table, unit, name)
+    return _sparse_algebra(dim, tuple(products), unit, name)
 
 
 def _parse_index(doc: Mapping, path: str) -> tuple[str, ...]:
@@ -268,12 +292,19 @@ def matrix_json(m: Matrix) -> list[list[str]]:
     return [vector_json(r) for r in m.entries]
 
 
+def _product_json(v: SparseVector, dim: int) -> list[str]:
+    out = ["0"] * dim
+    for k, t in v:
+        out[k] = str(t)
+    return out
+
+
 def algebra_json(a: Algebra) -> dict:
     return {
         "dim": a.dim,
         "label": a.label,
         "unit": vector_json(a.unit),
-        "structure_constants": [[vector_json(v) for v in row] for row in a.table],
+        "structure_constants": [[_product_json(v, a.dim) for v in row] for row in a.products],
     }
 
 

@@ -1,8 +1,11 @@
 import itertools
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+from gluecheck import specfile
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, quotient_algebra, subspace_algebra
 from gluecheck.exactlin import Matrix, span
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
@@ -95,6 +98,57 @@ def pullback_algebra():
     builds: the reference for the closure of the pullback and for the
     overlaps of ``repair``."""
     return _pullback_algebra
+
+
+def _dense_parse_algebra(value, path, label) -> Algebra:
+    """The parse the sparse one replaced: every constants vector through
+    ``_parse_vector`` into a dense table, then ``Algebra.from_table``."""
+    specfile._expect(value, dict, path, "an object")
+    dim = specfile._integer(specfile._get(value, "dim", path), 0, f"{path}.dim")
+    unit = specfile._parse_vector(specfile._get(value, "unit", path), dim, f"{path}.unit")
+    here = f"{path}.structure_constants"
+    sc = specfile._get(value, "structure_constants", path)
+    specfile._expect(sc, list, here, "a list")
+    if len(sc) != dim:
+        raise specfile.DocumentError(f"expected {dim} rows", here)
+    table = []
+    for a, row in enumerate(sc):
+        if not isinstance(row, list):
+            raise specfile.DocumentError("expected a list", f"{here}[{a}]")
+        if len(row) != dim:
+            raise specfile.DocumentError(f"expected {dim} entries", f"{here}[{a}]")
+        table.append(tuple(specfile._parse_vector(v, dim, here, a, b) for b, v in enumerate(row)))
+    name = specfile._expect(value.get("label", label), str, f"{path}.label", "a string")
+    return Algebra.from_table(table, unit, name)
+
+
+def _dense_algebra_json(a: Algebra) -> dict:
+    """The writer the sparse one replaced: every vector of the dense ``table``."""
+    return {
+        "dim": a.dim,
+        "label": a.label,
+        "unit": specfile.vector_json(a.unit),
+        "structure_constants": [[specfile.vector_json(v) for v in row] for row in a.table],
+    }
+
+
+def _dense_parse_document(text: str):
+    with mock.patch.object(specfile, "_parse_algebra", _dense_parse_algebra):
+        return specfile.parse_document(text)
+
+
+def _dense_family_json(fam: GluingFamily, options=None) -> dict:
+    with mock.patch.object(specfile, "algebra_json", _dense_algebra_json):
+        return specfile.family_json(fam, options)
+
+
+@pytest.fixture(scope="session")
+def dense_specfile():
+    """``parse_algebra``, ``parse_document`` and ``family_json`` as they were
+    with dense structure constants: the reference that the sparse reader and
+    writer are tested against."""
+    return SimpleNamespace(parse_algebra=_dense_parse_algebra, parse_document=_dense_parse_document,
+                           family_json=_dense_family_json)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gluecheck import algebra
 from gluecheck.algebra import (
     Algebra,
     AlgebraHom,
@@ -104,6 +105,23 @@ class TestValidateHom:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             AlgebraHom(Algebra.functions(3), Algebra.functions(1), Matrix.zeros(1, 2))
+
+
+class TestValidatorCost:
+    """The validators visit only the products that can be nonzero, so a
+    function algebra of dimension d costs O(d) vector sums, not d^3 or d^2."""
+
+    def test_validate_algebra_of_functions(self, record_calls):
+        sums = record_calls(algebra, "_combine")
+        assert validate_algebra(Algebra.functions(64)) is None
+        assert len(sums) <= 4 * 64
+
+    def test_validate_hom_of_a_restriction(self, record_calls):
+        restriction = Matrix.from_rows([one_hot(0, 64), one_hot(1, 64)])
+        h = AlgebraHom(Algebra.functions(64), Algebra.functions(2), restriction)
+        sums = record_calls(algebra, "_combine")
+        assert validate_hom(h) is None
+        assert len(sums) <= 3 * 64
 
 
 class TestSurjectivity:

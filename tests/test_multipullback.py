@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck import algebra
+from gluecheck import algebra, multipullback
 from gluecheck.algebra import (
     AlgebraHom,
     FamilyValidationError,
@@ -246,6 +246,21 @@ class TestCocycle:
     def test_report_is_sorted(self, example2):
         triples = [e.triple for e in check_cocycle(example2).condition1]
         assert triples == sorted(triples)
+
+    def test_each_piece_chart_is_built_once(self, record_calls):
+        # (i, j, k) and (i, k, j) quotient B_i by the same ker m_ij + ker m_ik
+        sums = record_calls(multipullback, "subspace_sum")
+        charts = 0
+        for fam in (fixture_family("example3"), *(dualize(random_gluing(seed)) for seed in range(20))):
+            if fam.problems():
+                continue
+            del sums[:]
+            report = check_cocycle(fam)
+            needed = {(t[0], frozenset(t[1:])) for t in (e.triple for e in report.condition2)
+                      if report.transition_entry(t).status != "not evaluable"}
+            assert len(sums) == len(needed)
+            charts += len(needed)
+        assert charts > 0
 
 
 class TestBracketTransitionIdentity:
