@@ -64,23 +64,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple(tuple(F0 for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def vstack(parts: Sequence["Matrix"], cols: int | None = None) -> "Matrix":
-        if cols is None:
-            if not parts:
-                raise ValueError("cols is required when stacking nothing")
-            cols = parts[0].cols
-        rows: list[Vector] = []
-        for p in parts:
-            if p.cols != cols:
-                raise ValueError("column counts differ in vstack")
-            rows.extend(p.entries)
-        return Matrix(len(rows), cols, tuple(rows))
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 

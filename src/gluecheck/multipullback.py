@@ -25,6 +25,7 @@ from gluecheck.exactlin import (
     QuotientChart,
     Subspace,
     Vector,
+    _reduce,
     _span,
     image,
     invert,
@@ -199,21 +200,36 @@ class ExtensionReport:
 
 
 def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
-    """A compatible tuple x over K extends by k exactly when some y in B_k
-    solves m_kj y = m_jk x_j for every j in K, that is when the stacked
-    right-hand sides lie in the column span of the stacked m_kj.  The
-    extending tuples form a subspace, so testing the basis of P(K) decides
-    the entry."""
+    """A compatible tuple x = sum_t a_t x_t over K, with x_t the basis rows
+    of P(K), extends by k exactly when some y in B_k solves
+    m_kj y - sum_t a_t m_jk x_t|_j = 0 for every j in K.  One elimination
+    over the columns [y | a] of those equations decides the entry: it
+    passes iff no pivot lies right of the y block.  The first pivot there,
+    at a_t, names the witness x_t, the first basis row that does not
+    extend: its RREF row reads a_t + sum_{s>t} c_s a_s = 0, so x_t has no
+    extension, and every x_s with s < t has one, since each a-pivot row
+    involves only a-columns right of its pivot."""
     order, offsets, _ = _block_layout(fam, subset)
     small = _shared_pullback_subspace(fam, order)
-    stacked = Matrix.vstack([fam.map(k, j).matrix for j in order], fam.pieces[k].dim)
-    solvable = _span((stacked.column(c) for c in range(stacked.cols)), stacked.rows)
-    witness = None
-    for row in small.basis_rows:
-        parts = {j: row[offsets[j]:offsets[j] + fam.pieces[j].dim] for j in order}
-        if not solvable.contains([z for j in order for z in fam.map(j, k).matrix.apply(parts[j])]):
-            witness = parts
-            break
+    d_k, n = fam.pieces[k].dim, small.dim
+    # coords[c][t] is coordinate c of x_t
+    coords = list(zip(*small.basis_rows)) or [()] * small.ambient_dim
+    rows = []
+    for j in order:
+        block = coords[offsets[j]:offsets[j] + fam.pieces[j].dim]
+        for lhs, m_r in zip(fam.map(k, j).matrix.entries, fam.map(j, k).matrix.entries):
+            rhs = [F0] * n
+            for c, m in enumerate(m_r):
+                if m:
+                    for t, x in enumerate(block[c]):
+                        if x:
+                            rhs[t] -= m * x
+            rows.append([*lhs, *rhs])
+    _, pivots = _reduce(rows, d_k + n)
+    first = next((p - d_k for p in pivots if p >= d_k), None)
+    witness = None if first is None else {
+        j: small.basis_rows[first][offsets[j]:offsets[j] + fam.pieces[j].dim] for j in order
+    }
     return ExtensionEntry(tuple(sorted(subset)), k, witness is None, small, witness)
 
 

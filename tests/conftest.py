@@ -1,13 +1,22 @@
 import itertools
+import random
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 
 from gluecheck import specfile
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, quotient_algebra, subspace_algebra
-from gluecheck.exactlin import Matrix, span
+from gluecheck.algebra import (
+    Algebra,
+    AlgebraHom,
+    GluingFamily,
+    pair_key,
+    quotient_algebra,
+    subspace_algebra,
+)
+from gluecheck.exactlin import Matrix, invert, span
 from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
 from gluecheck.multipullback import pullback_subspace
 
@@ -151,6 +160,76 @@ def dense_specfile():
                            family_json=_dense_family_json)
 
 
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, ((0,) * cols,) * rows)
+
+
+def stacked(parts, cols: int) -> Matrix:
+    """The matrices of ``parts``, each with ``cols`` columns, one above the next."""
+    entries = tuple(row for p in parts for row in p.entries)
+    return Matrix(len(entries), cols, entries)
+
+
+@pytest.fixture(scope="session")
+def matrices():
+    """``zeros(rows, cols)`` and ``stacked(parts, cols)``, which only the
+    tests build."""
+    return SimpleNamespace(zeros=zeros, stacked=stacked)
+
+
+BASIS_PIVOTS = (2, -1, Fraction(1, 3), Fraction(-3, 2))
+BASIS_SHEARS = (1, -1, 2, Fraction(1, 3))
+
+
+def _change_of_basis(dim: int, rng: random.Random) -> Matrix:
+    """An invertible S: a diagonal of pivots that are not all units, then
+    ``dim`` row operations row_a += c row_b.  S stays sparse, so the
+    rebased structure constants stay cheap to validate."""
+    s = [[rng.choice(BASIS_PIVOTS) if a == b else 0 for b in range(dim)] for a in range(dim)]
+    for _ in range(dim if dim > 1 else 0):
+        a, b = rng.sample(range(dim), 2)
+        c = rng.choice(BASIS_SHEARS)
+        s[a] = [x + c * y for x, y in zip(s[a], s[b])]
+    return Matrix(dim, dim, tuple(tuple(row) for row in s))
+
+
+def _rebased_algebra(a: Algebra, s: Matrix, s_inv: Matrix) -> Algebra:
+    """``a`` presented on the columns of ``s`` as its basis."""
+    cols = [s.column(c) for c in range(a.dim)]
+    table = [[s_inv.apply(a.multiply(x, y)) for y in cols] for x in cols]
+    return Algebra.from_table(table, s_inv.apply(a.unit), a.label)
+
+
+def _rebased(fam: GluingFamily, seed: int) -> GluingFamily:
+    """The family with a seeded rational change of basis S applied to every
+    piece and overlap, each map m conjugated to T^-1 m S, T the overlap's."""
+    rng = random.Random(seed)
+    bases = {}
+    for key, a in [(i, fam.pieces[i]) for i in fam.labels] + sorted(fam.overlaps.items()):
+        s = _change_of_basis(a.dim, rng)
+        s_inv = invert(s)
+        bases[key] = (s, s_inv, _rebased_algebra(a, s, s_inv))
+    pieces = {i: bases[i][2] for i in fam.labels}
+    overlaps = {key: bases[key][2] for key in fam.overlaps}
+    maps = {}
+    for (i, j), h in fam.maps.items():
+        s, _, piece = bases[i]
+        _, t_inv, overlap = bases[pair_key(i, j)]
+        maps[(i, j)] = AlgebraHom(piece, overlap, t_inv @ h.matrix @ s)
+    return GluingFamily(fam.labels, pieces, overlaps, maps)
+
+
+@pytest.fixture(scope="session")
+def rebased_families():
+    """(name, family, rebased family) for example2, example3 and the duals
+    of ``random_gluing`` seeds 0-29, the i-th rebased with seed i.  Their
+    maps are not 0/1, so the eliminations divide and ``Fraction``s arise;
+    every verdict is invariant under the change of basis."""
+    named = [(name, fixture_family(name)) for name in ("example2", "example3")]
+    named += [(f"seed{n}", dualize(random_gluing(n))) for n in range(30)]
+    return [(name, fam, _rebased(fam, i)) for i, (name, fam) in enumerate(named)]
+
+
 @pytest.fixture
 def record_calls(monkeypatch):
     """``record(module, name)``: a list of the arguments of every call of
@@ -206,8 +285,8 @@ def three_line_family() -> GluingFamily:
     trivial = Algebra.zero("0")
     for i, j in itertools.combinations(("P2", "P3", "P4"), 2):
         overlaps[(i, j)] = trivial
-        maps[(i, j)] = AlgebraHom(pieces[i], trivial, Matrix.zeros(0, pieces[i].dim))
-        maps[(j, i)] = AlgebraHom(pieces[j], trivial, Matrix.zeros(0, pieces[j].dim))
+        maps[(i, j)] = AlgebraHom(pieces[i], trivial, zeros(0, pieces[i].dim))
+        maps[(j, i)] = AlgebraHom(pieces[j], trivial, zeros(0, pieces[j].dim))
     fam = GluingFamily(labels, pieces, overlaps, maps)
     fam.require_valid()
     return fam

@@ -115,15 +115,15 @@ def test_criterion_4_equivalence_on_the_corpus(corpus):
     )
 
 
-def test_criterion_5_repair_suite(example1, example2, example3):
+def test_criterion_5_repair_suite(example1, example2, example3, matrices):
     with Stopwatch() as watch:
         repaired = repair(example2)
         assert repaired.cocycle.overall
         assert repaired.family.overlap("I2", "I3").dim == 2
 
-        comparison = Matrix.vstack(
+        comparison = matrices.stacked(
             [repaired.pullback.projections[i] for i in repaired.family.labels],
-            cols=repaired.pullback.dim,
+            repaired.pullback.dim,
         )
         assert kernel(comparison).dim == 0
         assert image(comparison, Subspace.full(repaired.pullback.dim)) == pullback_subspace(

@@ -86,8 +86,8 @@ class TestValidateHom:
         h = AlgebraHom(Algebra.functions(3), Algebra.functions(2), m)
         assert validate_hom(h) is None
 
-    def test_unit_to_zero_is_rejected(self):
-        h = AlgebraHom(Algebra.functions(3), Algebra.functions(1), Matrix.zeros(1, 3))
+    def test_unit_to_zero_is_rejected(self, matrices):
+        h = AlgebraHom(Algebra.functions(3), Algebra.functions(1), matrices.zeros(1, 3))
         violation = validate_hom(h)
         assert violation is not None and violation.kind == "hom-unit"
 
@@ -102,9 +102,9 @@ class TestValidateHom:
         violation = validate_hom(h)
         assert violation is not None and violation.kind == "hom-multiplicative"
 
-    def test_shape_mismatch_raises(self):
+    def test_shape_mismatch_raises(self, matrices):
         with pytest.raises(ValueError):
-            AlgebraHom(Algebra.functions(3), Algebra.functions(1), Matrix.zeros(1, 2))
+            AlgebraHom(Algebra.functions(3), Algebra.functions(1), matrices.zeros(1, 2))
 
 
 class TestValidatorCost:

@@ -42,8 +42,8 @@ class TestRref:
     def test_identity(self):
         assert rref(Matrix.identity(2)) == Subspace.full(2)
 
-    def test_zero_matrix(self):
-        s = rref(Matrix.zeros(2, 2))
+    def test_zero_matrix(self, matrices):
+        s = rref(matrices.zeros(2, 2))
         assert s == Subspace.zero(2)
         assert s.ambient_dim == 2
 

@@ -4,9 +4,10 @@ reachable from ``analyse``, ``duality_check`` and ``repair`` holds only
 
 That covers the map matrices and their kernels, the pullback subspaces,
 the extension witnesses, the cocycle's pushed kernels and transition
-matrices, and the repaired family's overlaps and maps.  A scan of the
-source adds that the one division in the package is ``_reduce``'s pivot
-inverse.
+matrices, and the repaired family's overlaps and maps.  The extension
+reports of families in a rational basis, where ``Fraction``s do arise,
+hold only ``int`` and ``Fraction`` entries too.  A scan of the source adds
+that the one division in the package is ``_reduce``'s pivot inverse.
 """
 
 import ast
@@ -19,7 +20,13 @@ import pytest
 from gluecheck.algebra import Algebra
 from gluecheck.exactlin import Matrix, Subspace
 from gluecheck.finset import duality_check, dualize, fixture_gluing, random_gluing
-from gluecheck.multipullback import RepairRefused, analyse, repair
+from gluecheck.multipullback import (
+    RepairRefused,
+    analyse,
+    check_condition2,
+    check_condition3,
+    repair,
+)
 
 LEAVES = (str, int, float, Fraction, type(None))
 
@@ -90,6 +97,18 @@ def test_example_families_stay_exact(name, chain):
 def test_corpus_stays_exact():
     for seed in range(100):
         assert_exact_battery(random_gluing(seed))
+
+
+def test_rebased_extension_reports_stay_exact(rebased_families):
+    fractions = 0
+    for name, _, fam in rebased_families:
+        reports = (check_condition2(fam), check_condition3(fam))
+        assert inexact(*reports) == [], name
+        for e in reports[0].entries:
+            for part in (e.witness or {}).values():
+                assert all(type(x) is int or type(x) is Fraction for x in part), name
+                fractions += sum(type(x) is Fraction for x in part)
+    assert fractions > 0
 
 
 def test_the_guard_sees_a_float():

@@ -164,6 +164,43 @@ class TestSubsetExtension:
                 assert e.witness == witness, where
                 assert all(e.expected.contains(r) for r in projected.basis_rows), where
 
+    def test_the_sweep_applies_no_map_and_tests_no_membership(self, monkeypatch):
+        # one elimination per entry decides it and names the witness
+        fam = fixture_family("example3", 8)
+        fam.require_valid()
+        calls = []
+        for cls, name in ((Subspace, "contains"), (Matrix, "apply")):
+            def recorded(*args, _original=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(cls, name, recorded)
+        assert check_condition2(fam).ok
+        assert calls == []
+
+
+class TestRebasedFamilies:
+    """The sweep away from 0/1 maps: each family in a rational basis whose
+    pivots are not all units, so that its eliminations divide."""
+
+    def test_rebased_families_are_valid(self, rebased_families):
+        for _, _, fam in rebased_families:
+            fam.require_valid()
+
+    def test_entries_match_the_projection_reference(self, rebased_families, projection_reference):
+        for name, _, fam in rebased_families:
+            for e in check_condition2(fam).entries + check_condition3(fam).entries:
+                projected, witness = projection_reference(fam, e.subset, e.extend_by)
+                where = (name, e.subset, e.extend_by)
+                assert e.ok == (projected == e.expected), where
+                assert e.witness == witness, where
+
+    def test_verdicts_survive_the_change_of_basis(self, rebased_families):
+        for name, fam, rebased in rebased_families:
+            for check in (check_condition2, check_condition3):
+                verdicts = [[(e.subset, e.extend_by, e.ok) for e in check(f).entries]
+                            for f in (fam, rebased)]
+                assert verdicts[0] == verdicts[1], name
+
 
 class TestTripleQuotients:
     def test_shared_endpoint_quotient_is_a_point(self, example2):
@@ -392,12 +429,12 @@ class TestRepair:
         assert result.cocycle.overall
         assert (validated, homs, induced) == ([], [], [])
 
-    def test_comparison_with_the_repaired_pullback_is_bijective(self, repairs):
+    def test_comparison_with_the_repaired_pullback_is_bijective(self, repairs, matrices):
         assert {name for name, _ in repairs} >= {"example2", "example3"}
         for name, result in repairs:
-            comparison = Matrix.vstack(
+            comparison = matrices.stacked(
                 [result.pullback.projections[i] for i in result.family.labels],
-                cols=result.pullback.dim,
+                result.pullback.dim,
             )
             repaired_sub = pullback_subspace(result.family)
             assert image(comparison, Subspace.full(result.pullback.dim)) == repaired_sub, name
