@@ -25,13 +25,6 @@ def _sparse(v: Sequence[Scalar]) -> SparseVector:
     return tuple((k, t) for k, t in enumerate(v) if t)
 
 
-def _dense(v: SparseVector, dim: int) -> Vector:
-    out = [F0] * dim
-    for k, t in v:
-        out[k] = t
-    return tuple(out)
-
-
 def _is_sparse(v: SparseVector, dim: int) -> bool:
     """Whether v lists nonzero coordinates below dim in increasing order."""
     ks = [k for k, t in v if t]
@@ -50,8 +43,7 @@ def _combine(terms: Iterable[tuple[Scalar, SparseVector]], dim: int) -> Vector:
 @dataclass(frozen=True)
 class Algebra:
     """Unital associative algebra; ``products`` is the one stored form of its
-    structure constants, and ``table`` a dense view of them.
-    """
+    structure constants."""
 
     dim: int
     products: tuple[tuple[SparseVector, ...], ...]
@@ -64,11 +56,6 @@ class Algebra:
             len(row) == d and all(_is_sparse(v, d) for v in row) for row in self.products
         ):
             raise ValueError("structure constants do not match the dimension")
-
-    @property
-    def table(self) -> tuple[tuple[Vector, ...], ...]:
-        """Dense constants: ``table[a][b]`` is the coordinate vector of e_a e_b."""
-        return tuple(tuple(_dense(v, self.dim) for v in row) for row in self.products)
 
     def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear product of coordinate vectors."""

@@ -6,9 +6,10 @@ basis, and only when the count fails does it run the closure
 (``generate_lattice``) and the triple test on it (``is_distributive``),
 which give the verdict and its witness.  Closure of four or more
 generators can be infinite inside a modular lattice, so the closure stops
-at a cap with an honest ``complete`` flag; distributivity of an
-incomplete closure is reported as indeterminate, never silently as true
-or false.
+at a cap with an honest ``complete`` flag.  A count that succeeds
+decides distributivity even when the listing passes the cap; otherwise
+distributivity of an incomplete closure is reported as indeterminate,
+never silently as true or false.
 """
 
 from __future__ import annotations
@@ -196,34 +197,31 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
 
 
 def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
-                          ) -> tuple[int, DistributivityVerdict]:
+                          ) -> tuple[int, bool, DistributivityVerdict]:
     """Whether the generators' lattice is distributive, with the number of
-    elements ``generate_lattice`` lists for it under the same cap.
+    elements ``generate_lattice`` lists for it under the same cap and
+    whether that listing is complete.
 
-    When an adapted basis exists the lattice is distributive, and the count
-    comes from closing the generators' masks in ``generate_lattice``'s
-    order, so a lattice larger than the cap is still indeterminate.
-    Otherwise the closure and ``is_distributive`` give the verdict and its
-    witness triple.
+    When an adapted basis exists the lattice is distributive, whether or
+    not closing the generators' masks in ``generate_lattice``'s order, which
+    gives the count, passes the cap.  Otherwise the closure and
+    ``is_distributive`` give the verdict and its witness triple.
     """
     generators = _generators(gens, cap)
     masks = _adapted_masks(generators, cap)
     if masks is None:
         closure = generate_lattice(generators, cap)
-        return len(closure.elements), is_distributive(closure)
+        return len(closure.elements), closure.complete, is_distributive(closure)
     elements, complete, _, _ = _close(masks, int.__or__, int.__and__, cap)
-    return len(elements), DistributivityVerdict("distributive" if complete else "indeterminate")
+    return len(elements), complete, DistributivityVerdict("distributive")
 
 
 @dataclass(frozen=True)
 class PieceLatticeReport:
     label: str
     elements: int  # of the kernels' closure, up to the cap
+    complete: bool  # whether the closure was listed within the cap
     verdict: DistributivityVerdict
-
-    @property
-    def complete(self) -> bool:
-        return self.verdict.status != "indeterminate"
 
 
 @dataclass(frozen=True)

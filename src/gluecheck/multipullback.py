@@ -22,7 +22,6 @@ from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family
 from gluecheck.exactlin import (
     F0,
     Matrix,
-    QuotientChart,
     Subspace,
     Vector,
     _reduce,
@@ -53,10 +52,6 @@ class StructuralError(RuntimeError):
 
 class HypothesisNotMet(ValueError):
     """A check was refused because its standing hypothesis fails."""
-
-    def __init__(self, message: str, detail=None):
-        super().__init__(message)
-        self.detail = detail
 
 
 class RepairRefused(ValueError):
@@ -191,13 +186,6 @@ class ExtensionReport:
     def failures(self) -> tuple[ExtensionEntry, ...]:
         return tuple(e for e in self.entries if not e.ok)
 
-    def entry(self, subset: Sequence[str], extend_by: str) -> ExtensionEntry:
-        key = tuple(sorted(subset))
-        for e in self.entries:
-            if e.subset == key and e.extend_by == extend_by:
-                return e
-        raise KeyError((key, extend_by))
-
 
 def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
     """A compatible tuple x = sum_t a_t x_t over K, with x_t the basis rows
@@ -267,59 +255,37 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
     return _extension_sweep(fam, range(1, n))
 
 
-@dataclass(frozen=True)
-class TripleQuotients:
-    """Quotient charts for one ordered triple (i, j, k).
-
-    ``bracket`` projects B_i onto B_i / (ker m_ij + ker m_ik) and
-    ``overlap_projection`` projects B_ij onto B_ij / m_ij(ker m_ik), both in
-    ``quotient`` charts; ``iso`` carries the bracket class of b to the class
-    of m_ij(b), and is invertible whenever the family is surjective.  The
-    charts are the canonical surjections of ``quotient_algebra`` and ``iso``
-    is an algebra isomorphism between the two quotients; the test suite
-    checks that, and clause 2 reads only the matrices.
-    """
-
-    triple: tuple[str, str, str]
-    bracket: Matrix
-    pushed_kernel: Subspace
-    overlap_projection: Matrix
-    iso: Matrix
-    iso_inv: Matrix
-
-
 def _pushed_kernel(fam: GluingFamily, i: str, j: str, k: str) -> Subspace:
     """m_ij(ker m_ik), the ideal of B_ij that the triple (i, j, k) quotients by."""
     return image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
 
 
-def _piece_chart(fam: GluingFamily, i: str, j: str, k: str) -> QuotientChart:
-    """The chart of B_i / (ker m_ij + ker m_ik), the same for (i, j, k) and (i, k, j)."""
-    ksum = subspace_sum(fam.map_kernels[(i, j)], fam.map_kernels[(i, k)])
-    return quotient(fam.pieces[i].dim, ksum)
+def _trio_loop(fam: GluingFamily, trio: tuple[str, str, str],
+               pushed: Mapping[tuple[str, str, str], Subspace]) -> Matrix:
+    """phi(i<-j) phi(j<-k) phi(k<-i) on Q_i, for the sorted trio (i, j, k).
 
-
-def _triple_quotients(fam: GluingFamily, i: str, j: str, k: str, pushed: Subspace,
-                      piece_chart: QuotientChart) -> TripleQuotients:
-    m_ij = fam.map(i, j).matrix
-    overlap_chart = quotient(fam.overlap(i, j).dim, pushed)
-    iso = overlap_chart.projection @ m_ij @ piece_chart.section
-    try:
-        iso_inv = invert(iso)
-    except ValueError as e:
-        raise StructuralError(
-            f"comparison map for triple ({i},{j},{k}) is not invertible; "
-            "this cannot happen for a surjective family"
-        ) from e
-    return TripleQuotients((i, j, k), piece_chart.projection, pushed,
-                           overlap_chart.projection, iso, iso_inv)
-
-
-def build_triple_quotients(fam: GluingFamily, i: str, j: str, k: str) -> TripleQuotients:
-    fam.require_valid()
-    if len({i, j, k}) != 3 or not {i, j, k} <= set(fam.labels):
-        raise ValueError("three distinct family labels are required")
-    return _triple_quotients(fam, i, j, k, _pushed_kernel(fam, i, j, k), _piece_chart(fam, i, j, k))
+    Q_a is the chart of B_a / (ker m_ab + ker m_ac), and c_ab, induced by
+    m_ab, carries Q_a onto the chart of B_ab / m_ab(ker m_ac).  Clause 1
+    makes c_ab and c_ba land in the same chart, so phi(a<-b) = c_ab^-1 c_ba.
+    """
+    i, j, k = trio
+    turns = ((i, j, k), (j, k, i), (k, i, j))
+    charts = {
+        a: quotient(fam.pieces[a].dim, subspace_sum(fam.map_kernels[(a, b)], fam.map_kernels[(a, c)]))
+        for a, b, c in turns
+    }
+    phis = []
+    for a, b, c in turns:
+        overlap = quotient(fam.overlap(a, b).dim, pushed[(a, b, c)]).projection
+        try:
+            c_ab_inv = invert(overlap @ fam.map(a, b).matrix @ charts[a].section)
+        except ValueError as e:
+            raise StructuralError(
+                f"comparison map for triple ({a},{b},{c}) is not invertible; "
+                "this cannot happen for a surjective family"
+            ) from e
+        phis.append(c_ab_inv @ (overlap @ fam.map(b, a).matrix @ charts[b].section))
+    return phis[0] @ phis[1] @ phis[2]
 
 
 @dataclass(frozen=True)
@@ -334,12 +300,17 @@ class KernelImageEntry:
 
 @dataclass(frozen=True)
 class TransitionEntry:
-    """Composition verdict phi(i<-k over j) == phi(i<-j over k) . phi(j<-k over i)."""
+    """Clause-2 verdict phi(i<-k) == phi(i<-j) . phi(j<-k) for the ordered
+    triple (i, j, k).
+
+    ``loop`` is phi(a<-b) phi(b<-c) phi(c<-a) for the trio's sorted labels
+    (a, b, c), shared by its six entries, and None when the trio is not
+    evaluable; the entries are "ok" exactly when it is the identity.
+    """
 
     triple: tuple[str, str, str]
     status: str  # "ok" | "fail" | "not evaluable"
-    lhs: Matrix | None = None
-    rhs: Matrix | None = None
+    loop: Matrix | None = None
 
 
 @dataclass(frozen=True)
@@ -348,68 +319,38 @@ class CocycleReport:
     condition2: tuple[TransitionEntry, ...]
     overall: bool
 
-    def kernel_entry(self, triple: Sequence[str]) -> KernelImageEntry:
-        t = tuple(triple)
-        for e in self.condition1:
-            if e.triple == t:
-                return e
-        raise KeyError(t)
-
-    def transition_entry(self, triple: Sequence[str]) -> TransitionEntry:
-        t = tuple(triple)
-        for e in self.condition2:
-            if e.triple == t:
-                return e
-        raise KeyError(t)
-
 
 def check_cocycle(fam: GluingFamily) -> CocycleReport:
     """Decide the cocycle condition.
 
     Clause one asks that both orders of pushing a kernel through an overlap
-    give the same ideal; clause two composes the induced quotient
-    isomorphisms and is only evaluable on triples where clause one holds,
-    because otherwise the compositions do not even share a codomain.
+    give the same ideal.  Clause two compares the induced quotient
+    isomorphisms, and is only evaluable on trios where clause one holds,
+    because otherwise they do not even share a codomain.  There
+    phi(a<-b) = c_ab^-1 c_ba is the inverse of phi(b<-a), so the six
+    compositions of a trio hold together, exactly when the loop
+    phi(i<-j) phi(j<-k) phi(k<-i) is the identity on Q_i.
     """
     fam.require_valid()
     labels = sorted(fam.labels)
-    # the rhs of (i, j, k) is the lhs of (j, i, k), and clause 2 quotients by both
+    # the rhs of (i, j, k) is the lhs of (j, i, k), and clause 2 quotients B_ij by the lhs
     pushed = {t: _pushed_kernel(fam, *t) for t in itertools.permutations(labels, 3)}
-    cond1: list[KernelImageEntry] = []
-    cond1_by_triple: dict[tuple[str, str, str], bool] = {}
+    cond1 = []
     for i, j, k in itertools.permutations(labels, 3):
         lhs, rhs = pushed[(i, j, k)], pushed[(j, i, k)]
-        entry = KernelImageEntry((i, j, k), lhs, rhs, lhs == rhs)
-        cond1.append(entry)
-        cond1_by_triple[(i, j, k)] = entry.equal
-    cond1.sort(key=lambda e: e.triple)
+        cond1.append(KernelImageEntry((i, j, k), lhs, rhs, lhs == rhs))
+    equal = {e.triple: e.equal for e in cond1}
 
-    cond2: list[TransitionEntry] = []
-    tq: dict[tuple[str, str, str], TripleQuotients] = {}
-    charts: dict[tuple[str, frozenset[str]], QuotientChart] = {}
-
-    def transition(a: str, b: str, c: str) -> Matrix:
-        # phi(a<-b over c): classes in B_b/(ker+ker) to classes in B_a/(ker+ker)
-        for t in ((a, b, c), (b, a, c)):
-            if t not in tq:
-                key = (t[0], frozenset(t[1:]))
-                if key not in charts:
-                    charts[key] = _piece_chart(fam, *t)
-                tq[t] = _triple_quotients(fam, *t, pushed[t], charts[key])
-        return tq[(a, b, c)].iso_inv @ tq[(b, a, c)].iso
-
+    verdicts: dict[tuple[str, ...], tuple[str, Matrix | None]] = {}
     for trio in itertools.combinations(labels, 3):
-        evaluable = all(cond1_by_triple[t] for t in itertools.permutations(trio, 3))
-        for i, j, k in itertools.permutations(trio, 3):
-            if not evaluable:
-                cond2.append(TransitionEntry((i, j, k), "not evaluable"))
-                continue
-            lhs = transition(i, k, j)
-            rhs = transition(i, j, k) @ transition(j, k, i)
-            cond2.append(TransitionEntry((i, j, k), "ok" if lhs == rhs else "fail", lhs, rhs))
-    cond2.sort(key=lambda e: e.triple)
+        if all(equal[t] for t in itertools.permutations(trio)):
+            loop = _trio_loop(fam, trio, pushed)
+            verdicts[trio] = ("ok" if loop == Matrix.identity(loop.rows) else "fail", loop)
+        else:
+            verdicts[trio] = ("not evaluable", None)
+    cond2 = [TransitionEntry(t, *verdicts[tuple(sorted(t))]) for t in itertools.permutations(labels, 3)]
 
-    overall = all(e.equal for e in cond1) and all(e.status == "ok" for e in cond2)
+    overall = all(equal.values()) and all(e.status == "ok" for e in cond2)
     return CocycleReport(tuple(cond1), tuple(cond2), overall)
 
 
@@ -490,7 +431,7 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
     dist = check_distributive_family(fam, cap=lattice_cap)
     if dist.surjectivity_failures:
         i, j = dist.surjectivity_failures[0]
-        refusal = HypothesisNotMet(f"map ({i}, {j}) is not surjective", dist)
+        refusal = HypothesisNotMet(f"map ({i}, {j}) is not surjective")
         return Analysis(dist, TheoremVerdict(reason="family is not surjective", refusal=refusal))
     pullback = build_pullback(fam)
     images = {i: projection_surjective(pullback, i) for i in sorted(fam.labels)}
@@ -501,7 +442,7 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
         all_ext = e
     pair_ext = check_condition3(fam)
     if not dist.ok:
-        refusal = HypothesisNotMet(_why_not_distributive(dist), dist)
+        refusal = HypothesisNotMet(_why_not_distributive(dist))
         theorem = TheoremVerdict(reason="family is not distributive", refusal=refusal)
     elif isinstance(all_ext, TooManyPieces):
         theorem = TheoremVerdict(reason="subset check refused", refusal=all_ext)
@@ -559,7 +500,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
                 projection=i,
             )
     kernels = {i: kernel(p.projections[i]) for i in p.over}
-    _, verdict = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
+    _, _, verdict = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     if verdict.status == "indeterminate":
         raise RepairRefused(
             f"projection-kernel lattice exceeded the closure cap ({lattice_cap}); "

@@ -15,9 +15,18 @@ from gluecheck.algebra import (
     pair_key,
     quotient_algebra,
     subspace_algebra,
+    validate_hom,
 )
-from gluecheck.exactlin import Matrix, invert, span
-from gluecheck.finset import dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
+from gluecheck.exactlin import Matrix, image, invert, kernel, span, subspace_sum
+from gluecheck.finset import (
+    FiniteGluing,
+    dualize,
+    fixture_family,
+    random_gluing,
+    tcirc_a,
+    tcirc_c,
+    tstar,
+)
 from gluecheck.multipullback import pullback_subspace
 
 CORPUS_SEEDS = tuple(range(200))
@@ -131,14 +140,33 @@ def _dense_parse_algebra(value, path, label) -> Algebra:
     return Algebra.from_table(table, unit, name)
 
 
+def _dense_table(a: Algebra) -> tuple[tuple[tuple, ...], ...]:
+    """The dense structure constants that ``products`` replaced:
+    ``table[a][b]`` is the coordinate vector of e_a e_b."""
+    def dense(v):
+        out = [0] * a.dim
+        for k, t in v:
+            out[k] = t
+        return tuple(out)
+
+    return tuple(tuple(dense(v) for v in row) for row in a.products)
+
+
 def _dense_algebra_json(a: Algebra) -> dict:
-    """The writer the sparse one replaced: every vector of the dense ``table``."""
+    """The writer the sparse one replaced: every vector of the dense table."""
     return {
         "dim": a.dim,
         "label": a.label,
         "unit": specfile.vector_json(a.unit),
-        "structure_constants": [[specfile.vector_json(v) for v in row] for row in a.table],
+        "structure_constants": [[specfile.vector_json(v) for v in row] for row in _dense_table(a)],
     }
+
+
+@pytest.fixture(scope="session")
+def dense_table():
+    """``dense_table(a)``, the dense constants that the sparse product and
+    validators are tested against."""
+    return _dense_table
 
 
 def _dense_parse_document(text: str):
@@ -228,6 +256,117 @@ def rebased_families():
     named = [(name, fixture_family(name)) for name in ("example2", "example3")]
     named += [(f"seed{n}", dualize(random_gluing(n))) for n in range(30)]
     return [(name, fam, _rebased(fam, i)) for i, (name, fam) in enumerate(named)]
+
+
+@pytest.fixture(scope="session")
+def twisted_triangle():
+    """Three pieces A, B, C of two points a, b each: A~B and B~C match a<->a
+    and b<->b, but A~C matches a<->b and b<->a.  Every map of the dual is
+    injective, so clause 1 holds, while going round the triangle swaps the
+    points, so clause 2 fails on every ordered triple.  ``gluing``, its dual
+    ``family`` and that family ``rebased`` with seed 0."""
+    points = ("a", "b")
+    g = FiniteGluing(("A", "B", "C"), {"A": points, "B": points, "C": points}, {
+        ("A", "B"): (("a", "a"), ("b", "b")),
+        ("B", "C"): (("a", "a"), ("b", "b")),
+        ("A", "C"): (("a", "b"), ("b", "a")),
+    })
+    return SimpleNamespace(gluing=g, family=dualize(g), rebased=_rebased(dualize(g), 0))
+
+
+def _report_entry(entries, **fields):
+    """The one entry of a report whose named fields have the given values."""
+    found = [e for e in entries if all(getattr(e, name) == value for name, value in fields.items())]
+    assert len(found) == 1, (fields, len(found))
+    return found[0]
+
+
+@pytest.fixture(scope="session")
+def report_entry():
+    """``report_entry(entries, **fields)``: look an entry up by its fields,
+    e.g. ``triple=`` in a cocycle report or ``subset=`` and ``extend_by=`` in
+    an extension report."""
+    return _report_entry
+
+
+def _transposed(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, tuple(m.column(c) for c in range(m.cols)))
+
+
+def _checked_quotient(algebra: Algebra, ideal):
+    """``quotient_algebra``'s quotient and the matrix of its canonical
+    surjection, checked to be a homomorphism with the ideal as kernel."""
+    q, surjection = quotient_algebra(algebra, ideal)
+    assert validate_hom(surjection) is None
+    assert kernel(surjection.matrix) == ideal
+    return q, surjection.matrix
+
+
+def _transition_reference(fam: GluingFamily) -> SimpleNamespace:
+    """Clause 2 decided per ordered triple by six compositions, as before
+    it became one loop per trio.
+
+    ``charts[(i, j, k)]`` holds the checked quotients of B_i by
+    ker m_ij + ker m_ik (``piece_quotient``, surjection ``bracket``) and of
+    B_ij by ``pushed_kernel`` = m_ij(ker m_ik) (``overlap_quotient``,
+    surjection ``overlap_projection``), and ``iso``, the map between them
+    induced by m_ij, read through the right inverse B^T (B B^T)^-1 of the
+    bracket B, with ``iso_inv``.  ``status[(i, j, k)]`` is "not evaluable"
+    unless clause 1 holds on the whole trio, and otherwise "ok" exactly when
+    phi(i<-k over j) == phi(i<-j over k) phi(j<-k over i), with
+    phi(a<-b over c) = iso(a, b, c)^-1 iso(b, a, c).
+    """
+    labels = sorted(fam.labels)
+    quotients: dict = {}
+
+    def checked(key, algebra, ideal):
+        # (i, j, k) and (i, k, j) share the piece quotient
+        if key not in quotients:
+            quotients[key] = _checked_quotient(algebra, ideal)
+        return quotients[key]
+
+    charts = {}
+    for i, j, k in itertools.permutations(labels, 3):
+        m_ij, ker_ik = fam.map(i, j).matrix, fam.map_kernels[(i, k)]
+        ksum = subspace_sum(fam.map_kernels[(i, j)], ker_ik)
+        pushed = image(m_ij, ker_ik)
+        piece_q, bracket = checked((i, ksum), fam.pieces[i], ksum)
+        overlap_q, overlap_projection = checked((pair_key(i, j), pushed), fam.overlap(i, j), pushed)
+        section = _transposed(bracket) @ invert(bracket @ _transposed(bracket))
+        iso = overlap_projection @ m_ij @ section
+        charts[(i, j, k)] = SimpleNamespace(
+            triple=(i, j, k), piece_quotient=piece_q, bracket=bracket, pushed_kernel=pushed,
+            overlap_quotient=overlap_q, overlap_projection=overlap_projection,
+            iso=iso, iso_inv=invert(iso),
+        )
+
+    def transition(a, b, c):
+        return charts[(a, b, c)].iso_inv @ charts[(b, a, c)].iso
+
+    status = {}
+    for i, j, k in itertools.permutations(labels, 3):
+        if any(charts[(a, b, c)].pushed_kernel != charts[(b, a, c)].pushed_kernel
+               for a, b, c in itertools.permutations((i, j, k))):
+            status[(i, j, k)] = "not evaluable"
+        else:
+            same = transition(i, k, j) == transition(i, j, k) @ transition(j, k, i)
+            status[(i, j, k)] = "ok" if same else "fail"
+    return SimpleNamespace(charts=charts, status=status)
+
+
+@pytest.fixture(scope="session")
+def transition_reference():
+    """``transition_reference(fam)``: clause 2 by the six compositions per
+    trio that the loop replaced, on charts taken from ``quotient_algebra``'s
+    checked surjections; computed once per family."""
+    done: dict[int, tuple] = {}
+
+    def reference(fam: GluingFamily) -> SimpleNamespace:
+        if id(fam) not in done:
+            done[id(fam)] = (fam, _transition_reference(fam))  # keeps fam, so its id stays unique
+        return done[id(fam)][1]
+
+    return reference
 
 
 @pytest.fixture

@@ -62,19 +62,19 @@ def test_criterion_1_collapsing_fixture(example1):
     report(f"ACCEPTANCE 1 collapsing fixture (dim 5, image dim 2): PASS [{watch.elapsed:.3f}s]")
 
 
-def test_criterion_2_single_overlap_circle(example2, projection_reference):
+def test_criterion_2_single_overlap_circle(example2, projection_reference, report_entry):
     with Stopwatch() as watch:
         p = build_pullback(example2)
         assert all(projection_surjective(p, i)[0] for i in p.over)
 
         cocycle = check_cocycle(example2)
-        entry = cocycle.kernel_entry(("I1", "I2", "I3"))
+        entry = report_entry(cocycle.condition1, triple=("I1", "I2", "I3"))
         assert not entry.equal
         assert entry.lhs == Subspace.zero(1)
         assert entry.rhs == Subspace.full(1)
 
         ext3 = check_condition3(example2)
-        failing = ext3.entry(("I2", "I3"), "I1")
+        failing = report_entry(ext3.entries, subset=("I2", "I3"), extend_by="I1")
         assert not failing.ok
         assert [(e.subset, e.extend_by) for e in ext3.failures] == [(("I2", "I3"), "I1")]
         witness = vec([-1, 0, 1]) + vec([-1, -1, -1])  # identity chart with constant -1

@@ -172,12 +172,12 @@ class TestQuotientAlgebra:
         assert q.dim == 3
         assert kernel(surj.matrix).dim == 0
 
-    def test_functions_by_vanishing_ideal(self):
+    def test_functions_by_vanishing_ideal(self, dense_table):
         a = Algebra.functions(3)
         q, surj = quotient_algebra(a, span([[1, 0, 0], [0, 1, 0]], 3))
         assert q.dim == 1
         assert q.unit == vec([1])
-        assert q.table == ((vec([1]),),)
+        assert dense_table(q) == ((vec([1]),),)
         assert validate_hom(surj) is None
 
     def test_by_full_algebra(self):
@@ -302,7 +302,7 @@ class TestGluingFamilyValidation:
 
 # Dense references: the product, validators and ideal test as they were
 # before the structure constants were stored sparse.  They read the dense
-# ``table`` and multiply by one-hot basis vectors.
+# table (the ``dense_table`` fixture) and multiply by one-hot basis vectors.
 
 def one_hot(i: int, dim: int) -> tuple:
     return tuple(F1 if j == i else F0 for j in range(dim))
@@ -321,8 +321,8 @@ def dense_multiply(table, x, y) -> tuple:
     return tuple(acc)
 
 
-def dense_validate_algebra(a: Algebra) -> Violation | None:
-    table, d = a.table, a.dim
+def dense_validate_algebra(a: Algebra, table) -> Violation | None:
+    d = a.dim
     for i in range(d):
         e = one_hot(i, d)
         if dense_multiply(table, a.unit, e) != e:
@@ -336,10 +336,9 @@ def dense_validate_algebra(a: Algebra) -> Violation | None:
     return None
 
 
-def dense_validate_hom(f: AlgebraHom) -> Violation | None:
+def dense_validate_hom(f: AlgebraHom, source, target) -> Violation | None:
     if f.matrix.apply(f.source.unit) != f.target.unit:
         return Violation("hom-unit", (), "unit does not map to the unit")
-    source, target = f.source.table, f.target.table
     cols = [f.matrix.column(a) for a in range(f.source.dim)]
     for a, b in itertools.product(range(f.source.dim), repeat=2):
         if f.matrix.apply(source[a][b]) != dense_multiply(target, cols[a], cols[b]):
@@ -347,10 +346,9 @@ def dense_validate_hom(f: AlgebraHom) -> Violation | None:
     return None
 
 
-def dense_is_ideal(a: Algebra, s: Subspace) -> bool:
-    table = a.table
-    for i in range(a.dim):
-        e = one_hot(i, a.dim)
+def dense_is_ideal(table, s: Subspace) -> bool:
+    for i in range(len(table)):
+        e = one_hot(i, len(table))
         for row in s.basis_rows:
             if not (s.contains(dense_multiply(table, e, row)) and s.contains(dense_multiply(table, row, e))):
                 return False
@@ -377,15 +375,16 @@ def small_algebras(draw) -> Algebra:
     return Algebra.from_table(table, unit)
 
 
-def generated(a: Algebra, x, sides: str) -> Subspace:
+def generated(table, x, sides: str) -> Subspace:
     """The smallest subspace that contains x and is closed under
     multiplication by basis vectors on the given sides ("l", "r" or "lr")."""
-    table, basis = a.table, [one_hot(i, a.dim) for i in range(a.dim)]
-    s = span([x], a.dim)
+    d = len(table)
+    basis = [one_hot(i, d) for i in range(d)]
+    s = span([x], d)
     while True:
         more = [dense_multiply(table, e, r) for e in basis for r in s.basis_rows if "l" in sides]
         more += [dense_multiply(table, r, e) for e in basis for r in s.basis_rows if "r" in sides]
-        grown = s + span(more, a.dim)
+        grown = s + span(more, d)
         if grown == s:
             return s
         s = grown
@@ -396,37 +395,40 @@ class TestAgainstDenseReference:
     one-hot computation they replaced gives: the same first violation, the
     same verdict, the same products."""
 
-    def test_fresh_families(self, fresh_families):
+    def test_fresh_families(self, fresh_families, dense_table):
         for name, fam in fresh_families:
             for a in (*fam.pieces.values(), *fam.overlaps.values()):
-                assert validate_algebra(a) == dense_validate_algebra(a), name
-                assert Algebra.from_table(a.table, a.unit, a.label) == a
+                assert validate_algebra(a) == dense_validate_algebra(a, dense_table(a)), name
+                assert Algebra.from_table(dense_table(a), a.unit, a.label) == a
             for key, h in fam.maps.items():
-                assert validate_hom(h) == dense_validate_hom(h), (name, key)
+                expected = dense_validate_hom(h, dense_table(h.source), dense_table(h.target))
+                assert validate_hom(h) == expected, (name, key)
             for i in fam.labels:
                 # one map out of each piece: its kernel, an ideal, and the
                 # kernel plus the unit, which often is not
                 a, ker = fam.pieces[i], fam.map_kernels[next(k for k in fam.maps if k[0] == i)]
+                table = dense_table(a)
                 for s in (ker, ker + span([a.unit], a.dim)):
-                    assert is_ideal(a, s) == dense_is_ideal(a, s), (name, i)
+                    assert is_ideal(a, s) == dense_is_ideal(table, s), (name, i)
                 for x, y in itertools.product((a.unit, *ker.basis_rows[:2]), repeat=2):
-                    assert a.multiply(x, y) == dense_multiply(a.table, x, y), (name, i)
+                    assert a.multiply(x, y) == dense_multiply(table, x, y), (name, i)
 
     @given(small_algebras(), small_algebras(), st.data())
-    def test_small_tables(self, a, b, data):
-        assert validate_algebra(a) == dense_validate_algebra(a)
-        assert Algebra.from_table(a.table, a.unit) == a
+    def test_small_tables(self, dense_table, a, b, data):
+        table = dense_table(a)
+        assert validate_algebra(a) == dense_validate_algebra(a, table)
+        assert Algebra.from_table(table, a.unit) == a
         vectors = st.lists(RATIONALS, min_size=a.dim, max_size=a.dim)
         x, y = data.draw(vectors), data.draw(vectors)
-        assert a.multiply(x, y) == dense_multiply(a.table, x, y)
+        assert a.multiply(x, y) == dense_multiply(table, x, y)
         # one-sided ideals, so that each side of the test is what decides
         for s in (span(data.draw(st.lists(vectors, max_size=2)), a.dim),
-                  *(generated(a, x, sides) for sides in ("l", "r", "lr"))):
-            assert is_ideal(a, s) == dense_is_ideal(a, s)
+                  *(generated(table, x, sides) for sides in ("l", "r", "lr"))):
+            assert is_ideal(a, s) == dense_is_ideal(table, s)
         rows = data.draw(st.lists(vectors, min_size=b.dim, max_size=b.dim))
         m = Matrix.from_rows(rows, cols=a.dim)
         # the target's unit is the image of the source's, so that the
         # multiplicativity check is what runs
         for h in (AlgebraHom(a, Algebra(b.dim, b.products, m.apply(a.unit)), m),
                   AlgebraHom(a, a, Matrix.identity(a.dim))):
-            assert validate_hom(h) == dense_validate_hom(h)
+            assert validate_hom(h) == dense_validate_hom(h, table, dense_table(h.target))

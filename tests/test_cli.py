@@ -227,6 +227,36 @@ class TestCheckCommand:
         assert code == 1
         assert "distributive family: NO" in out
 
+    def test_a_count_that_succeeds_runs_the_theorem_past_the_cap(self, capsys, tmp_path):
+        # each spoke matches its points to S1 = {a, b, c} and the spokes share
+        # nothing, so S1's kernels are the three coordinate axes: five meets,
+        # whose count proves distributivity, and eight lattice elements
+        g = finset.FiniteGluing(
+            ("S1", "S2", "S3", "S4"),
+            {"S1": ("a", "b", "c"), "S2": ("b", "c"), "S3": ("a", "c"), "S4": ("a", "b")},
+            {("S1", "S2"): (("b", "b"), ("c", "c")), ("S1", "S3"): (("a", "a"), ("c", "c")),
+             ("S1", "S4"): (("a", "a"), ("b", "b"))},
+        )
+        path = tmp_path / "spokes.json"
+        path.write_text(specfile.dump_document(specfile.family_json(dualize(g))))
+        code, report, _ = run_json(capsys, "check", str(path), "--cap", "5")
+        assert code == 1
+        s1 = report["distributive"]["per_piece"][0]
+        assert (s1["piece"], s1["status"], s1["complete"], s1["lattice_elements"]) == (
+            "S1", "distributive", False, 5)
+        assert report["distributive"]["ok"] is True
+        assert report["theorem"] == {"ran": True, "verdicts": [False, False, False], "consistent": True}
+
+    def test_twisted_triangle_fails_clause_two(self, capsys, tmp_path, twisted_triangle):
+        path = tmp_path / "twisted.json"
+        path.write_text(specfile.dump_document(specfile.family_json(twisted_triangle.family)))
+        code, report, _ = run_json(capsys, "check", str(path))
+        assert code == 1
+        assert report["cocycle"]["overall"] is False
+        assert all(e["equal"] for e in report["cocycle"]["condition1"])
+        assert [e["status"] for e in report["cocycle"]["condition2"]] == ["fail"] * 6
+        assert report["theorem"] == {"ran": True, "verdicts": [False, False, False], "consistent": True}
+
     def test_subset_bound_refusal(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example3", "--max-j", "2")
         assert code == 3
@@ -530,6 +560,16 @@ class TestGlueCommand:
         code, report, _ = run_json(capsys, "glue", str(path))
         assert code == 0
         assert report["class_count"] == 2
+
+    def test_twisted_triangle_is_one_class(self, capsys, tmp_path, twisted_triangle):
+        path = tmp_path / "twisted.json"
+        path.write_text(specfile.dump_document(specfile.gluing_json(twisted_triangle.gluing)))
+        code, report, _ = run_json(capsys, "glue", str(path), "--duality")
+        assert code == 1
+        assert report["class_count"] == 1
+        pieces = {p["piece"]: p["embedded"] for p in report["piece_embeddings"]}
+        assert pieces["A"] is False
+        assert report["duality"]["class_count"] == 1
 
     def test_family_fixture_names_work_for_glue(self, capsys):
         code, out, _ = run(capsys, "glue", "--fixture", "example2")

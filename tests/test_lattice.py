@@ -86,8 +86,8 @@ class TestGenerateLattice:
         assert not closure.complete
         assert len(closure.elements) == cap
         assert is_distributive(closure).status == "indeterminate"
-        elements, verdict = decide_distributivity(gens, cap)
-        assert (elements, verdict.status) == (cap, "indeterminate")
+        elements, complete, verdict = decide_distributivity(gens, cap)
+        assert (elements, complete, verdict.status) == (cap, False, "indeterminate")
 
     def test_mismatched_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -144,16 +144,24 @@ def subspace_sets(draw):
 
 class TestAdaptedBasisCertificate:
     """``decide_distributivity`` against the closure and ``is_distributive``:
-    the same verdict, the same element count and the same ``complete``."""
+    the same element count, the same ``complete`` and the same verdict,
+    except that the count may prove distributive a lattice whose closure
+    passes the cap."""
 
     @staticmethod
     def assert_matches_closure(gens, caps=(3, 6, DEFAULT_CAP)):
         for cap in caps:
             closure = generate_lattice(gens, cap)
-            elements, verdict = decide_distributivity(gens, cap)
+            elements, complete, verdict = decide_distributivity(gens, cap)
             expected = is_distributive(closure)
-            assert (elements, verdict.status) == (len(closure.elements), expected.status), cap
-            assert (verdict.status != "indeterminate") == closure.complete
+            assert (elements, complete) == (len(closure.elements), closure.complete), cap
+            if closure.complete or verdict.status == "indeterminate":
+                assert verdict.status == expected.status, cap
+            else:
+                # a distributive lattice of subspaces of Q^d has at most 2^d elements
+                assert verdict.status == "distributive", cap
+                uncapped = generate_lattice(gens, 2 ** gens[0].ambient_dim)
+                assert is_distributive(uncapped).status == "distributive", cap
             assert verdict.witness == expected.witness
 
     @given(subspace_sets())
@@ -166,9 +174,27 @@ class TestAdaptedBasisCertificate:
         self.assert_matches_closure(gens, (3, 6, 120, DEFAULT_CAP) if finite else (3, 6, 120))
 
     def test_three_lines_fall_back_to_the_closure_witness(self):
-        elements, verdict = decide_distributivity([LINE_A, LINE_B, LINE_C])
-        assert (elements, verdict.status) == (5, "not-distributive")
+        elements, complete, verdict = decide_distributivity([LINE_A, LINE_B, LINE_C])
+        assert (elements, complete, verdict.status) == (5, True, "not-distributive")
         assert verdict.witness == (LINE_A, LINE_B, LINE_C)
+
+    @pytest.mark.parametrize("cap", [5, 6, 7])
+    def test_a_count_that_succeeds_decides_past_the_cap(self, cap):
+        # the five meets of the coordinate axes of Q^3 fit under the cap and
+        # their count proves the lattice distributive, while its eight
+        # elements do not
+        axes = [span([row], 3) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+        elements, complete, verdict = decide_distributivity(axes, cap)
+        assert (elements, complete, verdict.status) == (cap, False, "distributive")
+        self.assert_matches_closure(axes, (cap,))
+
+    def test_meets_past_the_cap_stay_indeterminate(self):
+        # the four coordinate hyperplanes of Q^4 have 16 meets, so at cap 10
+        # the count cannot run and the capped closure decides nothing
+        hyperplanes = [span([[int(c == r) for c in range(4)] for r in range(4) if r != h], 4)
+                       for h in range(4)]
+        elements, complete, verdict = decide_distributivity(hyperplanes, 10)
+        assert (elements, complete, verdict.status) == (10, False, "indeterminate")
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
     def test_generators_past_the_cap_keep_the_closure_order(self, order):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,14 +10,14 @@ from gluecheck.algebra import (
     quotient_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import Matrix, Subspace, image, kernel, span, subspace_sum, vec
+from gluecheck.exactlin import Matrix, Subspace, image, kernel, quotient, span, subspace_sum, vec
 from gluecheck.finset import FiniteGluing, dualize, fixture_family, random_gluing
 from gluecheck.multipullback import (
     HypothesisNotMet,
     RepairRefused,
     TooManyPieces,
+    analyse,
     build_pullback,
-    build_triple_quotients,
     check_cocycle,
     check_condition2,
     check_condition3,
@@ -107,10 +105,10 @@ class TestPairwiseExtension:
         assert not report.ok
         assert [(e.subset, e.extend_by) for e in report.failures] == [(("I2", "I3"), "I1")]
 
-    def test_the_classic_witness_pair(self, example2, projection_reference):
+    def test_the_classic_witness_pair(self, example2, projection_reference, report_entry):
         # identity chart on one chain, constant -1 on the other: compatible
         # at the shared endpoint yet admitting no third component
-        entry = check_condition3(example2).entry(("I2", "I3"), "I1")
+        entry = report_entry(check_condition3(example2).entries, subset=("I2", "I3"), extend_by="I1")
         projected, _ = projection_reference(example2, entry.subset, entry.extend_by)
         witness = {"I2": vec([-1, 0, 1]), "I3": vec([-1, -1, -1])}
         flat = list(witness["I2"]) + list(witness["I3"])
@@ -203,69 +201,61 @@ class TestRebasedFamilies:
 
 
 class TestTripleQuotients:
-    def test_shared_endpoint_quotient_is_a_point(self, example2):
-        tq = build_triple_quotients(example2, "I1", "I2", "I3")
+    """The charts and comparison maps of each ordered triple, on the six
+    compositions reference that clause 2's loop replaced."""
+
+    def test_shared_endpoint_quotient_is_a_point(self, example2, transition_reference):
+        tq = transition_reference(example2).charts[("I1", "I2", "I3")]
         assert tq.bracket.rows == 1
         assert tq.overlap_projection.rows == 1
 
-    def test_quotient_dimensions_match_by_construction(self, example3):
+    def test_quotient_dimensions_match_by_construction(self, example3, transition_reference):
         # both kernels out of I2 vanish at the 1-endpoint, so their sum is
         # the functions vanishing there and the quotient is a line
-        tq = build_triple_quotients(example3, "I2", "I3", "I1")
+        tq = transition_reference(example3).charts[("I2", "I3", "I1")]
         assert tq.bracket.rows == 1
         assert tq.overlap_projection.rows == 1
 
-    def test_comparison_map_identity(self, fresh_families):
+    def test_comparison_map_identity(self, fresh_families, transition_reference):
         # iso is well defined: it carries the bracket class of b to the class of m_ij(b)
         for name, fam in fresh_families:
-            for i, j, k in itertools.permutations(sorted(fam.labels), 3):
-                tq = build_triple_quotients(fam, i, j, k)
+            for (i, j, k), tq in transition_reference(fam).charts.items():
                 lhs = tq.iso @ tq.bracket
                 rhs = tq.overlap_projection @ fam.map(i, j).matrix
                 assert lhs == rhs, (name, tq.triple)
 
-    def test_charts_are_the_canonical_surjections(self, fresh_families):
+    def test_charts_are_the_canonical_surjections(self, fresh_families, transition_reference):
         # what clause 2 takes on trust: both subspaces are ideals (which
-        # quotient_algebra checks), the charts are the canonical surjections
-        # onto the quotients, with the ideals as kernels, and iso is a hom
-        # between the quotients
+        # quotient_algebra checks), the charts clause 2 builds are the
+        # canonical surjections onto the quotients, with the ideals as
+        # kernels (which the reference checks), and iso is a hom between
+        # the quotients
         for name, fam in fresh_families:
-            quotients = {}
-
-            def checked_quotient(key, algebra, ideal):
-                # built and checked once: (i, j, k) and (i, k, j) share the piece quotient
-                if key not in quotients:
-                    q, surjection = quotient_algebra(algebra, ideal)
-                    assert validate_hom(surjection) is None, (name, key)
-                    assert kernel(surjection.matrix) == ideal, (name, key)
-                    quotients[key] = q, surjection.matrix
-                return quotients[key]
-
-            for i, j, k in itertools.permutations(sorted(fam.labels), 3):
-                tq = build_triple_quotients(fam, i, j, k)
+            for (i, j, k), tq in transition_reference(fam).charts.items():
                 ksum = subspace_sum(fam.map_kernels[(i, j)], fam.map_kernels[(i, k)])
                 pushed = image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
-                piece_q, bracket = checked_quotient((i, ksum), fam.pieces[i], ksum)
-                overlap_q, overlap_projection = checked_quotient(((i, j), pushed), fam.overlap(i, j), pushed)
+                bracket = quotient(fam.pieces[i].dim, ksum).projection
+                overlap_projection = quotient(fam.overlap(i, j).dim, pushed).projection
                 assert bracket == tq.bracket, (name, tq.triple)
                 assert overlap_projection == tq.overlap_projection, (name, tq.triple)
-                assert validate_hom(AlgebraHom(piece_q, overlap_q, tq.iso)) is None, (name, tq.triple)
+                iso = AlgebraHom(tq.piece_quotient, tq.overlap_quotient, tq.iso)
+                assert validate_hom(iso) is None, (name, tq.triple)
 
-    def test_degenerate_triple_is_the_zero_algebra(self):
-        tq = build_triple_quotients(no_overlap_family(), "A", "B", "C")
+    def test_degenerate_triple_is_the_zero_algebra(self, transition_reference):
+        tq = transition_reference(no_overlap_family()).charts[("A", "B", "C")]
         assert tq.bracket.rows == 0
         assert tq.iso == Matrix.identity(0)
 
 
 class TestCocycle:
-    def test_single_overlap_circle_fails_clause_one(self, example2):
+    def test_single_overlap_circle_fails_clause_one(self, example2, report_entry):
         report = check_cocycle(example2)
         assert not report.overall
-        entry = report.kernel_entry(("I1", "I2", "I3"))
+        entry = report_entry(report.condition1, triple=("I1", "I2", "I3"))
         assert not entry.equal
         assert entry.lhs == Subspace.zero(1)
         assert entry.rhs == Subspace.full(1)
-        trans = report.transition_entry(("I1", "I2", "I3"))
+        trans = report_entry(report.condition2, triple=("I1", "I2", "I3"))
         assert trans.status == "not evaluable"
 
     def test_double_overlap_circle_satisfies_both_clauses(self, example3):
@@ -281,11 +271,14 @@ class TestCocycle:
         assert check_cocycle(no_overlap_family()).overall
 
     def test_report_is_sorted(self, example2):
-        triples = [e.triple for e in check_cocycle(example2).condition1]
-        assert triples == sorted(triples)
+        report = check_cocycle(example2)
+        for entries in (report.condition1, report.condition2):
+            triples = [e.triple for e in entries]
+            assert triples == sorted(triples)
 
     def test_each_piece_chart_is_built_once(self, record_calls):
-        # (i, j, k) and (i, k, j) quotient B_i by the same ker m_ij + ker m_ik
+        # a trio quotients each of its pieces once, by the kernels of its
+        # maps to the other two
         sums = record_calls(multipullback, "subspace_sum")
         charts = 0
         for fam in (fixture_family("example3"), *(dualize(random_gluing(seed)) for seed in range(20))):
@@ -293,11 +286,39 @@ class TestCocycle:
                 continue
             del sums[:]
             report = check_cocycle(fam)
-            needed = {(t[0], frozenset(t[1:])) for t in (e.triple for e in report.condition2)
-                      if report.transition_entry(t).status != "not evaluable"}
-            assert len(sums) == len(needed)
-            charts += len(needed)
+            trios = {tuple(sorted(e.triple)) for e in report.condition2 if e.status != "not evaluable"}
+            assert len(sums) == 3 * len(trios)
+            charts += len(sums)
         assert charts > 0
+
+    def test_twisted_triangle_fails_clause_two_everywhere(self, twisted_triangle):
+        for fam in (twisted_triangle.family, twisted_triangle.rebased):
+            report = check_cocycle(fam)
+            assert len(report.condition1) == len(report.condition2) == 6
+            assert all(e.equal for e in report.condition1)
+            assert all(e.status == "fail" for e in report.condition2)
+            assert not report.overall
+            # going round the triangle swaps the two points
+            loop = report.condition2[0].loop
+            assert all(e.loop is loop for e in report.condition2)
+            assert loop != Matrix.identity(2) and loop @ loop == Matrix.identity(2)
+
+    def test_loops_match_the_transition_reference(self, fresh_families, rebased_families,
+                                                  twisted_triangle, transition_reference):
+        # the loop of a trio is the identity exactly when its six
+        # compositions hold, and is None exactly when clause 1 fails on it
+        families = [*fresh_families, *((f"{name}-rebased", rebased) for name, _, rebased in rebased_families),
+                    ("twisted", twisted_triangle.family), ("twisted-rebased", twisted_triangle.rebased)]
+        statuses = set()
+        for name, fam in families:
+            expected = transition_reference(fam).status
+            for e in check_cocycle(fam).condition2:
+                assert e.status == expected[e.triple], (name, e.triple)
+                assert (e.loop is None) == (e.status == "not evaluable"), (name, e.triple)
+                if e.loop is not None:
+                    assert (e.loop == Matrix.identity(e.loop.rows)) == (e.status == "ok"), (name, e.triple)
+                statuses.add(e.status)
+        assert statuses == {"ok", "fail", "not evaluable"}
 
 
 class TestBracketTransitionIdentity:
@@ -306,12 +327,14 @@ class TestBracketTransitionIdentity:
         b_j=st.lists(small_fracs, min_size=3, max_size=3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bracket_agreement_iff_difference_in_pushed_kernel(self, example3, b_i, b_j):
+    def test_bracket_agreement_iff_difference_in_pushed_kernel(self, example3, transition_reference,
+                                                               b_i, b_j):
         # the transition carries the bracket class of b_j to that of b_i
         # exactly when the overlap difference falls into the pushed kernel
+        charts = transition_reference(example3).charts
         for i, j, k in (("I1", "I2", "I3"), ("I2", "I3", "I1")):
-            tq_ij = build_triple_quotients(example3, i, j, k)
-            tq_ji = build_triple_quotients(example3, j, i, k)
+            tq_ij = charts[(i, j, k)]
+            tq_ji = charts[(j, i, k)]
             phi = tq_ij.iso_inv @ tq_ji.iso
             lhs = tq_ij.bracket.apply(b_i) == phi.apply(tq_ji.bracket.apply(b_j))
             diff = [
@@ -331,6 +354,13 @@ class TestTheoremEquivalence:
         report = check_theorem_equivalence(example3)
         assert report.verdicts == (True, True, True)
         assert report.consistent
+
+    def test_twisted_triangle_verdicts_agree(self, twisted_triangle):
+        for fam in (twisted_triangle.family, twisted_triangle.rebased):
+            analysis = analyse(fam)
+            assert analysis.theorem.ran
+            assert analysis.verdicts == (False, False, False)
+            assert analysis.consistent
 
     def test_refuses_non_distributive_families(self, three_line_family):
         with pytest.raises(HypothesisNotMet, match="distributive"):
