@@ -12,6 +12,7 @@ Exit codes: 0 all requested verdicts pass, 1 some verdict failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -35,6 +36,7 @@ from gluecheck.multipullback import (
     ExtensionReport,
     RepairRefused,
     TooManyPieces,
+    TransitionEntry,
     analyse,
     repair,
 )
@@ -106,7 +108,7 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
 
 def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> int:
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         for line in human:
             print(line)
@@ -126,6 +128,13 @@ def _extensions_json(ext: ExtensionReport) -> dict:
             for e in ext.entries
         ],
     }
+
+
+def _condition2_json(e: TransitionEntry) -> dict:
+    entry = {"triple": list(e.triple), "status": e.status}
+    if e.status == "fail":
+        entry["loop"] = specfile.matrix_json(e.loop)
+    return entry
 
 
 def _triple_name(triple: Sequence[str]) -> str:
@@ -207,9 +216,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             }
             for e in cocycle.condition1
         ],
-        "condition2": [
-            {"triple": list(e.triple), "status": e.status} for e in cocycle.condition2
-        ],
+        "condition2": [_condition2_json(e) for e in cocycle.condition2],
     }
     human.append(f"cocycle condition: {'holds' if cocycle.overall else 'FAILS'}")
     for e in cocycle.condition1:
@@ -221,7 +228,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
     for e in cocycle.condition2:
         if e.status == "fail":
-            human.append(f"  clause 2 fails at {e.triple}")
+            i, j, k = e.triple
+            human.append(f"  clause 2 fails at ({i},{j},{k}): loop = {e.loop}")
 
     pair_ext = analysis.pairwise_extensions
     report["extension_pairs"] = _extensions_json(pair_ext)
@@ -378,7 +386,10 @@ def at_least(least: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process: each
+    ``parse_args`` fills a fresh namespace, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="gluecheck",
         description="Cocycle-condition and gluing diagnostics for families of surjective "
@@ -413,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except specfile.DocumentError as e:

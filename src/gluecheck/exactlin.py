@@ -303,20 +303,29 @@ def image(f: Matrix, u: Subspace) -> Subspace:
 
 
 def kernel(f: Matrix) -> Subspace:
-    """Null space of f."""
-    reduced, pivots = _reduce(f.entries, f.cols)
+    """Null space of f, in one elimination.
+
+    Reduce f with its columns reversed.  The null vector of a free reversed
+    column c has its 1 at column n-1-c and its other entries at pivot
+    columns to the right of it, so taken in ascending n-1-c these vectors
+    are already the RREF basis, with the free columns as its pivots.
+    """
+    n = f.cols
+    reduced, pivots = _reduce([r[::-1] for r in f.entries], n)
     pivot_set = set(pivots)
     rows = []
-    for c in range(f.cols):
+    free = []
+    for c in range(n - 1, -1, -1):
         if c in pivot_set:
             continue
-        v = [F0] * f.cols
-        v[c] = F1
-        for i, p in enumerate(pivots):
-            if reduced[i][c]:
-                v[p] = -reduced[i][c]
-        rows.append(v)
-    return _span(rows, f.cols)
+        v = [F0] * n
+        v[n - 1 - c] = F1
+        for row, p in zip(reduced, pivots):
+            if row[c]:
+                v[n - 1 - p] = -row[c]
+        rows.append(tuple(v))
+        free.append(n - 1 - c)
+    return _reduced_subspace(n, rows, free)
 
 
 def rank(f: Matrix) -> int:

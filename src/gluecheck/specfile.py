@@ -340,4 +340,4 @@ def gluing_json(g: FiniteGluing, options: Mapping | None = None) -> dict:
 
 
 def dump_document(doc: Mapping) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc) + "\n"

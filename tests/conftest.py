@@ -17,7 +17,7 @@ from gluecheck.algebra import (
     subspace_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import Matrix, image, invert, kernel, span, subspace_sum
+from gluecheck.exactlin import Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum
 from gluecheck.finset import (
     FiniteGluing,
     dualize,
@@ -186,6 +186,31 @@ def dense_specfile():
     writer are tested against."""
     return SimpleNamespace(parse_algebra=_dense_parse_algebra, parse_document=_dense_parse_document,
                            family_json=_dense_family_json)
+
+
+def _kernel_reference(f: Matrix) -> Subspace:
+    """The null space of f in two eliminations: reduce f, write one null
+    vector per free column, and reduce those vectors again into RREF."""
+    reduced, pivots = _reduce(f.entries, f.cols)
+    pivot_set = set(pivots)
+    rows = []
+    for c in range(f.cols):
+        if c in pivot_set:
+            continue
+        v = [0] * f.cols
+        v[c] = 1
+        for i, p in enumerate(pivots):
+            if reduced[i][c]:
+                v[p] = -reduced[i][c]
+        rows.append(v)
+    return _span(rows, f.cols)
+
+
+@pytest.fixture(scope="session")
+def kernel_reference():
+    """The two-pass kernel that ``exactlin.kernel``'s single elimination
+    replaced, to test it against."""
+    return _kernel_reference
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -256,6 +256,13 @@ class TestCheckCommand:
         assert all(e["equal"] for e in report["cocycle"]["condition1"])
         assert [e["status"] for e in report["cocycle"]["condition2"]] == ["fail"] * 6
         assert report["theorem"] == {"ran": True, "verdicts": [False, False, False], "consistent": True}
+        # the witness: going round the triangle swaps the two points
+        loops = [e["loop"] for e in report["cocycle"]["condition2"]]
+        assert loops == [loops[0]] * 6
+        assert loops[0] != [["1", "0"], ["0", "1"]]
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 1
+        assert "clause 2 fails at (A,B,C): loop = Matrix(2x2: 0 1; 1 0)" in out
 
     def test_subset_bound_refusal(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example3", "--max-j", "2")
@@ -525,6 +532,54 @@ class TestScripts:
         assert result.returncode == 2, result.stdout + result.stderr
         assert name in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestOneParserPerProcess:
+    SEQUENCE = (
+        ["check", "--fixture", "example2", "--json"],
+        ["check", "--fixture", "example2"],
+        ["check", "--fixture", "example2", "--cap", "0"],
+        ["repair", "--fixture", "example2", "--json"],
+    )
+
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_match_fresh_interpreters(self, capsys, monkeypatch):
+        # argparse wraps its usage text to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        for argv, got in zip(self.SEQUENCE, in_process):
+            fresh = subprocess.run([sys.executable, "-m", "gluecheck", *argv],
+                                   capture_output=True, text=True, env=env, timeout=120)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [code for code, _, _ in in_process] == [1, 1, 2, 0]
+
+
+class TestCompactJson:
+    def test_a_json_report_is_one_line(self, capsys):
+        code, out, _ = run(capsys, "check", "--fixture", "example2", "--json")
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["exit"] == code == 1
+
+    def test_a_document_is_dumped_compact(self):
+        doc = specfile.family_json(fixture_family("example2"), options={"lattice_cap": 50})
+        assert specfile.dump_document(doc) == json.dumps(doc) + "\n"
+
+    def test_repair_out_parses_back_to_the_reports_document(self, capsys, tmp_path):
+        out_path = tmp_path / "repaired.json"
+        code, out, _ = run(capsys, "repair", "--fixture", "example2", "--json", "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text()) == json.loads(out)["document"]
 
 
 class TestGlueCommand:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gluecheck import exactlin
 from gluecheck.exactlin import (
     Matrix,
     Subspace,
@@ -233,3 +235,32 @@ class TestReducedSubspaces:
     def test_public_constructor_rejects_what_is_not_rref(self, rows, message):
         with pytest.raises(ValueError, match=message):
             Subspace(2, tuple(vec(r) for r in rows))
+
+
+KERNEL_ENTRIES = (0, 0, 0, 1, -1, 2, Fraction(1, 3), -3)
+
+
+class TestKernelInOneElimination:
+    """``kernel`` reads the RREF basis of the null space off one elimination
+    of f with its columns reversed."""
+
+    def test_matches_the_two_pass_kernel(self, kernel_reference):
+        rng = random.Random(14)
+        cases = [Matrix(0, 0, ()), Matrix(0, 3, ()), Matrix(2, 0, ((), ())),
+                 Matrix.from_rows([[0]]), Matrix.from_rows([[0] * 4] * 3)]
+        for _ in range(3000):
+            rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+            cases.append(Matrix(rows, cols, tuple(tuple(rng.choice(KERNEL_ENTRIES) for _ in range(cols))
+                                                  for _ in range(rows))))
+        for m in cases:
+            k = kernel(m)
+            assert k == kernel_reference(m), m
+            assert k.pivots == Subspace(k.ambient_dim, k.basis_rows).pivots
+            assert k.dim + rank(m) == m.cols
+            assert not any(x for row in k.basis_rows for x in m.apply(row))
+
+    def test_one_elimination_per_call(self, record_calls):
+        calls = record_calls(exactlin, "_reduce")
+        k = kernel(Matrix.from_rows([[1, 2, 0, 1], [0, 0, 1, Fraction(1, 3)]]))
+        assert len(calls) == 1
+        assert k.dim == 2
