@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from gluecheck.exactlin import F0, F1, Matrix, Scalar, Subspace, Vector, kernel, quotient, rank, vec
+from gluecheck.exactlin import F0, F1, Matrix, Scalar, Subspace, Vector, kernel, quotient, vec
 
 SparseVector = tuple[tuple[int, Scalar], ...]
 
@@ -79,8 +79,10 @@ class Algebra:
     def functions(points: int | Sequence[str], label: str = "") -> "Algebra":
         """Function algebra Q^X with pointwise product and all-ones unit."""
         n = points if isinstance(points, int) else len(points)
+        if n < 0:
+            raise ValueError("the number of points must not be negative")
         products = tuple(tuple(((a, F1),) if a == b else () for b in range(n)) for a in range(n))
-        return Algebra(n, products, (F1,) * n, label)
+        return _sparse_algebra(n, products, (F1,) * n, label)
 
     @staticmethod
     def zero(label: str = "") -> "Algebra":
@@ -104,9 +106,9 @@ class Algebra:
 def _sparse_algebra(dim: int, products: tuple[tuple[SparseVector, ...], ...], unit: Vector,
                     label: str) -> Algebra:
     """The Algebra with these products, built without the public
-    constructor's re-check: the document parser makes every vector sparse
-    and every row of length dim by construction, and the test suite checks
-    that the constructor accepts what it builds."""
+    constructor's re-check: the document parser and ``Algebra.functions``
+    make every vector sparse and every row of length dim by construction,
+    and the test suite checks that the constructor accepts what they build."""
     a = object.__new__(Algebra)
     a.__dict__.update(dim=dim, products=products, unit=unit, label=label)
     return a
@@ -232,8 +234,13 @@ def validate_hom(f: AlgebraHom) -> Violation | None:
     return None
 
 
+def _onto(f: AlgebraHom, ker: Subspace) -> bool:
+    """Whether f is onto, given its kernel: its image has dimension source.dim - ker.dim."""
+    return ker.dim == f.source.dim - f.target.dim
+
+
 def is_surjective(f: AlgebraHom) -> bool:
-    return rank(f.matrix) == f.target.dim
+    return _onto(f, kernel(f.matrix))
 
 
 def is_ideal(a: Algebra, s: Subspace) -> bool:
@@ -340,10 +347,6 @@ class GluingFamily:
         return {key: kernel(h.matrix) for key, h in self.maps.items()}
 
     @cached_property
-    def map_surjective(self) -> Mapping[tuple[str, str], bool]:
-        return {key: is_surjective(h) for key, h in self.maps.items()}
-
-    @cached_property
     def pullback_subspaces(self) -> dict:
         """Memo of ``multipullback.pullback_subspace``, keyed by label subset."""
         return {}
@@ -398,9 +401,14 @@ class GluingFamily:
                 if bad is not None:
                     out.append(FamilyProblem("map-axioms", (i, j), f"map ({i}, {j}): {bad.message}"))
                     continue
-                if not self.map_surjective[(i, j)]:
+                if not _onto(h, self.map_kernels[(i, j)]):
                     out.append(FamilyProblem("map-not-surjective", (i, j), f"map ({i}, {j}) is not surjective"))
         return tuple(out)
+
+    @cached_property
+    def surjectivity_failures(self) -> tuple[tuple[str, str], ...]:
+        """The sorted (i, j) whose map validation found not onto."""
+        return tuple(sorted(p.where for p in self._problems if p.kind == "map-not-surjective"))
 
     def require_valid(self, require_surjective: bool = True) -> None:
         problems = self.problems(require_surjective)

@@ -67,6 +67,11 @@ def _lattice_witness_json(triple: Sequence[Subspace]) -> list[list[list[str]]]:
     return [[specfile.vector_json(r) for r in s.basis_rows] for s in triple]
 
 
+def _lattice_witness_text(triple: Sequence[Subspace]) -> str:
+    a, b, c = (_subspace_text(s) for s in triple)
+    return f"a & (b + c) != (a & b) + (a & c) for a = {a}, b = {b}, c = {c}"
+
+
 def _witness_json(witness: Mapping | None) -> dict | None:
     if witness is None:
         return None
@@ -137,6 +142,10 @@ def _condition2_json(e: TransitionEntry) -> dict:
     return entry
 
 
+def _labels_text(labels: Sequence[str]) -> str:
+    return "(" + ",".join(labels) + ")"
+
+
 def _triple_name(triple: Sequence[str]) -> str:
     i, j, k = triple
     return f"pi^{i}_{j}(ker pi^{i}_{k})"
@@ -175,9 +184,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         if p.verdict.witness is not None:
             entry["witness"] = _lattice_witness_json(p.verdict.witness)
-            a, b, c = (_subspace_text(s) for s in p.verdict.witness)
-            human.append(f"  kernels of piece {p.label} are not distributive: a & (b + c) != "
-                         f"(a & b) + (a & c) for a = {a}, b = {b}, c = {c}")
+            human.append(f"  kernels of piece {p.label} are not distributive: "
+                         + _lattice_witness_text(p.verdict.witness))
+        elif p.verdict.status == "indeterminate":
+            human.append(f"  kernel lattice of piece {p.label} passed the closure cap ({cap}); "
+                         "distributivity undecided")
         per_piece.append(entry)
     report["distributive"] = {
         "ok": dist.ok,
@@ -223,20 +234,19 @@ def cmd_check(args: argparse.Namespace) -> int:
         if not e.equal:
             i, j, k = e.triple
             human.append(
-                f"  clause 1 fails at ({i},{j},{k}): {_triple_name(e.triple)} = {_subspace_text(e.lhs)}"
-                f" vs {_triple_name((j, i, k))} = {_subspace_text(e.rhs)}"
+                f"  clause 1 fails at {_labels_text(e.triple)}: {_triple_name(e.triple)} = "
+                f"{_subspace_text(e.lhs)} vs {_triple_name((j, i, k))} = {_subspace_text(e.rhs)}"
             )
     for e in cocycle.condition2:
         if e.status == "fail":
-            i, j, k = e.triple
-            human.append(f"  clause 2 fails at ({i},{j},{k}): loop = {e.loop}")
+            human.append(f"  clause 2 fails at {_labels_text(e.triple)}: loop = {e.loop}")
 
     pair_ext = analysis.pairwise_extensions
     report["extension_pairs"] = _extensions_json(pair_ext)
     human.append(f"pairwise extension: {'holds' if pair_ext.ok else 'FAILS'}")
     for e in pair_ext.failures:
         human.append(
-            f"  compatible pair over {e.subset} does not extend by {e.extend_by}; "
+            f"  compatible pair over {_labels_text(e.subset)} does not extend by {e.extend_by}; "
             f"witness {_witness_text(e.witness)}"
         )
 
@@ -250,7 +260,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         human.append(f"subset extension: {'holds' if all_ext.ok else 'FAILS'}")
         for e in all_ext.failures:
             human.append(
-                f"  compatible tuple over {e.subset} does not extend by {e.extend_by}; "
+                f"  compatible tuple over {_labels_text(e.subset)} does not extend by {e.extend_by}; "
                 f"witness {_witness_text(e.witness)}"
             )
 
@@ -313,6 +323,7 @@ def cmd_glue(args: argparse.Namespace) -> int:
             f"duality: pullback dimension {dual.pullback_dim}, classes {dual.class_count}, "
             + ("consistent" if dual.ok else "MISMATCH (tool bug)")
         )
+        human.extend(f"  {m}" for m in dual.mismatches)
         ok = ok and dual.ok
 
     report["pass"] = ok
@@ -327,20 +338,18 @@ def cmd_repair(args: argparse.Namespace) -> int:
     report: dict = {"command": "repair", "input": source}
     human = [f"re-presenting family from {source}"]
     try:
-        fam.require_valid()
+        result = repair(fam, lattice_cap=cap)
     except FamilyValidationError as e:
         report["error"] = {"kind": "invalid-family", "problems": [p.message for p in e.problems]}
         report["exit"] = INVALID
         return _emit(args, report, human + [f"invalid family: {e}"])
-
-    try:
-        result = repair(fam, lattice_cap=cap)
     except RepairRefused as e:
         report["refused"] = {"reason": str(e), "projection": e.projection}
+        human.append(f"refused: {e}")
         if e.witness is not None:
             report["refused"]["witness"] = _lattice_witness_json(e.witness)
+            human.append("  " + _lattice_witness_text(e.witness))
         report["exit"] = REFUSED
-        human.append(f"refused: {e}")
         return _emit(args, report, human)
 
     repaired = result.family

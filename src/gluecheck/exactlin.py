@@ -196,7 +196,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
+        return _reduced_subspace(ambient_dim, Matrix.identity(ambient_dim).entries, range(ambient_dim))
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -239,12 +239,10 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def _reduced_subspace(ambient_dim: int, rows: list[Vector], pivots: list[int]) -> Subspace:
-    """The Subspace with ``_reduce``'s rows and pivots as its basis.
-
-    ``_reduce`` returns RREF by construction, so the public constructor's
-    re-check is skipped; the test suite checks that it would pass.
-    """
+def _reduced_subspace(ambient_dim: int, rows: Sequence[Vector], pivots: Iterable[int]) -> Subspace:
+    """The Subspace with these rows, RREF by construction, and pivots as its
+    basis, without the public constructor's re-check; the test suite checks
+    that it would pass."""
     s = object.__new__(Subspace)
     s.__dict__.update(ambient_dim=ambient_dim, basis_rows=tuple(rows), _pivots=tuple(pivots))
     return s
@@ -326,11 +324,6 @@ def kernel(f: Matrix) -> Subspace:
         rows.append(tuple(v))
         free.append(n - 1 - c)
     return _reduced_subspace(n, rows, free)
-
-
-def rank(f: Matrix) -> int:
-    _, pivots = _reduce(f.entries, f.cols)
-    return len(pivots)
 
 
 @dataclass(frozen=True)

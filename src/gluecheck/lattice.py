@@ -237,19 +237,14 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
     lattice of ideals.
 
     ``require_valid`` has checked every map to be a homomorphism, whose
-    kernel is a two-sided ideal, so only distributivity is decided here."""
+    kernel is a two-sided ideal, and listed the maps that are not onto, so
+    only distributivity is decided here."""
     fam.require_valid(require_surjective=False)
-    surj_failures = tuple(
-        (i, j)
-        for i in sorted(fam.labels)
-        for j in sorted(fam.labels)
-        if i != j and not fam.map_surjective[(i, j)]
-    )
     reports = []
     for i in sorted(fam.labels):
         gens = [fam.map_kernels[(i, j)] for j in sorted(fam.labels) if j != i]
         if not gens:
             gens = [Subspace.zero(fam.pieces[i].dim)]
         reports.append(PieceLatticeReport(i, *decide_distributivity(gens, cap)))
-    ok = not surj_failures and all(r.verdict for r in reports)
-    return DistributiveFamilyReport(tuple(reports), surj_failures, ok)
+    ok = not fam.surjectivity_failures and all(r.verdict for r in reports)
+    return DistributiveFamilyReport(tuple(reports), fam.surjectivity_failures, ok)

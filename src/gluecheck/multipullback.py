@@ -429,8 +429,8 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
     """
     fam.require_valid(require_surjective=False)
     dist = check_distributive_family(fam, cap=lattice_cap)
-    if dist.surjectivity_failures:
-        i, j = dist.surjectivity_failures[0]
+    if fam.surjectivity_failures:
+        i, j = fam.surjectivity_failures[0]
         refusal = HypothesisNotMet(f"map ({i}, {j}) is not surjective")
         return Analysis(dist, TheoremVerdict(reason="family is not surjective", refusal=refusal))
     pullback = build_pullback(fam)
@@ -479,27 +479,31 @@ class RepairedFamily:
 def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     """Re-present the pullback through its canonical projection quotients.
 
-    Requires every projection of the pullback onto a piece to be surjective
-    and the projection kernels to generate a distributive lattice inside
-    the pullback algebra; refuses with a diagnosis otherwise.  The result
-    is checked to satisfy the cocycle condition, which it reports.  Each
-    overlap P/(K_i+K_j) is presented from the piece B_i = P/K_i, so the
-    pullback's own algebra is never built.  That the projection kernels,
-    and so their pairwise sums, are ideals, that the repaired family is
-    valid and that the original pullback maps bijectively onto the new one
-    are theorems for this construction; the test suite checks them, not
-    each call.
+    Requires every map of the family and every projection of the pullback
+    onto a piece to be surjective, and the projection kernels to generate
+    a distributive lattice inside the pullback algebra; refuses with a
+    diagnosis otherwise.  The result is checked to satisfy the cocycle
+    condition, which it reports.  Each overlap P/(K_i+K_j) is presented
+    from the piece B_i = P/K_i, so the pullback's own algebra is never
+    built.  That the projection kernels, and so their pairwise sums, are
+    ideals, that the repaired family is valid and that the original
+    pullback maps bijectively onto the new one are theorems for this
+    construction; the test suite checks them, not each call.
     """
+    fam.require_valid(require_surjective=False)
+    if fam.surjectivity_failures:
+        i, j = fam.surjectivity_failures[0]
+        raise RepairRefused(f"map ({i}, {j}) is not surjective")
     p = build_pullback(fam)
+    kernels: dict[str, Subspace] = {}
     for i in sorted(p.over):
-        ok, img = projection_surjective(p, i)
-        if not ok:
+        kernels[i] = kernel(p.projections[i])
+        if p.dim - kernels[i].dim != fam.pieces[i].dim:
             raise RepairRefused(
                 f"projection onto piece {i} is not surjective "
-                f"(image has dimension {img.dim} of {fam.pieces[i].dim})",
+                f"(image has dimension {p.dim - kernels[i].dim} of {fam.pieces[i].dim})",
                 projection=i,
             )
-    kernels = {i: kernel(p.projections[i]) for i in p.over}
     _, _, verdict = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     if verdict.status == "indeterminate":
         raise RepairRefused(

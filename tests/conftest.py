@@ -213,6 +213,20 @@ def kernel_reference():
     return _kernel_reference
 
 
+def _surjective_reference(f: AlgebraHom) -> bool:
+    """Whether f is onto, by the rank of its matrix: the pivots of one
+    elimination of its rows."""
+    _, pivots = _reduce(f.matrix.entries, f.matrix.cols)
+    return len(pivots) == f.target.dim
+
+
+@pytest.fixture(scope="session")
+def surjective_reference():
+    """The rank test of surjectivity, the reference for validation's read
+    of each map's kernel."""
+    return _surjective_reference
+
+
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, ((0,) * cols,) * rows)
 

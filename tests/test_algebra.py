@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gluecheck import algebra
+from gluecheck import algebra, exactlin, specfile
 from gluecheck.algebra import (
     Algebra,
     AlgebraHom,
@@ -20,6 +21,8 @@ from gluecheck.algebra import (
     validate_hom,
 )
 from gluecheck.exactlin import F0, F1, Matrix, Subspace, kernel, span, vec
+from gluecheck.finset import dualize, fixture_family, tcirc_c
+from gluecheck.multipullback import analyse
 
 
 def upper_triangular_2x2() -> Algebra:
@@ -136,6 +139,89 @@ class TestSurjectivity:
         h = AlgebraHom(Algebra.functions(1), Algebra.functions(2), Matrix.from_rows([[1], [1]]))
         assert validate_hom(h) is None
         assert not is_surjective(h)
+
+
+SURJECTIVITY_ENTRIES = (0, 0, 0, 1, -1, 2, Fraction(1, 3))
+
+
+def squashed(fam: GluingFamily) -> GluingFamily:
+    """The family with its map (I2, I3) replaced by one whose image is a line."""
+    squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
+    bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), squash)
+    return GluingFamily(fam.labels, fam.pieces, fam.overlaps, {**fam.maps, ("I2", "I3"): bad})
+
+
+class TestSurjectivityFromKernels:
+    """Validation reads whether a map is onto off its kernel, by rank-nullity;
+    ``surjective_reference`` decides it by the rank of the map's matrix."""
+
+    @staticmethod
+    def assert_agree(fam: GluingFamily, surjective_reference) -> int:
+        """Rebuilds fam through the public constructor, so that validation
+        runs, and returns the number of maps compared."""
+        fam = GluingFamily(fam.labels, fam.pieces, fam.overlaps, fam.maps)
+        expected = tuple(sorted(key for key, h in fam.maps.items() if not surjective_reference(h)))
+        assert fam.surjectivity_failures == expected
+        assert [p for p in fam.problems() if p.kind != "map-not-surjective"] == []
+        assert all(is_surjective(h) == surjective_reference(h) for h in fam.maps.values())
+        return len(fam.maps)
+
+    def test_the_dual_families(self, corpus, surjective_reference):
+        compared = sum(self.assert_agree(fam, surjective_reference) for _, fam in corpus)
+        for name, chain in itertools.product(("example1", "example2", "example3"), (3, 8, 24)):
+            compared += self.assert_agree(fixture_family(name, chain), surjective_reference)
+        assert compared == 2894
+
+    def test_the_rebased_and_hand_made_families(self, rebased_families, three_line_family,
+                                                twisted_triangle, surjective_reference):
+        families = [fam for _, original, rebased in rebased_families for fam in (original, rebased)]
+        families += [three_line_family, twisted_triangle.family, twisted_triangle.rebased]
+        for fam in families:
+            self.assert_agree(fam, surjective_reference)
+
+    @pytest.mark.parametrize("fam", [fixture_family("example3"), dualize(tcirc_c())],
+                             ids=["example3", "tcirc-c"])
+    def test_a_squashed_map(self, fam, surjective_reference):
+        broken = squashed(fam)
+        self.assert_agree(broken, surjective_reference)
+        assert broken.surjectivity_failures == (("I2", "I3"),)
+
+    def test_a_family_built_valid_has_no_failures(self):
+        assert fixture_family("example2").surjectivity_failures == ()
+
+    def test_random_matrices(self, surjective_reference):
+        rng = random.Random(15)
+        shapes = [(0, 0), (0, 3), (2, 0)] + [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(2000)]
+        for rows, cols in shapes:
+            m = Matrix(rows, cols, tuple(tuple(rng.choice(SURJECTIVITY_ENTRIES) for _ in range(cols))
+                                         for _ in range(rows)))
+            h = AlgebraHom(Algebra.functions(cols), Algebra.functions(rows), m)
+            assert is_surjective(h) == surjective_reference(h), m
+
+    def test_each_map_is_eliminated_once(self, record_calls):
+        text = specfile.dump_document(specfile.family_json(fixture_family("example2", 8)))
+        _, fam, _ = specfile.parse_document(text)
+        reductions = record_calls(exactlin, "_reduce")
+        fam.require_valid()
+        assert len(reductions) == len(fam.maps)
+        kernels = record_calls(exactlin, "kernel")
+        analyse(fam)
+        maps = {h.matrix for h in fam.maps.values()}
+        assert kernels and not [args for args in kernels if args[0] in maps]
+
+
+class TestTrustedFunctionAlgebras:
+    """``Algebra.functions`` builds without the public constructor's re-check."""
+
+    def test_public_constructor_accepts_them(self, corpus):
+        algebras = [Algebra.functions(n) for n in range(25)]
+        algebras += [a for _, fam in corpus for a in (*fam.pieces.values(), *fam.overlaps.values())]
+        for a in algebras:
+            assert Algebra(a.dim, a.products, a.unit, a.label) == a
+
+    def test_a_negative_point_count_is_rejected(self):
+        with pytest.raises(ValueError):
+            Algebra.functions(-1)
 
 
 class TestIdeals:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import itertools
@@ -43,6 +44,23 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def replaced_map(rows) -> GluingFamily:
+    """The dual of tcirc-c with its map (I2, I3) replaced by ``rows``."""
+    fam = dualize(tcirc_c())
+    bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), Matrix.from_rows(rows))
+    return GluingFamily(fam.labels, fam.pieces, fam.overlaps, {**fam.maps, ("I2", "I3"): bad})
+
+
+SQUASH = [[0, 0, 1], [0, 0, 1]]  # a homomorphism whose image is a line
+NOT_A_HOM = [[1, 1, 0], [0, 0, 1]]  # its kernel, span{(1, -1, 0)}, is no ideal
+
+
+def family_path(tmp_path, fam: GluingFamily) -> str:
+    path = tmp_path / "family.json"
+    path.write_text(specfile.dump_document(specfile.family_json(fam)))
+    return str(path)
+
+
 class TestCheckCommand:
     def test_good_fixture_passes(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example3")
@@ -57,6 +75,8 @@ class TestCheckCommand:
         assert "clause 1 fails at (I1,I2,I3)" in out
         assert "pi^I1_I2(ker pi^I1_I3) = {0}" in out
         assert "pi^I2_I1(ker pi^I2_I3) = all of Q^1" in out
+        assert "compatible pair over (I2,I3) does not extend by I1; witness I2=[0 0 1]" in out
+        assert "compatible tuple over (I2,I3) does not extend by I1; witness I2=[0 0 1]" in out
 
     def test_collapsing_fixture_reports_projection(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example1")
@@ -182,14 +202,8 @@ class TestCheckCommand:
         assert "line 2" in err
 
     def test_non_surjective_family_is_refused(self, capsys, tmp_path):
-        fam = dualize(tcirc_c())
-        squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
-        bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), squash)
-        broken = GluingFamily(fam.labels, fam.pieces, fam.overlaps,
-                              {**fam.maps, ("I2", "I3"): bad})
-        path = tmp_path / "nonsurjective.json"
-        path.write_text(specfile.dump_document(specfile.family_json(broken)))
-        code, out, _ = run(capsys, "check", str(path))
+        path = family_path(tmp_path, replaced_map(SQUASH))
+        code, out, _ = run(capsys, "check", path)
         assert code == 3
         assert "not surjective" in out
 
@@ -226,6 +240,8 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", str(path), "--cap", str(cap))
         assert code == 1
         assert "distributive family: NO" in out
+        assert (f"kernel lattice of piece P1 passed the closure cap ({cap}); "
+                "distributivity undecided") in out
 
     def test_a_count_that_succeeds_runs_the_theorem_past_the_cap(self, capsys, tmp_path):
         # each spoke matches its points to S1 = {a, b, c} and the spokes share
@@ -626,6 +642,16 @@ class TestGlueCommand:
         assert pieces["A"] is False
         assert report["duality"]["class_count"] == 1
 
+    def test_each_duality_mismatch_is_listed(self, capsys, monkeypatch):
+        def mismatched(g):
+            report = finset.duality_check(g)
+            return dataclasses.replace(report, mismatches=("first mismatch", "second mismatch"))
+
+        monkeypatch.setattr(cli, "duality_check", mismatched)
+        code, out, _ = run(capsys, "glue", "--fixture", "tcirc-c", "--duality")
+        assert code == 1
+        assert "MISMATCH (tool bug)\n  first mismatch\n  second mismatch\n" in out
+
     def test_family_fixture_names_work_for_glue(self, capsys):
         code, out, _ = run(capsys, "glue", "--fixture", "example2")
         assert code == 1  # the partial gluing of the arcs fails to embed
@@ -664,6 +690,31 @@ class TestRepairCommand:
         assert "distributive" in report["refused"]["reason"]
         a, b, c = (exactlin.span(rows, len(rows[0])) for rows in report["refused"]["witness"])
         assert a & (b + c) != (a & b) + (a & c)
+        code, out, _ = run(capsys, "repair", str(path))
+        assert code == 3
+        assert "refused: projection kernels do not generate a distributive lattice" in out
+        assert (f"  a & (b + c) != (a & b) + (a & c) for a = {cli._subspace_text(a)}, "
+                f"b = {cli._subspace_text(b)}, c = {cli._subspace_text(c)}") in out
+
+    def test_a_map_that_is_not_onto_is_an_unmet_hypothesis(self, capsys, tmp_path):
+        broken = replaced_map(SQUASH)
+        path = family_path(tmp_path, broken)
+        code, report, _ = run_json(capsys, "repair", path)
+        assert code == 3
+        assert report["refused"] == {"reason": "map (I2, I3) is not surjective", "projection": None}
+        code, out, _ = run(capsys, "repair", path)
+        assert code == 3
+        assert "refused: map (I2, I3) is not surjective" in out
+        with pytest.raises(multipullback.RepairRefused, match=r"map \(I2, I3\) is not surjective"):
+            multipullback.repair(broken)
+        assert run(capsys, "check", path)[0] == 3
+
+    @pytest.mark.parametrize("command", ["check", "repair"])
+    def test_a_map_that_breaks_an_axiom_is_invalid(self, capsys, tmp_path, command):
+        code, report, _ = run_json(capsys, command, family_path(tmp_path, replaced_map(NOT_A_HOM)))
+        assert code == 2
+        assert report["error"]["kind"] == "invalid-family"
+        assert any("map (I2, I3)" in p for p in report["error"]["problems"])
 
     def test_refusal_without_a_witness_has_no_witness_key(self, capsys):
         code, report, _ = run_json(capsys, "repair", "--fixture", "example1")

@@ -13,7 +13,6 @@ from gluecheck.exactlin import (
     invert,
     kernel,
     quotient,
-    rank,
     rref,
     span,
     subspace_sum,
@@ -188,7 +187,7 @@ class TestMembership:
 
 
 def test_rank_of_rectangular():
-    assert rank(Matrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
+    assert rref(Matrix.from_rows([[1, 2, 3], [2, 4, 6]])).dim == 1
 
 
 def _entries(result) -> list:
@@ -202,6 +201,11 @@ def _entries(result) -> list:
 INT_ROWS = ([[3, 1]], [[2, 1], [1, 1]], [[0, 2, 1], [3, 0, 5]])
 
 
+def rank(m: Matrix) -> int:
+    """The rank of m: the dimension of its row space."""
+    return rref(m).dim
+
+
 @pytest.mark.parametrize("op,rows", [(op, rows) for op in (rref, kernel, rank) for rows in INT_ROWS]
                          + [(invert, [[2, 1], [1, 1]]), (invert, [[1, 2], [3, 4]])])
 def test_int_entries_reduce_exactly(op, rows):
@@ -213,8 +217,8 @@ def test_int_entries_reduce_exactly(op, rows):
 
 
 class TestReducedSubspaces:
-    """Subspaces built from ``_reduce`` skip the RREF re-check, which the
-    public constructor keeps for everyone else."""
+    """Subspaces built from ``_reduce`` and ``Subspace.full`` skip the RREF
+    re-check, which the public constructor keeps for everyone else."""
 
     @given(matrices(min_rows=1), st.data())
     def test_public_constructor_accepts_every_result(self, m, data):
@@ -225,6 +229,12 @@ class TestReducedSubspaces:
             checked = Subspace(s.ambient_dim, s.basis_rows)
             assert checked == s
             assert checked.pivots == s.pivots
+
+    def test_public_constructor_accepts_every_full_space(self):
+        for n in range(25):
+            full = Subspace.full(n)
+            checked = Subspace(n, full.basis_rows)
+            assert checked == full and checked.pivots == full.pivots == tuple(range(n))
 
     @pytest.mark.parametrize("rows,message", [
         ([[0, 0]], "zero row"),
@@ -256,7 +266,7 @@ class TestKernelInOneElimination:
             k = kernel(m)
             assert k == kernel_reference(m), m
             assert k.pivots == Subspace(k.ambient_dim, k.basis_rows).pivots
-            assert k.dim + rank(m) == m.cols
+            assert k.dim + rref(m).dim == m.cols
             assert not any(x for row in k.basis_rows for x in m.apply(row))
 
     def test_one_elimination_per_call(self, record_calls):

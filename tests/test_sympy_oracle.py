@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck.exactlin import Matrix, invert, kernel, rank, rref
+from gluecheck.exactlin import Matrix, invert, kernel, rref
 
 sympy = pytest.importorskip("sympy")
 
@@ -71,7 +71,7 @@ def test_kernel_matches_sympy_nullspace(m):
 @given(matrices())
 @settings(deadline=None)
 def test_rank_matches_sympy(m):
-    assert rank(m) == to_sympy(m).rank()
+    assert rref(m).dim == to_sympy(m).rank()
 
 
 @given(matrices(square=True))
