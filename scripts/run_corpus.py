@@ -8,11 +8,17 @@ violation printed here is a bug in the tool, not a mathematical finding.
 An instance whose theorem test did not run (past the subset bound) is
 counted as skipped, with the reason, and is not a violation.
 
+With --json the scan prints one line instead of its text: a JSON object
+with the seeds scanned, the elapsed seconds, how often the cocycle holds
+and fails, the skips by reason and the violations.  The exit code is 1
+when there is a violation, either way.
+
 Usage: python scripts/run_corpus.py [--count N] [--seed N]
-                                    [--max-pieces N] [--max-points N]
+                                    [--max-pieces N] [--max-points N] [--json]
 """
 
 import argparse
+import json
 import time
 from collections import Counter
 
@@ -27,6 +33,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0, help="first seed of the scan")
     parser.add_argument("--max-pieces", type=at_least(2), default=6)
     parser.add_argument("--max-points", type=at_least(1), default=12)
+    parser.add_argument("--json", action="store_true", help="print a one-line JSON summary")
     args = parser.parse_args()
 
     verdict_counts: Counter = Counter()
@@ -46,6 +53,17 @@ def main() -> None:
         if not duality.ok:
             bad.append((seed, "duality", duality.mismatches))
     elapsed = time.perf_counter() - start
+
+    if args.json:
+        print(json.dumps({
+            "seeds": {"first": args.seed, "count": args.count},
+            "elapsed_s": round(elapsed, 3),
+            "cocycle": {"holds": verdict_counts[True], "fails": verdict_counts[False]},
+            "skipped": dict(sorted(skipped.items())),
+            "violations": [{"seed": seed, "kind": kind, "detail": list(detail)}
+                           for seed, kind, detail in bad],
+        }))
+        raise SystemExit(1 if bad else 0)
 
     print(f"scanned {args.count} instances in {elapsed:.1f}s "
           f"(seeds {args.seed}..{args.seed + args.count - 1})")

@@ -197,7 +197,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     if dist.surjectivity_failures:
         for i, j in dist.surjectivity_failures:
-            human.append(f"  map ({i} -> overlap with {j}) is not surjective")
+            human.append(f"  map ({i}, {j}) is not surjective")
         report["exit"] = REFUSED
         human.append("family is not surjective; the remaining checks need surjectivity")
         return _emit(args, report, human)

@@ -182,6 +182,28 @@ class Subspace:
             object.__setattr__(self, "_hash", h)
         return h
 
+    def _constraints(self) -> tuple[Vector, ...]:
+        """The rows cutting the subspace out: for each non-pivot column q,
+        e_q minus column q's entries at the pivots.  Computed once, like
+        the hash."""
+        rows = self.__dict__.get("_constraint_rows")
+        if rows is None:
+            n = self.ambient_dim
+            pivots = self._pivots
+            rows = []
+            for q in range(n):
+                if q in pivots:
+                    continue
+                row = [F0] * n
+                row[q] = F1
+                for b, p in zip(self.basis_rows, pivots):
+                    if b[q]:
+                        row[p] = -b[q]
+                rows.append(tuple(row))
+            rows = tuple(rows)
+            object.__setattr__(self, "_constraint_rows", rows)
+        return rows
+
     @property
     def dim(self) -> int:
         return len(self.basis_rows)
@@ -275,22 +297,40 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Largest subspace contained in both u and v (Zassenhaus block trick).
+    """Largest subspace contained in both u and v, from v's constraint rows.
 
-    Row-reduce the block matrix [[U U], [V 0]]: the right halves of the rows
-    whose left half vanished span the intersection, and are already in RREF.
+    A combination x = sum a_t u_t of u's basis lies in v exactly when each
+    constraint row of v vanishes on it, so the coefficient vectors a are the
+    null space of the matrix applying those rows to u's basis, read off one
+    elimination as ``kernel`` reads it.  When every row vanishes on u, u is
+    the meet.  Otherwise the RREF null vector a of pivot f has a 1 at f, 0
+    left of f and 0 at the other pivots; u_t has its pivot at
+    ``u.pivots[t]`` and zeros at u's other pivots, so x has a_t at
+    ``u.pivots[t]`` and zeros left of ``u.pivots[f]``.  The x are thus
+    already the RREF basis of the meet, with pivots ``u.pivots[f]``.
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    n = u.ambient_dim
-    block: list[list[Scalar]] = []
-    for row in u.basis_rows:
-        block.append(list(row) + list(row))
-    for row in v.basis_rows:
-        block.append(list(row) + [F0] * n)
-    reduced, pivots = _reduce(block, 2 * n)
-    keep = [r for r, p in enumerate(pivots) if p >= n]
-    return _reduced_subspace(n, [reduced[r][n:] for r in keep], [pivots[r] - n for r in keep])
+    k = u.dim
+    basis = u.basis_rows
+    applied = []
+    for constraint in v._constraints():
+        nz = [(j, x) for j, x in enumerate(constraint) if x]
+        applied.append([sum([x * row[j] for j, x in nz if row[j]]) for row in reversed(basis)])
+    if not any(map(any, applied)):
+        return u
+    rows, free = _null_space(applied, k)
+    meet = []
+    for a, f in zip(rows, free):
+        x = list(basis[f])
+        for t in range(f + 1, k):
+            c = a[t]
+            if c:
+                for j, y in enumerate(basis[t]):
+                    if y:
+                        x[j] += c * y
+        meet.append(tuple(x))
+    return _reduced_subspace(u.ambient_dim, meet, [u.pivots[f] for f in free])
 
 
 def image(f: Matrix, u: Subspace) -> Subspace:
@@ -300,16 +340,16 @@ def image(f: Matrix, u: Subspace) -> Subspace:
     return _span([f.apply(row) for row in u.basis_rows], f.rows)
 
 
-def kernel(f: Matrix) -> Subspace:
-    """Null space of f, in one elimination.
+def _null_space(reversed_rows: Sequence[Sequence[Scalar]], n: int) -> tuple[list[Vector], list[int]]:
+    """The RREF basis of the null space of an n-column matrix, given its
+    rows with their columns reversed, and the basis's pivots.
 
-    Reduce f with its columns reversed.  The null vector of a free reversed
-    column c has its 1 at column n-1-c and its other entries at pivot
-    columns to the right of it, so taken in ascending n-1-c these vectors
-    are already the RREF basis, with the free columns as its pivots.
+    The null vector of a free reversed column c has its 1 at column n-1-c
+    and its other entries at pivot columns to the right of it, so taken in
+    ascending n-1-c these vectors are already the RREF basis, with the free
+    columns as its pivots.
     """
-    n = f.cols
-    reduced, pivots = _reduce([r[::-1] for r in f.entries], n)
+    reduced, pivots = _reduce(reversed_rows, n)
     pivot_set = set(pivots)
     rows = []
     free = []
@@ -323,7 +363,12 @@ def kernel(f: Matrix) -> Subspace:
                 v[n - 1 - p] = -row[c]
         rows.append(tuple(v))
         free.append(n - 1 - c)
-    return _reduced_subspace(n, rows, free)
+    return rows, free
+
+
+def kernel(f: Matrix) -> Subspace:
+    """Null space of f, in one elimination of f with its columns reversed."""
+    return _reduced_subspace(f.cols, *_null_space([r[::-1] for r in f.entries], f.cols))
 
 
 @dataclass(frozen=True)
@@ -348,17 +393,9 @@ class QuotientChart:
 def quotient(ambient_dim: int, v: Subspace) -> QuotientChart:
     if v.ambient_dim != ambient_dim:
         raise ValueError("subspace ambient dimension does not match")
-    pivots = v.pivots
-    chart_cols = [c for c in range(ambient_dim) if c not in set(pivots)]
+    proj_rows = v._constraints()
+    chart_cols = [c for c in range(ambient_dim) if c not in set(v.pivots)]
     k = len(chart_cols)
-    proj_rows = []
-    for q in chart_cols:
-        row = [F0] * ambient_dim
-        row[q] = F1
-        for i, p in enumerate(pivots):
-            if v.basis_rows[i][q]:
-                row[p] = -v.basis_rows[i][q]
-        proj_rows.append(tuple(row))
     section_rows = []
     for r in range(ambient_dim):
         row = [F0] * k
@@ -368,7 +405,7 @@ def quotient(ambient_dim: int, v: Subspace) -> QuotientChart:
     return QuotientChart(
         ambient_dim,
         v,
-        Matrix(k, ambient_dim, tuple(proj_rows)),
+        Matrix(k, ambient_dim, proj_rows),
         Matrix(ambient_dim, k, tuple(section_rows)),
     )
 

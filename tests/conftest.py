@@ -213,6 +213,25 @@ def kernel_reference():
     return _kernel_reference
 
 
+def _intersect_reference(u: Subspace, v: Subspace) -> Subspace:
+    """The meet by the Zassenhaus block: row-reduce [[U U], [V 0]]; the
+    right halves of the rows whose left half vanished span u & v, and are
+    already in RREF."""
+    n = u.ambient_dim
+    block = [list(row) + list(row) for row in u.basis_rows]
+    block += [list(row) + [0] * n for row in v.basis_rows]
+    reduced, pivots = _reduce(block, 2 * n)
+    keep = [r for r, p in enumerate(pivots) if p >= n]
+    return Subspace(n, tuple(reduced[r][n:] for r in keep))
+
+
+@pytest.fixture(scope="session")
+def intersect_reference():
+    """The Zassenhaus block that ``exactlin.intersect``'s elimination over
+    v's constraint rows replaced, to test it against."""
+    return _intersect_reference
+
+
 def _surjective_reference(f: AlgebraHom) -> bool:
     """Whether f is onto, by the rank of its matrix: the pivots of one
     elimination of its rows."""

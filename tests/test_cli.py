@@ -2,6 +2,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import importlib.util
 import io
 import itertools
 import json
@@ -205,7 +206,7 @@ class TestCheckCommand:
         path = family_path(tmp_path, replaced_map(SQUASH))
         code, out, _ = run(capsys, "check", path)
         assert code == 3
-        assert "not surjective" in out
+        assert "  map (I2, I3) is not surjective" in out.splitlines()
 
     def test_non_distributive_piece_reports_its_witness(self, capsys, tmp_path, three_line_family):
         path = tmp_path / "three-lines.json"
@@ -529,6 +530,37 @@ class TestScripts:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "theorem test skipped on 1 instances: subset check refused" in result.stdout
         assert "no equivalence or duality violations" in result.stdout
+
+    def test_run_corpus_json_prints_one_summary_line(self):
+        result = self.run_corpus("--count", "5", "--json")
+        assert result.returncode == 0, result.stdout + result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 1
+        summary = json.loads(lines[0])
+        assert summary["seeds"] == {"first": 0, "count": 5}
+        assert summary["elapsed_s"] >= 0
+        assert summary["cocycle"]["holds"] + summary["cocycle"]["fails"] == 5
+        assert summary["skipped"] == {} and summary["violations"] == []
+        skipped = self.run_corpus("--count", "1", "--seed", "9", "--max-pieces", "12",
+                                  "--max-points", "2", "--json")
+        assert skipped.returncode == 0, skipped.stdout + skipped.stderr
+        summary = json.loads(skipped.stdout)
+        assert summary["cocycle"] == {"holds": 0, "fails": 0}
+        assert summary["skipped"] == {"subset check refused": 1}
+
+    def test_run_corpus_json_violation_exits_one(self, capsys, monkeypatch):
+        spec = importlib.util.spec_from_file_location("run_corpus", ROOT / "scripts" / "run_corpus.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        broken = dataclasses.replace(script.duality_check(random_gluing(1)), mismatches=("planted",))
+        monkeypatch.setattr(script, "duality_check", lambda gluing: broken)
+        monkeypatch.setattr(sys, "argv", ["run_corpus.py", "--count", "2", "--seed", "1", "--json"])
+        with pytest.raises(SystemExit) as exited:
+            script.main()
+        assert exited.value.code == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["violations"] == [{"seed": 1, "kind": "duality", "detail": ["planted"]},
+                                         {"seed": 2, "kind": "duality", "detail": ["planted"]}]
 
     @pytest.mark.parametrize("flag,value", [
         ("--count", "0"), ("--count", "-3"), ("--max-pieces", "1"), ("--max-points", "0"),

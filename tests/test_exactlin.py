@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gluecheck import exactlin
+from gluecheck import exactlin, lattice
 from gluecheck.exactlin import (
     Matrix,
     Subspace,
@@ -18,6 +18,9 @@ from gluecheck.exactlin import (
     subspace_sum,
     vec,
 )
+from gluecheck.finset import dualize, fixture_family, random_gluing
+from gluecheck.lattice import check_distributive_family, generate_lattice
+from gluecheck.multipullback import RepairRefused, repair
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -274,3 +277,83 @@ class TestKernelInOneElimination:
         k = kernel(Matrix.from_rows([[1, 2, 0, 1], [0, 0, 1, Fraction(1, 3)]]))
         assert len(calls) == 1
         assert k.dim == 2
+
+
+MEET_ENTRIES = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5))
+
+
+class TestIntersectThroughConstraintRows:
+    """``intersect`` solves for the combinations of u's basis on which v's
+    constraint rows vanish, and reads the meet off one elimination; it
+    gives exactly the basis of the Zassenhaus block it replaced."""
+
+    @staticmethod
+    def assert_matches(u, v, meet, intersect_reference):
+        expected = intersect_reference(u, v)
+        assert meet.basis_rows == expected.basis_rows, (u.basis_rows, v.basis_rows)
+        assert meet.pivots == expected.pivots
+        assert (meet is u) == (expected.dim == u.dim)
+
+    @pytest.fixture
+    def checked_meets(self, monkeypatch, intersect_reference):
+        """Every meet the library takes, checked against the reference as it
+        is taken, so that a wrong one fails before it feeds a closure."""
+        calls = []
+
+        def checked(u, v):
+            calls.append((u, v))
+            meet = intersect(u, v)
+            self.assert_matches(u, v, meet, intersect_reference)
+            return meet
+
+        monkeypatch.setattr(lattice, "intersect", checked)
+        return calls
+
+    def test_matches_on_every_meet_of_the_families(self, checked_meets, rebased_families):
+        families = [dualize(random_gluing(seed)) for seed in range(200)]
+        families += [fixture_family(name, chain) for name in ("example1", "example2", "example3")
+                     for chain in (3, 8, 24)]
+        families += [f for _, fam, rebased in rebased_families for f in (fam, rebased)]
+        for fam in families:
+            check_distributive_family(fam)
+            try:
+                repair(fam)
+            except RepairRefused:
+                pass
+        assert len(checked_meets) > 5000
+
+    def test_matches_on_every_meet_of_a_closure(self, checked_meets, three_line_family):
+        gens = [three_line_family.map_kernels[("P1", j)] for j in ("P2", "P3", "P4")]
+        closure = generate_lattice(gens)
+        assert closure.complete and len(closure.elements) == 5
+        assert len(checked_meets) == 10  # one per pair of the five elements
+
+    def test_matches_on_random_rational_pairs(self, intersect_reference):
+        rng = random.Random(16)
+
+        def subspace(n):
+            return span([[rng.choice(MEET_ENTRIES) for _ in range(n)]
+                         for _ in range(rng.randint(0, n + 1))], n)
+
+        pairs = []
+        for n in range(8):
+            zero, full = Subspace.zero(n), Subspace.full(n)
+            pairs += [(zero, zero), (zero, full), (full, zero), (full, full)]
+        for _ in range(3000):
+            n = rng.randint(0, 7)
+            u, v = subspace(n), subspace(n)
+            # u inside u + v and u & v inside v: the meet is u itself; v inside u + v
+            pairs += [(u, v), (u, u + v), (u + v, v), (intersect_reference(u, v), v)]
+        for u, v in pairs:
+            self.assert_matches(u, v, intersect(u, v), intersect_reference)
+
+    def test_one_elimination_and_none_for_a_subspace(self, record_calls):
+        u = span([[1, 0, 0], [0, 1, 0]], 3)
+        v = span([[0, 1, 1], [1, 0, 0]], 3)
+        line = span([[1, 0, 0]], 3)
+        calls = record_calls(exactlin, "_reduce")
+        meet = intersect(u, v)
+        assert len(calls) == 1
+        assert meet == line
+        assert intersect(meet, v) is meet
+        assert len(calls) == 1

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck.exactlin import Matrix, invert, kernel, rref
+from gluecheck.exactlin import Matrix, intersect, invert, kernel, rref
 
 sympy = pytest.importorskip("sympy")
 
@@ -22,9 +22,10 @@ factors = st.sampled_from([2, -3, 5, Fraction(2, 3), Fraction(-7, 2)])
 
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw, square=False, cols=None):
     rows = draw(st.integers(1, 4))
-    cols = rows if square else draw(st.integers(1, 4))
+    if cols is None:
+        cols = rows if square else draw(st.integers(1, 4))
     entries = []
     for _ in range(rows):
         factor = draw(factors)
@@ -72,6 +73,20 @@ def test_kernel_matches_sympy_nullspace(m):
 @settings(deadline=None)
 def test_rank_matches_sympy(m):
     assert rref(m).dim == to_sympy(m).rank()
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(matrices(cols=n), matrices(cols=n))))
+@settings(deadline=None)
+def test_intersect_matches_sympy(pair):
+    a, b = pair
+    meet = intersect(rref(a), rref(b))
+    u, v = to_sympy(a), to_sympy(b)
+    assert meet.dim == u.rank() + v.rank() - sympy.Matrix.vstack(u, v).rank()
+    for row in meet.basis_rows:
+        x = to_sympy(Matrix(1, a.cols, (row,)))
+        assert sympy.Matrix.vstack(u, x).rank() == u.rank()
+        assert sympy.Matrix.vstack(v, x).rank() == v.rank()
+    assert_exact(meet.basis_rows)
 
 
 @given(matrices(square=True))
