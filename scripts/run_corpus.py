@@ -10,8 +10,12 @@ counted as skipped, with the reason, and is not a violation.
 
 With --json the scan prints one line instead of its text: a JSON object
 with the seeds scanned, the elapsed seconds, how often the cocycle holds
-and fails, the skips by reason and the violations.  The exit code is 1
-when there is a violation, either way.
+and fails, the skips by reason, the violations, and the extension entries
+the families' sweeps decided and how many of them fail (the subset sweep's
+entries, or the pairwise sweep's past the subset bound).  Only a failing
+entry, or one whose extending piece has no adapted basis of its kernels,
+runs an elimination.  The exit code is 1 when there is a violation,
+either way.
 
 Usage: python scripts/run_corpus.py [--count N] [--seed N]
                                     [--max-pieces N] [--max-points N] [--json]
@@ -24,7 +28,7 @@ from collections import Counter
 
 from gluecheck.cli import at_least
 from gluecheck.finset import duality_check, dualize, random_gluing
-from gluecheck.multipullback import analyse
+from gluecheck.multipullback import ExtensionReport, analyse
 
 
 def main() -> None:
@@ -38,11 +42,18 @@ def main() -> None:
 
     verdict_counts: Counter = Counter()
     skipped: Counter = Counter()
+    extension: Counter = Counter()
     bad = []
     start = time.perf_counter()
     for seed in range(args.seed, args.seed + args.count):
         gluing = random_gluing(seed, max_pieces=args.max_pieces, max_points=args.max_points)
         analysis = analyse(dualize(gluing))
+        swept = analysis.all_extensions
+        if not isinstance(swept, ExtensionReport):
+            swept = analysis.pairwise_extensions  # None when a map is not onto
+        if swept is not None:
+            extension["entries"] += len(swept.entries)
+            extension["failing"] += len(swept.failures)
         if not analysis.theorem.ran:
             skipped[analysis.theorem.reason] += 1
         else:
@@ -62,6 +73,7 @@ def main() -> None:
             "skipped": dict(sorted(skipped.items())),
             "violations": [{"seed": seed, "kind": kind, "detail": list(detail)}
                            for seed, kind, detail in bad],
+            "extension": {"entries": extension["entries"], "failing": extension["failing"]},
         }))
         raise SystemExit(1 if bad else 0)
 

@@ -327,8 +327,9 @@ class GluingFamily:
     ``maps[(i, j)]`` is the hom out of piece i into the overlap of {i, j};
     both directions target the same overlap object by construction.
     Families are immutable by convention, so what is derived from one (its
-    validation, the kernels of its maps, its pullback subspaces and
-    extension entries) is computed once and kept on it.
+    validation, the kernels of its maps and their adapted bases, its
+    pullback subspaces and extension entries) is computed once and kept on
+    it.
     """
 
     labels: tuple[str, ...]
@@ -349,6 +350,12 @@ class GluingFamily:
     @cached_property
     def pullback_subspaces(self) -> dict:
         """Memo of ``multipullback.pullback_subspace``, keyed by label subset."""
+        return {}
+
+    @cached_property
+    def kernel_blocks(self) -> dict:
+        """Adapted bases of the pieces' kernels, keyed by piece, filled by
+        ``lattice.check_distributive_family``."""
         return {}
 
     @cached_property

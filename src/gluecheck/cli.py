@@ -158,6 +158,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     report: dict = {"command": "check", "input": source}
     human = [f"checking family from {source}"]
+    text = not args.json  # the failure lines are formatted only when printed
     try:
         analysis = analyse(fam, max_indices=max_j, lattice_cap=cap)
     except FamilyValidationError as e:
@@ -184,8 +185,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         if p.verdict.witness is not None:
             entry["witness"] = _lattice_witness_json(p.verdict.witness)
-            human.append(f"  kernels of piece {p.label} are not distributive: "
-                         + _lattice_witness_text(p.verdict.witness))
+            if text:
+                human.append(f"  kernels of piece {p.label} are not distributive: "
+                             + _lattice_witness_text(p.verdict.witness))
         elif p.verdict.status == "indeterminate":
             human.append(f"  kernel lattice of piece {p.label} passed the closure cap ({cap}); "
                          "distributivity undecided")
@@ -216,38 +218,40 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
 
     cocycle = analysis.cocycle
+    # the rhs of (i, j, k) is the lhs of (j, i, k), so each is serialised once
+    pushed = {e.triple: _subspace_json(e.lhs) for e in cocycle.condition1}
+    condition1 = []
+    for e in cocycle.condition1:
+        i, j, k = e.triple
+        condition1.append(
+            {"triple": [i, j, k], "equal": e.equal, "lhs": pushed[(i, j, k)], "rhs": pushed[(j, i, k)]}
+        )
     report["cocycle"] = {
         "overall": cocycle.overall,
-        "condition1": [
-            {
-                "triple": list(e.triple),
-                "equal": e.equal,
-                "lhs": _subspace_json(e.lhs),
-                "rhs": _subspace_json(e.rhs),
-            }
-            for e in cocycle.condition1
-        ],
+        "condition1": condition1,
         "condition2": [_condition2_json(e) for e in cocycle.condition2],
     }
     human.append(f"cocycle condition: {'holds' if cocycle.overall else 'FAILS'}")
-    for e in cocycle.condition1:
-        if not e.equal:
-            i, j, k = e.triple
-            human.append(
-                f"  clause 1 fails at {_labels_text(e.triple)}: {_triple_name(e.triple)} = "
-                f"{_subspace_text(e.lhs)} vs {_triple_name((j, i, k))} = {_subspace_text(e.rhs)}"
-            )
-    for e in cocycle.condition2:
-        if e.status == "fail":
-            human.append(f"  clause 2 fails at {_labels_text(e.triple)}: loop = {e.loop}")
+    if text:
+        for e in cocycle.condition1:
+            if not e.equal:
+                i, j, k = e.triple
+                human.append(
+                    f"  clause 1 fails at {_labels_text(e.triple)}: {_triple_name(e.triple)} = "
+                    f"{_subspace_text(e.lhs)} vs {_triple_name((j, i, k))} = {_subspace_text(e.rhs)}"
+                )
+        for e in cocycle.condition2:
+            if e.status == "fail":
+                human.append(f"  clause 2 fails at {_labels_text(e.triple)}: loop = {e.loop}")
 
     pair_ext = analysis.pairwise_extensions
     report["extension_pairs"] = _extensions_json(pair_ext)
     human.append(f"pairwise extension: {'holds' if pair_ext.ok else 'FAILS'}")
-    for e in pair_ext.failures:
-        human.append(
+    if text:
+        human.extend(
             f"  compatible pair over {_labels_text(e.subset)} does not extend by {e.extend_by}; "
             f"witness {_witness_text(e.witness)}"
+            for e in pair_ext.failures
         )
 
     all_ext = analysis.all_extensions
@@ -258,10 +262,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         report["extension_all"] = _extensions_json(all_ext)
         human.append(f"subset extension: {'holds' if all_ext.ok else 'FAILS'}")
-        for e in all_ext.failures:
-            human.append(
+        if text:
+            human.extend(
                 f"  compatible tuple over {_labels_text(e.subset)} does not extend by {e.extend_by}; "
                 f"witness {_witness_text(e.witness)}"
+                for e in all_ext.failures
             )
 
     theorem = analysis.theorem

@@ -141,7 +141,7 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
 
 
 def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
-    """Each generator as a bit mask over the blocks of an adapted basis, or
+    """Each generator as a bit mask over the vectors of an adapted basis, or
     None when no basis adapts to them all or their meets pass the cap.
 
     Let X run over the distinct meets of Q^d and the generators, and let
@@ -155,14 +155,17 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
     is counted by the c(X) of the least meet it lies in.  So the
     generators' lattice is distributive exactly when the c(X) add up to d,
     and then sum and meet are union and intersection of the masks that
-    give each S_i the blocks C_X with X inside S_i.  No C_X is built.
+    give each S_i the blocks C_X with X inside S_i.  Block C_X takes c(X)
+    bits, one for each of its vectors, so the popcount of a mask, or of
+    the & of several, is the dimension of that generator or of their meet.
+    No C_X is built.
     """
     ambient = gens[0].ambient_dim
     full = Subspace.full(ambient)
     meets = [full]
     index = {full: 0}
     inside: list[set[int]] = [set()]  # generators known to contain each meet
-    bits: list[int] = []
+    masks = [0] * len(gens)
     counted = 0
     x = 0
     while x < len(meets):
@@ -186,14 +189,16 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
             inside[found] |= known
             inside[found].add(i)
         c = here.dim - _span(below, ambient).dim
-        counted += c
-        if counted > ambient:
+        if counted + c > ambient:
             return None
-        bits.append(1 << x if c else 0)
+        block = ((1 << c) - 1) << counted  # the bits of C_X
+        for i in known:  # now every generator that contains this meet
+            masks[i] |= block
+        counted += c
         x += 1
     if counted != ambient:
         return None
-    return [sum(bit for bit, known in zip(bits, inside) if i in known) for i in range(len(gens))]
+    return masks
 
 
 def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
@@ -207,13 +212,20 @@ def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
     gives the count, passes the cap.  Otherwise the closure and
     ``is_distributive`` give the verdict and its witness triple.
     """
+    return _decide(gens, cap)[0]
+
+
+def _decide(gens: Iterable[Subspace], cap: int
+            ) -> tuple[tuple[int, bool, DistributivityVerdict], list[int] | None]:
+    """``decide_distributivity``'s answer, and the generators' masks over
+    an adapted basis, or None when there is none."""
     generators = _generators(gens, cap)
     masks = _adapted_masks(generators, cap)
     if masks is None:
         closure = generate_lattice(generators, cap)
-        return len(closure.elements), closure.complete, is_distributive(closure)
+        return (len(closure.elements), closure.complete, is_distributive(closure)), None
     elements, complete, _, _ = _close(masks, int.__or__, int.__and__, cap)
-    return len(elements), complete, DistributivityVerdict("distributive")
+    return (len(elements), complete, DistributivityVerdict("distributive")), masks
 
 
 @dataclass(frozen=True)
@@ -238,13 +250,17 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
 
     ``require_valid`` has checked every map to be a homomorphism, whose
     kernel is a two-sided ideal, and listed the maps that are not onto, so
-    only distributivity is decided here."""
+    only distributivity is decided here.  Each piece i whose kernels have
+    an adapted basis within the cap keeps the mask of each ker m_ij over
+    it, keyed by j, in ``fam.kernel_blocks[i]``."""
     fam.require_valid(require_surjective=False)
     reports = []
     for i in sorted(fam.labels):
-        gens = [fam.map_kernels[(i, j)] for j in sorted(fam.labels) if j != i]
-        if not gens:
-            gens = [Subspace.zero(fam.pieces[i].dim)]
-        reports.append(PieceLatticeReport(i, *decide_distributivity(gens, cap)))
+        others = [j for j in sorted(fam.labels) if j != i]
+        gens = [fam.map_kernels[(i, j)] for j in others] or [Subspace.zero(fam.pieces[i].dim)]
+        decided, masks = _decide(gens, cap)
+        if masks is not None:
+            fam.kernel_blocks[i] = dict(zip(others, masks))
+        reports.append(PieceLatticeReport(i, *decided))
     ok = not fam.surjectivity_failures and all(r.verdict for r in reports)
     return DistributiveFamilyReport(tuple(reports), fam.surjectivity_failures, ok)

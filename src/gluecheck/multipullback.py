@@ -187,18 +187,43 @@ class ExtensionReport:
         return tuple(e for e in self.entries if not e.ok)
 
 
+def _extends_by_count(fam: GluingFamily, order: Sequence[str], k: str, small: Subspace) -> bool:
+    """Whether rank-nullity shows every tuple of P(K) = ``small`` to extend
+    by k; False when it shows one does not, or the dimensions are not at
+    hand.  Restriction P(K + {k}) -> P(K) has kernel 0 + M, with M the meet
+    of the ker m_kj over j in K, so it is onto exactly when
+    dim P(K + {k}) = dim P(K) + dim M.  dim M is the number of adapted
+    basis vectors that the masks of those kernels share."""
+    masks = fam.kernel_blocks.get(k)
+    if masks is None:
+        return False
+    big = fam.pullback_subspaces.get(frozenset((*order, k)))
+    if big is None:
+        return False
+    meet = -1  # every bit; K is nonempty
+    for j in order:
+        meet &= masks[j]
+    return big.dim == small.dim + meet.bit_count()
+
+
 def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
     """A compatible tuple x = sum_t a_t x_t over K, with x_t the basis rows
     of P(K), extends by k exactly when some y in B_k solves
-    m_kj y - sum_t a_t m_jk x_t|_j = 0 for every j in K.  One elimination
-    over the columns [y | a] of those equations decides the entry: it
-    passes iff no pivot lies right of the y block.  The first pivot there,
-    at a_t, names the witness x_t, the first basis row that does not
-    extend: its RREF row reads a_t + sum_{s>t} c_s a_s = 0, so x_t has no
-    extension, and every x_s with s < t has one, since each a-pivot row
-    involves only a-columns right of its pivot."""
+    m_kj y - sum_t a_t m_jk x_t|_j = 0 for every j in K.
+
+    When piece k has an adapted basis of its kernels and P(K + {k}) is
+    already built, a dimension count decides a passing entry
+    (``_extends_by_count``).  Otherwise, and for every failing entry,
+    one elimination over the columns [y | a] of those equations decides
+    it: it passes iff no pivot lies right of the y block.  The first
+    pivot there, at a_t, names the witness x_t, the first basis row that
+    does not extend: its RREF row reads a_t + sum_{s>t} c_s a_s = 0, so
+    x_t has no extension, and every x_s with s < t has one, since each
+    a-pivot row involves only a-columns right of its pivot."""
     order, offsets, _ = _block_layout(fam, subset)
     small = _shared_pullback_subspace(fam, order)
+    if _extends_by_count(fam, order, k, small):
+        return ExtensionEntry(tuple(sorted(subset)), k, True, small, None)
     d_k, n = fam.pieces[k].dim, small.dim
     # coords[c][t] is coordinate c of x_t
     coords = list(zip(*small.basis_rows)) or [()] * small.ambient_dim
@@ -223,11 +248,13 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> Extens
 
 def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport:
     """Extension entries for every subset K of each size and every k not in
-    K, in label order, each computed once per family."""
+    K, in label order, each computed once per family.  They are computed
+    from the largest K down, so that P(K + {k}) is built before (K, k)
+    when the sweep builds it at all."""
     labels = sorted(fam.labels)
     keys = [(subset, k) for size in sizes for subset in itertools.combinations(labels, size)
             for k in labels if k not in subset]
-    for key in keys:
+    for key in sorted(keys, key=lambda key: -len(key[0])):
         if key not in fam.extension_entries:
             fam.extension_entries[key] = _extension_entry(fam, *key)
     return ExtensionReport(tuple(fam.extension_entries[key] for key in keys))
@@ -245,6 +272,11 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
 
     The enumeration is exponential in the number of pieces, so families
     larger than ``max_indices`` are refused rather than silently crunched.
+    Entries are computed from the largest K down, so once
+    ``check_distributive_family`` and ``build_pullback`` have run, as in
+    ``analyse``, each passing entry whose k has an adapted basis of its
+    kernels is decided by rank-nullity on P(K + {k}) -> P(K), and only the
+    others run an elimination (``_extension_entry``).
     """
     fam.require_valid()
     n = len(fam.labels)

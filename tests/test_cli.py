@@ -21,6 +21,7 @@ from gluecheck.cli import main
 from gluecheck.finset import dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
 from gluecheck.exactlin import Matrix
+from gluecheck.lattice import check_distributive_family
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -509,6 +510,97 @@ class TestOneAnalysisPerFamily:
         assert validated == []  # the dual family is valid by construction
 
 
+class TestPullbacksTheSweepBuilds:
+    """Deciding an entry by its dimensions reads P(K + {k}) only when the
+    run builds it anyway: each run builds the pullback subspaces it built
+    when every entry ran an elimination, and no others."""
+
+    LABELS = random_gluing(7).labels  # four pieces, so a triple is not the whole family
+
+    def subsets(self, *sizes):
+        return sorted(sorted(s) for n in sizes for s in itertools.combinations(self.LABELS, n))
+
+    @pytest.mark.parametrize("command", ["check", "check --max-j 2", "glue --duality"])
+    def test_each_command_builds_the_same_subspaces(self, record_calls, tmp_path, capsys, command):
+        g = random_gluing(7)
+        doc = specfile.gluing_json(g) if command.startswith("glue") else specfile.family_json(dualize(g))
+        path = tmp_path / "doc.json"
+        path.write_text(specfile.dump_document(doc))
+        pullbacks = record_calls(multipullback, "pullback_subspace")
+        name, *flags = command.split()
+        assert main([name, str(path), *flags]) in (0, 1, 3)
+        capsys.readouterr()
+        expected = {
+            "check": self.subsets(1, 2, 3, 4),  # every subset: the sweep's K and the whole pullback
+            "check --max-j 2": self.subsets(2, 4),  # pairwise sweep and the whole pullback
+            "glue --duality": self.subsets(2, 4),
+        }[command]
+        assert sorted(sorted(args[1]) for args in pullbacks) == expected
+
+    def test_the_pairwise_sweep_alone_builds_no_triple(self, record_calls, monkeypatch):
+        fam = dualize(random_gluing(7))
+        check_distributive_family(fam)
+        assert len(fam.kernel_blocks) == len(self.LABELS)
+        pullbacks = record_calls(multipullback, "pullback_subspace")
+        reduced = []
+        reduce = multipullback._reduce
+
+        def recorded(*args):
+            reduced.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(multipullback, "_reduce", recorded)  # the sweep's own eliminations only
+        report = multipullback.check_condition3(fam)
+        assert sorted(sorted(args[1]) for args in pullbacks) == self.subsets(2)
+        assert len(reduced) == len(report.entries)  # no P(K + {k}) at hand, so each is eliminated
+
+
+class TestFailureTextOnlyWhenPrinted:
+    HELPERS = ("_witness_text", "_subspace_text", "_labels_text", "_triple_name")
+
+    @pytest.mark.parametrize("source", ["example2", "seed0"])
+    def test_json_formats_no_failure_text(self, record_calls, tmp_path, capsys, source):
+        fam = fixture_family(source) if source.startswith("example") else dualize(random_gluing(0))
+        path = family_path(tmp_path, fam)
+        calls = {name: record_calls(cli, name) for name in self.HELPERS}
+        assert run(capsys, "check", path, "--json")[0] == 1
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(self.HELPERS, 0)
+        assert run(capsys, "check", path)[0] == 1
+        assert all(calls.values())
+
+    @pytest.mark.parametrize("source", ["example1", "example2", "example3", "seed0", "seed7"])
+    def test_text_names_each_failure_of_the_report(self, capsys, tmp_path, source):
+        fam = fixture_family(source) if source.startswith("example") else dualize(random_gluing(int(source[4:])))
+        path = family_path(tmp_path, fam)
+        code, report, _ = run_json(capsys, "check", path)
+        text_code, out, _ = run(capsys, "check", path)
+        assert text_code == code
+        expected = []
+        for e in report["cocycle"]["condition1"]:
+            if not e["equal"]:
+                expected.append("  clause 1 fails at ({}): ".format(",".join(e["triple"])))
+        for key, what in (("extension_pairs", "pair"), ("extension_all", "tuple")):
+            for e in report[key]["entries"]:
+                if not e["ok"]:
+                    witness = ", ".join(f"{i}=[" + " ".join(v) + "]" for i, v in sorted(e["witness"].items()))
+                    expected.append(f"  compatible {what} over ({','.join(e['subset'])}) does not extend "
+                                    f"by {e['extend_by']}; witness {witness}")
+        printed = [line for line in out.splitlines() if line.startswith(("  clause 1", "  compatible"))]
+        assert len(printed) == len(expected)
+        assert all(line.startswith(want) for line, want in zip(printed, expected))
+
+    def test_each_pushed_kernel_is_serialised_once(self, record_calls, capsys):
+        serialised = record_calls(cli, "_subspace_json")
+        code, report, _ = run_json(capsys, "check", "--fixture", "example2")
+        assert code == 1
+        condition1 = report["cocycle"]["condition1"]
+        assert len(serialised) == len(condition1)
+        lhs = {tuple(e["triple"]): e["lhs"] for e in condition1}
+        for e in condition1:
+            i, j, k = e["triple"]
+            assert e["rhs"] == lhs[(j, i, k)]
+
+
 class TestScripts:
     @staticmethod
     def run_corpus(*argv):
@@ -541,12 +633,19 @@ class TestScripts:
         assert summary["elapsed_s"] >= 0
         assert summary["cocycle"]["holds"] + summary["cocycle"]["fails"] == 5
         assert summary["skipped"] == {} and summary["violations"] == []
+        sweeps = [multipullback.check_condition2(dualize(random_gluing(seed))) for seed in range(5)]
+        assert summary["extension"] == {"entries": sum(len(r.entries) for r in sweeps),
+                                        "failing": sum(len(r.failures) for r in sweeps)}
+        assert 0 < summary["extension"]["failing"] < summary["extension"]["entries"]
         skipped = self.run_corpus("--count", "1", "--seed", "9", "--max-pieces", "12",
                                   "--max-points", "2", "--json")
         assert skipped.returncode == 0, skipped.stdout + skipped.stderr
         summary = json.loads(skipped.stdout)
         assert summary["cocycle"] == {"holds": 0, "fails": 0}
         assert summary["skipped"] == {"subset check refused": 1}
+        # past the subset bound, the pairwise sweep's entries
+        pairwise = multipullback.check_condition3(dualize(random_gluing(9, max_pieces=12, max_points=2)))
+        assert summary["extension"] == {"entries": len(pairwise.entries), "failing": len(pairwise.failures)}
 
     def test_run_corpus_json_violation_exits_one(self, capsys, monkeypatch):
         spec = importlib.util.spec_from_file_location("run_corpus", ROOT / "scripts" / "run_corpus.py")

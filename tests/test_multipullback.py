@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +13,9 @@ from gluecheck.algebra import (
     quotient_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import Matrix, Subspace, image, kernel, quotient, span, subspace_sum, vec
+from gluecheck.exactlin import Matrix, Subspace, image, intersect, kernel, quotient, span, subspace_sum, vec
 from gluecheck.finset import FiniteGluing, dualize, fixture_family, random_gluing
+from gluecheck.lattice import DEFAULT_CAP, check_distributive_family
 from gluecheck.multipullback import (
     HypothesisNotMet,
     RepairRefused,
@@ -198,6 +202,102 @@ class TestRebasedFamilies:
                 verdicts = [[(e.subset, e.extend_by, e.ok) for e in check(f).entries]
                             for f in (fam, rebased)]
                 assert verdicts[0] == verdicts[1], name
+
+
+def count_against_elimination(fam: GluingFamily) -> int:
+    """Analyse the family, then check each entry whose k has an adapted
+    basis against the entry that ``_extension_entry`` gives with the blocks
+    withheld: rank-nullity passes it exactly when the elimination does, and
+    a passing entry is the same field for field.  Returns how many entries
+    the count decided."""
+    analyse(fam)
+    blocks = dict(fam.kernel_blocks)
+    counted = {}
+    for (subset, k), e in fam.extension_entries.items():
+        if k in blocks:
+            order = [i for i in fam.labels if i in subset]
+            counted[(subset, k)] = (e, multipullback._extends_by_count(fam, order, k, e.expected))
+    fam.kernel_blocks.clear()
+    try:
+        for (subset, k), (e, by_count) in counted.items():
+            eliminated = multipullback._extension_entry(fam, subset, k)
+            assert by_count == eliminated.ok, (subset, k)
+            if by_count:
+                fields = (eliminated.ok, eliminated.witness, eliminated.expected)
+                assert (e.ok, e.witness, e.expected) == fields, (subset, k)
+    finally:
+        fam.kernel_blocks.update(blocks)
+    return sum(by_count for _, by_count in counted.values())
+
+
+class TestExtensionByCount:
+    """A passing entry whose k has an adapted basis of its kernels is decided
+    by rank-nullity on P(K + {k}) -> P(K), whose kernel is 0 + the meet of
+    the ker m_kj; every other entry runs the one elimination."""
+
+    def test_count_matches_the_elimination_on_the_corpus(self):
+        counted = sum(count_against_elimination(dualize(random_gluing(seed))) for seed in range(200))
+        assert counted > 3000
+
+    @pytest.mark.parametrize("chain", [3, 8, 24])
+    def test_count_matches_the_elimination_on_the_examples(self, chain):
+        counted = [count_against_elimination(fixture_family(name, chain))
+                   for name in ("example1", "example2", "example3")]
+        assert all(counted)
+
+    def test_count_matches_the_elimination_on_rebased_families(self, rebased_families):
+        for _, _, fam in rebased_families:
+            count_against_elimination(fam)
+
+    @staticmethod
+    def eliminations(monkeypatch, fam: GluingFamily, **kwargs) -> int:
+        calls = []
+        reduce = multipullback._reduce
+
+        def recorded(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(multipullback, "_reduce", recorded)
+        analyse(fam, **kwargs)
+        return len(calls)
+
+    @pytest.mark.parametrize("source", ["seed7", "example2-chain8"])
+    def test_only_failing_and_blockless_entries_are_eliminated(self, monkeypatch, source):
+        fam = dualize(random_gluing(7)) if source == "seed7" else fixture_family("example2", 8)
+        eliminated = self.eliminations(monkeypatch, fam)
+        entries = fam.extension_entries.values()
+        assert eliminated == sum(not e.ok or e.extend_by not in fam.kernel_blocks for e in entries)
+        assert eliminated < len(entries)
+
+    @pytest.mark.parametrize("case", ["three-lines", "seed7-cap2"])
+    def test_a_piece_without_blocks_is_eliminated(self, monkeypatch, three_line_family,
+                                                  projection_reference, case):
+        # P1's kernels are three lines of a plane; at cap 2 the meets of
+        # S3's kernels pass the cap, though S3 is distributive
+        fam, cap, piece = ((three_line_family, DEFAULT_CAP, "P1") if case == "three-lines"
+                           else (dualize(random_gluing(7)), 2, "S3"))
+        eliminated = self.eliminations(monkeypatch, fam, lattice_cap=cap)
+        assert piece not in fam.kernel_blocks and len(fam.kernel_blocks) == len(fam.labels) - 1
+        entries = fam.extension_entries.values()
+        assert eliminated == sum(not e.ok or e.extend_by == piece for e in entries)
+        for e in entries:
+            projected, witness = projection_reference(fam, e.subset, e.extend_by)
+            assert e.ok == (projected == e.expected), (e.subset, e.extend_by)
+            assert e.witness == witness, (e.subset, e.extend_by)
+
+    def test_masks_count_the_dimension_of_each_kernel_meet(self, fresh_families):
+        # one bit per adapted basis vector: the popcount of an & of masks is
+        # the dimension of the meet of those kernels
+        for name, fam in fresh_families:
+            check_distributive_family(fam)
+            for k, masks in fam.kernel_blocks.items():
+                for r in range(1, len(masks) + 1):
+                    for js in itertools.combinations(masks, r):
+                        meet = functools.reduce(intersect, (fam.map_kernels[(k, j)] for j in js))
+                        mask = functools.reduce(int.__and__, (masks[j] for j in js))
+                        assert meet.dim == mask.bit_count(), (name, k, js)
+                assert functools.reduce(int.__or__, masks.values()).bit_length() <= fam.pieces[k].dim
 
 
 class TestTripleQuotients:
