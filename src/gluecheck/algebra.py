@@ -239,10 +239,6 @@ def _onto(f: AlgebraHom, ker: Subspace) -> bool:
     return ker.dim == f.source.dim - f.target.dim
 
 
-def is_surjective(f: AlgebraHom) -> bool:
-    return _onto(f, kernel(f.matrix))
-
-
 def is_ideal(a: Algebra, s: Subspace) -> bool:
     """Closure of s under left and right multiplication by every basis vector."""
     if s.ambient_dim != a.dim:

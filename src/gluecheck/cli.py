@@ -3,7 +3,8 @@
 Three subcommands: ``check`` runs the algebraic verdicts on a family,
 ``glue`` reports colimit and embedding facts for a finite gluing, and
 ``repair`` re-presents a family so the cocycle condition holds and emits
-the result as a new document.
+the result as a new document.  Each command builds one report: ``--json``
+prints it, and the text output is rendered from it alone.
 
 Exit codes: 0 all requested verdicts pass, 1 some verdict failed,
 2 invalid input, 3 a hypothesis or precondition kept a check from running.
@@ -17,7 +18,7 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gluecheck.algebra import FamilyValidationError
 from gluecheck.exactlin import Subspace
@@ -33,7 +34,7 @@ from gluecheck.finset import (
 from gluecheck.lattice import DEFAULT_CAP
 from gluecheck.multipullback import (
     DEFAULT_MAX_INDICES,
-    ExtensionReport,
+    ExtensionEntry,
     RepairRefused,
     TooManyPieces,
     TransitionEntry,
@@ -53,13 +54,13 @@ def _subspace_json(s: Subspace) -> dict:
     }
 
 
-def _subspace_text(s: Subspace) -> str:
-    if s.dim == 0:
+def _subspace_text(basis: Sequence[Sequence[str]], ambient_dim: int) -> str:
+    if not basis:
         return "{0}"
-    if s.is_full():
-        return f"all of Q^{s.ambient_dim}"
-    rows = "; ".join("[" + " ".join(str(x) for x in r) + "]" for r in s.basis_rows)
-    return f"span{{{rows}}} in Q^{s.ambient_dim}"
+    if len(basis) == ambient_dim:
+        return f"all of Q^{ambient_dim}"
+    rows = "; ".join("[" + " ".join(r) + "]" for r in basis)
+    return f"span{{{rows}}} in Q^{ambient_dim}"
 
 
 def _lattice_witness_json(triple: Sequence[Subspace]) -> list[list[list[str]]]:
@@ -67,24 +68,23 @@ def _lattice_witness_json(triple: Sequence[Subspace]) -> list[list[list[str]]]:
     return [[specfile.vector_json(r) for r in s.basis_rows] for s in triple]
 
 
-def _lattice_witness_text(triple: Sequence[Subspace]) -> str:
-    a, b, c = (_subspace_text(s) for s in triple)
+def _lattice_witness_text(triple: Sequence[Sequence[Sequence[str]]]) -> str:
+    # a witness basis carries no ambient dimension; its rows have that length
+    a, b, c = (_subspace_text(rows, len(rows[0]) if rows else 0) for rows in triple)
     return f"a & (b + c) != (a & b) + (a & c) for a = {a}, b = {b}, c = {c}"
 
 
-def _witness_json(witness: Mapping | None) -> dict | None:
-    if witness is None:
-        return None
-    return {i: specfile.vector_json(v) for i, v in witness.items()}
+def _witness_text(witness: Mapping[str, Sequence[str]]) -> str:
+    return ", ".join(f"{i}=[" + " ".join(v) + "]" for i, v in sorted(witness.items()))
 
 
-def _witness_text(witness: Mapping | None) -> str:
-    if witness is None:
-        return "(none)"
-    parts = (
-        f"{i}=[" + " ".join(str(x) for x in v) + "]" for i, v in sorted(witness.items())
-    )
-    return ", ".join(parts)
+def _labels_text(labels: Sequence[str]) -> str:
+    return "(" + ",".join(labels) + ")"
+
+
+def _triple_name(triple: Sequence[str]) -> str:
+    i, j, k = triple
+    return f"pi^{i}_{j}(ker pi^{i}_{k})"
 
 
 def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict]:
@@ -111,28 +111,21 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
     return args.path, obj, options
 
 
-def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> int:
-    if args.json:
-        print(json.dumps(report))
-    else:
-        for line in human:
-            print(line)
+def _emit(args: argparse.Namespace, report: dict, render: Callable[[dict], Iterable[str]]) -> int:
+    """Print the report as JSON under ``--json``, else the lines ``render`` makes of it."""
+    print(json.dumps(report) if args.json else "\n".join(render(report)))
     return report["exit"]
 
 
-def _extensions_json(ext: ExtensionReport) -> dict:
-    return {
-        "ok": ext.ok,
-        "entries": [
-            {
-                "subset": list(e.subset),
-                "extend_by": e.extend_by,
-                "ok": e.ok,
-                "witness": _witness_json(e.witness),
-            }
-            for e in ext.entries
-        ],
-    }
+def _invalid_family(report: dict, e: FamilyValidationError) -> dict:
+    report["error"] = {"kind": "invalid-family", "problems": [p.message for p in e.problems]}
+    report["exit"] = INVALID
+    return report
+
+
+def _entry_json(e: ExtensionEntry) -> dict:
+    witness = None if e.witness is None else {i: specfile.vector_json(v) for i, v in e.witness.items()}
+    return {"subset": list(e.subset), "extend_by": e.extend_by, "ok": e.ok, "witness": witness}
 
 
 def _condition2_json(e: TransitionEntry) -> dict:
@@ -142,29 +135,17 @@ def _condition2_json(e: TransitionEntry) -> dict:
     return entry
 
 
-def _labels_text(labels: Sequence[str]) -> str:
-    return "(" + ",".join(labels) + ")"
-
-
-def _triple_name(triple: Sequence[str]) -> str:
-    i, j, k = triple
-    return f"pi^{i}_{j}(ker pi^{i}_{k})"
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     source, fam, options = _load(args, specfile.KIND_FAMILY)
     cap = args.cap or options.get("lattice_cap", DEFAULT_CAP)
     max_j = args.max_j or options.get("max_j", DEFAULT_MAX_INDICES)
+    render = functools.partial(_check_text, cap=cap)
 
     report: dict = {"command": "check", "input": source}
-    human = [f"checking family from {source}"]
-    text = not args.json  # the failure lines are formatted only when printed
     try:
         analysis = analyse(fam, max_indices=max_j, lattice_cap=cap)
     except FamilyValidationError as e:
-        report["error"] = {"kind": "invalid-family", "problems": [p.message for p in e.problems]}
-        report["exit"] = INVALID
-        return _emit(args, report, human + [f"invalid family: {e}"])
+        return _emit(args, _invalid_family(report, e), render)
 
     report["family"] = {
         "index": list(fam.labels),
@@ -174,7 +155,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     dist = analysis.distributive
     per_piece = []
-    human.append(f"distributive family: {'yes' if dist.ok else 'NO'}")
     for p in dist.per_piece:
         entry = {
             "piece": p.label,
@@ -185,12 +165,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         }
         if p.verdict.witness is not None:
             entry["witness"] = _lattice_witness_json(p.verdict.witness)
-            if text:
-                human.append(f"  kernels of piece {p.label} are not distributive: "
-                             + _lattice_witness_text(p.verdict.witness))
-        elif p.verdict.status == "indeterminate":
-            human.append(f"  kernel lattice of piece {p.label} passed the closure cap ({cap}); "
-                         "distributivity undecided")
         per_piece.append(entry)
     report["distributive"] = {
         "ok": dist.ok,
@@ -198,24 +172,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         "per_piece": per_piece,
     }
     if dist.surjectivity_failures:
-        for i, j in dist.surjectivity_failures:
-            human.append(f"  map ({i}, {j}) is not surjective")
         report["exit"] = REFUSED
-        human.append("family is not surjective; the remaining checks need surjectivity")
-        return _emit(args, report, human)
+        return _emit(args, report, render)
 
-    projections = [
+    report["pullback"] = {"dim": analysis.pullback.dim, "projections": [
         {"piece": i, "surjective": surjective, "image_dim": img.dim}
         for i, (surjective, img) in analysis.projection_images.items()
-    ]
-    report["pullback"] = {"dim": analysis.pullback.dim, "projections": projections}
-    human.append(f"pullback dimension {analysis.pullback.dim}")
-    for entry in projections:
-        if not entry["surjective"]:
-            human.append(
-                f"  projection onto {entry['piece']} is NOT surjective "
-                f"(image dimension {entry['image_dim']})"
-            )
+    ]}
 
     cocycle = analysis.cocycle
     # the rhs of (i, j, k) is the lhs of (j, i, k), so each is serialised once
@@ -231,91 +194,108 @@ def cmd_check(args: argparse.Namespace) -> int:
         "condition1": condition1,
         "condition2": [_condition2_json(e) for e in cocycle.condition2],
     }
-    human.append(f"cocycle condition: {'holds' if cocycle.overall else 'FAILS'}")
-    if text:
-        for e in cocycle.condition1:
-            if not e.equal:
-                i, j, k = e.triple
-                human.append(
-                    f"  clause 1 fails at {_labels_text(e.triple)}: {_triple_name(e.triple)} = "
-                    f"{_subspace_text(e.lhs)} vs {_triple_name((j, i, k))} = {_subspace_text(e.rhs)}"
-                )
-        for e in cocycle.condition2:
-            if e.status == "fail":
-                human.append(f"  clause 2 fails at {_labels_text(e.triple)}: loop = {e.loop}")
 
-    pair_ext = analysis.pairwise_extensions
-    report["extension_pairs"] = _extensions_json(pair_ext)
-    human.append(f"pairwise extension: {'holds' if pair_ext.ok else 'FAILS'}")
-    if text:
-        human.extend(
-            f"  compatible pair over {_labels_text(e.subset)} does not extend by {e.extend_by}; "
-            f"witness {_witness_text(e.witness)}"
-            for e in pair_ext.failures
-        )
-
-    all_ext = analysis.all_extensions
-    refused = isinstance(all_ext, TooManyPieces)
-    if refused:
-        report["extension_all"] = {"refused": str(all_ext)}
-        human.append(f"subset extension: refused ({all_ext})")
-    else:
-        report["extension_all"] = _extensions_json(all_ext)
-        human.append(f"subset extension: {'holds' if all_ext.ok else 'FAILS'}")
-        if text:
-            human.extend(
-                f"  compatible tuple over {_labels_text(e.subset)} does not extend by {e.extend_by}; "
-                f"witness {_witness_text(e.witness)}"
-                for e in all_ext.failures
-            )
+    serialised: dict = {}  # one dict per (subset, extend_by), shared by both sweeps
+    for key, ext in (("extension_pairs", analysis.pairwise_extensions),
+                     ("extension_all", analysis.all_extensions)):
+        if isinstance(ext, TooManyPieces):
+            report[key] = {"refused": str(ext)}
+            continue
+        for e in ext.entries:
+            if (e.subset, e.extend_by) not in serialised:
+                serialised[e.subset, e.extend_by] = _entry_json(e)
+        report[key] = {"ok": ext.ok, "entries": [serialised[e.subset, e.extend_by] for e in ext.entries]}
 
     theorem = analysis.theorem
     if theorem.ran:
-        report["theorem"] = {
-            "ran": True,
-            "verdicts": list(analysis.verdicts),
-            "consistent": theorem.consistent,
-        }
-        human.append(
-            "equivalence of the three verdicts: "
-            + ("consistent" if theorem.consistent else "INCONSISTENT (tool bug)")
-        )
+        report["theorem"] = {"ran": True, "verdicts": list(analysis.verdicts),
+                             "consistent": theorem.consistent}
     else:
         report["theorem"] = {"ran": False, "reason": theorem.reason}
-        human.append(f"equivalence check skipped: {theorem.reason}")
 
     report["pass"] = analysis.ok
-    report["exit"] = REFUSED if refused else (PASS if analysis.ok else FAIL)
-    human.append("result: " + ("PASS" if analysis.ok else "FAIL"))
-    return _emit(args, report, human)
+    report["exit"] = REFUSED if "refused" in report["extension_all"] else (PASS if analysis.ok else FAIL)
+    return _emit(args, report, render)
+
+
+def _check_text(report: dict, cap: int) -> Iterator[str]:
+    yield f"checking family from {report['input']}"
+    if "error" in report:
+        yield "invalid family: " + "; ".join(report["error"]["problems"])
+        return
+    dist = report["distributive"]
+    yield f"distributive family: {'yes' if dist['ok'] else 'NO'}"
+    for p in dist["per_piece"]:
+        if "witness" in p:
+            yield (f"  kernels of piece {p['piece']} are not distributive: "
+                   + _lattice_witness_text(p["witness"]))
+        elif p["status"] == "indeterminate":
+            yield (f"  kernel lattice of piece {p['piece']} passed the closure cap ({cap}); "
+                   "distributivity undecided")
+    if dist["surjectivity_failures"]:
+        yield from (f"  map ({i}, {j}) is not surjective" for i, j in dist["surjectivity_failures"])
+        yield "family is not surjective; the remaining checks need surjectivity"
+        return
+
+    yield f"pullback dimension {report['pullback']['dim']}"
+    for p in report["pullback"]["projections"]:
+        if not p["surjective"]:
+            yield f"  projection onto {p['piece']} is NOT surjective (image dimension {p['image_dim']})"
+
+    cocycle = report["cocycle"]
+    yield f"cocycle condition: {'holds' if cocycle['overall'] else 'FAILS'}"
+    for e in cocycle["condition1"]:
+        if not e["equal"]:
+            i, j, k = triple = e["triple"]
+            lhs, rhs = (_subspace_text(s["basis"], s["ambient_dim"]) for s in (e["lhs"], e["rhs"]))
+            yield (f"  clause 1 fails at {_labels_text(triple)}: {_triple_name(triple)} = {lhs} "
+                   f"vs {_triple_name((j, i, k))} = {rhs}")
+    for e in cocycle["condition2"]:
+        if e["status"] == "fail":
+            loop = e["loop"]  # as str(Matrix) prints it
+            rows = "; ".join(" ".join(r) for r in loop)
+            yield (f"  clause 2 fails at {_labels_text(e['triple'])}: "
+                   f"loop = Matrix({len(loop)}x{len(loop[0])}: {rows})")
+
+    for key, title, noun in (("extension_pairs", "pairwise extension", "pair"),
+                             ("extension_all", "subset extension", "tuple")):
+        ext = report[key]
+        if "refused" in ext:
+            yield f"{title}: refused ({ext['refused']})"
+            continue
+        yield f"{title}: {'holds' if ext['ok'] else 'FAILS'}"
+        for e in ext["entries"]:
+            if not e["ok"]:
+                yield (f"  compatible {noun} over {_labels_text(e['subset'])} does not extend by "
+                       f"{e['extend_by']}; witness {_witness_text(e['witness'])}")
+
+    theorem = report["theorem"]
+    if theorem["ran"]:
+        yield "equivalence of the three verdicts: " + (
+            "consistent" if theorem["consistent"] else "INCONSISTENT (tool bug)")
+    else:
+        yield f"equivalence check skipped: {theorem['reason']}"
+    yield "result: " + ("PASS" if report["pass"] else "FAIL")
 
 
 def cmd_glue(args: argparse.Namespace) -> int:
     source, g, _ = _load(args, specfile.KIND_GLUING)
-    report: dict = {"command": "glue", "input": source}
-    human = [f"gluing from {source}"]
     glued = glue(g)
-    report["classes"] = [[list(pt) for pt in cls] for cls in glued.classes]
-    report["class_count"] = glued.size
-    human.append(f"glued space has {glued.size} point classes")
-
-    pieces = []
-    for i in sorted(g.labels):
-        emb = check_embedding(g, {i}, g.labels)
-        pieces.append({"piece": i, "embedded": emb.injective})
-        human.append(f"piece {i}: {'embedded' if emb.injective else 'NOT embedded'}")
-    report["piece_embeddings"] = pieces
-
-    partial = []
-    for i, j in itertools.combinations(sorted(g.labels), 2):
-        emb = check_embedding(g, {i, j}, g.labels)
-        partial.append({"pair": [i, j], "embedded": emb.injective})
-        human.append(
-            f"partial gluing of {{{i},{j}}}: {'embedded' if emb.injective else 'NOT embedded'}"
-        )
-    report["partial_embeddings"] = partial
-
-    ok = all(p["embedded"] for p in pieces) and all(p["embedded"] for p in partial)
+    report: dict = {
+        "command": "glue",
+        "input": source,
+        "classes": [[list(pt) for pt in cls] for cls in glued.classes],
+        "class_count": glued.size,
+        "piece_embeddings": [
+            {"piece": i, "embedded": check_embedding(g, {i}, g.labels).injective}
+            for i in sorted(g.labels)
+        ],
+        "partial_embeddings": [
+            {"pair": [i, j], "embedded": check_embedding(g, {i, j}, g.labels).injective}
+            for i, j in itertools.combinations(sorted(g.labels), 2)
+        ],
+    }
+    ok = all(p["embedded"] for p in report["piece_embeddings"] + report["partial_embeddings"])
     if args.duality:
         dual = duality_check(g)
         report["duality"] = {
@@ -324,38 +304,44 @@ def cmd_glue(args: argparse.Namespace) -> int:
             "class_count": dual.class_count,
             "mismatches": list(dual.mismatches),
         }
-        human.append(
-            f"duality: pullback dimension {dual.pullback_dim}, classes {dual.class_count}, "
-            + ("consistent" if dual.ok else "MISMATCH (tool bug)")
-        )
-        human.extend(f"  {m}" for m in dual.mismatches)
         ok = ok and dual.ok
 
     report["pass"] = ok
     report["exit"] = PASS if ok else FAIL
-    human.append("result: " + ("PASS" if ok else "FAIL"))
-    return _emit(args, report, human)
+    return _emit(args, report, _glue_text)
+
+
+def _glue_text(report: dict) -> Iterator[str]:
+    yield f"gluing from {report['input']}"
+    yield f"glued space has {report['class_count']} point classes"
+    for p in report["piece_embeddings"]:
+        yield f"piece {p['piece']}: {'embedded' if p['embedded'] else 'NOT embedded'}"
+    for p in report["partial_embeddings"]:
+        i, j = p["pair"]
+        yield f"partial gluing of {{{i},{j}}}: {'embedded' if p['embedded'] else 'NOT embedded'}"
+    if "duality" in report:
+        dual = report["duality"]
+        yield (f"duality: pullback dimension {dual['pullback_dim']}, classes {dual['class_count']}, "
+               + ("consistent" if dual["ok"] else "MISMATCH (tool bug)"))
+        yield from (f"  {m}" for m in dual["mismatches"])
+    yield "result: " + ("PASS" if report["pass"] else "FAIL")
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
     source, fam, options = _load(args, specfile.KIND_FAMILY)
     cap = args.cap or options.get("lattice_cap", DEFAULT_CAP)
+    render = functools.partial(_repair_text, out=args.out)
     report: dict = {"command": "repair", "input": source}
-    human = [f"re-presenting family from {source}"]
     try:
         result = repair(fam, lattice_cap=cap)
     except FamilyValidationError as e:
-        report["error"] = {"kind": "invalid-family", "problems": [p.message for p in e.problems]}
-        report["exit"] = INVALID
-        return _emit(args, report, human + [f"invalid family: {e}"])
+        return _emit(args, _invalid_family(report, e), render)
     except RepairRefused as e:
         report["refused"] = {"reason": str(e), "projection": e.projection}
-        human.append(f"refused: {e}")
         if e.witness is not None:
             report["refused"]["witness"] = _lattice_witness_json(e.witness)
-            human.append("  " + _lattice_witness_text(e.witness))
         report["exit"] = REFUSED
-        return _emit(args, report, human)
+        return _emit(args, report, render)
 
     repaired = result.family
     report["pullback_dim"] = result.pullback.dim
@@ -363,26 +349,36 @@ def cmd_repair(args: argparse.Namespace) -> int:
         ",".join(k): repaired.overlaps[k].dim for k in sorted(repaired.overlaps)
     }
     report["cocycle_after"] = result.cocycle.overall
-    human.append(f"pullback dimension {result.pullback.dim}")
-    for k in sorted(repaired.overlaps):
-        human.append(f"overlap ({k[0]},{k[1]}): dimension {repaired.overlaps[k].dim}")
-    human.append("cocycle condition after re-presentation: holds")
-
-    doc = specfile.family_json(repaired, options={"repaired_from": source})
-    report["document"] = doc
+    report["document"] = doc = specfile.family_json(repaired, options={"repaired_from": source})
     if args.out:
         try:
             Path(args.out).write_text(specfile.dump_document(doc))
         except OSError as e:
             raise specfile.DocumentError(f"cannot write {args.out}: {e}", "--out") from None
-        human.append(f"wrote re-presented family to {args.out}")
-    elif not args.json:
-        human.append(specfile.dump_document(doc).rstrip("\n"))
 
     report["pass"] = True
     report["exit"] = PASS
-    human.append("result: PASS")
-    return _emit(args, report, human)
+    return _emit(args, report, render)
+
+
+def _repair_text(report: dict, out: str | None) -> Iterator[str]:
+    yield f"re-presenting family from {report['input']}"
+    if "error" in report:
+        yield "invalid family: " + "; ".join(report["error"]["problems"])
+        return
+    if "refused" in report:
+        refused = report["refused"]
+        yield f"refused: {refused['reason']}"
+        if "witness" in refused:
+            yield "  " + _lattice_witness_text(refused["witness"])
+        return
+    yield f"pullback dimension {report['pullback_dim']}"
+    for pair, dim in report["overlap_dims"].items():
+        yield f"overlap ({pair}): dimension {dim}"
+    yield f"cocycle condition after re-presentation: {'holds' if report['cocycle_after'] else 'FAILS'}"
+    yield (f"wrote re-presented family to {out}" if out
+           else specfile.dump_document(report["document"]).rstrip("\n"))
+    yield "result: " + ("PASS" if report["pass"] else "FAIL")
 
 
 def at_least(least: int):

@@ -316,19 +316,24 @@ def rebased_families():
     return [(name, fam, _rebased(fam, i)) for i, (name, fam) in enumerate(named)]
 
 
-@pytest.fixture(scope="session")
-def twisted_triangle():
+def twisted_triangle_gluing() -> FiniteGluing:
     """Three pieces A, B, C of two points a, b each: A~B and B~C match a<->a
     and b<->b, but A~C matches a<->b and b<->a.  Every map of the dual is
     injective, so clause 1 holds, while going round the triangle swaps the
-    points, so clause 2 fails on every ordered triple.  ``gluing``, its dual
-    ``family`` and that family ``rebased`` with seed 0."""
+    points, so clause 2 fails on every ordered triple."""
     points = ("a", "b")
-    g = FiniteGluing(("A", "B", "C"), {"A": points, "B": points, "C": points}, {
+    return FiniteGluing(("A", "B", "C"), {"A": points, "B": points, "C": points}, {
         ("A", "B"): (("a", "a"), ("b", "b")),
         ("B", "C"): (("a", "a"), ("b", "b")),
         ("A", "C"): (("a", "b"), ("b", "a")),
     })
+
+
+@pytest.fixture(scope="session")
+def twisted_triangle():
+    """``twisted_triangle_gluing``, its dual ``family`` and that family
+    ``rebased`` with seed 0."""
+    g = twisted_triangle_gluing()
     return SimpleNamespace(gluing=g, family=dualize(g), rebased=_rebased(dualize(g), 0))
 
 
@@ -459,8 +464,7 @@ def nilpotent_plane_algebra() -> Algebra:
     return Algebra.from_table(table, unit=u, label="Q+V")
 
 
-@pytest.fixture
-def three_line_family() -> GluingFamily:
+def build_three_line_family() -> GluingFamily:
     """Four pieces whose central kernels are three distinct lines of V,
     a generated lattice that is not distributive."""
     hub = nilpotent_plane_algebra()
@@ -487,3 +491,8 @@ def three_line_family() -> GluingFamily:
     fam = GluingFamily(labels, pieces, overlaps, maps)
     fam.require_valid()
     return fam
+
+
+@pytest.fixture
+def three_line_family() -> GluingFamily:
+    return build_three_line_family()

@@ -600,6 +600,18 @@ class TestFailureTextOnlyWhenPrinted:
             i, j, k = e["triple"]
             assert e["rhs"] == lhs[(j, i, k)]
 
+    def test_each_extension_entry_is_serialised_once(self, record_calls, capsys, tmp_path):
+        path = family_path(tmp_path, dualize(random_gluing(7)))
+        serialised = record_calls(cli, "_entry_json")
+        code, report, _ = run_json(capsys, "check", path)
+        assert code == 0
+        pairs, subsets = report["extension_pairs"]["entries"], report["extension_all"]["entries"]
+        assert pairs and len(subsets) > len(pairs)
+        keys = {(tuple(e["subset"]), e["extend_by"]) for e in pairs + subsets}
+        assert sorted((e.subset, e.extend_by) for (e,) in serialised) == sorted(keys)
+        by_key = {(tuple(e["subset"]), e["extend_by"]): e for e in subsets}
+        assert all(e == by_key[tuple(e["subset"]), e["extend_by"]] for e in pairs)
+
 
 class TestScripts:
     @staticmethod
@@ -824,8 +836,8 @@ class TestRepairCommand:
         code, out, _ = run(capsys, "repair", str(path))
         assert code == 3
         assert "refused: projection kernels do not generate a distributive lattice" in out
-        assert (f"  a & (b + c) != (a & b) + (a & c) for a = {cli._subspace_text(a)}, "
-                f"b = {cli._subspace_text(b)}, c = {cli._subspace_text(c)}") in out
+        a, b, c = (cli._subspace_text(rows, len(rows[0])) for rows in report["refused"]["witness"])
+        assert f"  a & (b + c) != (a & b) + (a & c) for a = {a}, b = {b}, c = {c}" in out.splitlines()
 
     def test_a_map_that_is_not_onto_is_an_unmet_hypothesis(self, capsys, tmp_path):
         broken = replaced_map(SQUASH)
