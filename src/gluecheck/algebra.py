@@ -274,11 +274,18 @@ def quotient_algebra(a: Algebra, ideal: Subspace, label: str = "") -> tuple[Alge
     if not is_ideal(a, ideal):
         raise ValueError("subspace is not a two-sided ideal")
     chart = quotient(a.dim, ideal)
-    proj, sect = chart.projection, chart.section
-    lifts = [sect.column(x) for x in range(chart.dim)]
-    table = [[proj.apply(a.multiply(x, y)) for y in lifts] for x in lifts]
-    q = Algebra.from_table(table, proj.apply(a.unit), label or (a.label + "/ideal" if a.label else ""))
-    return q, AlgebraHom(a, q, proj)
+    q = _quotient_presentation(a, chart.projection, chart.section,
+                               label or (a.label + "/ideal" if a.label else ""))
+    return q, AlgebraHom(a, q, chart.projection)
+
+
+def _quotient_presentation(a: Algebra, proj: Matrix, lifts: Matrix, label: str) -> Algebra:
+    """The algebra that a hom ``proj`` out of a maps onto, on the basis whose
+    x-th vector lifts to column x of ``lifts``: e_x e_y = proj(lift_x lift_y)
+    and the unit is proj(1)."""
+    cols = [lifts.column(x) for x in range(lifts.cols)]
+    table = [[proj.apply(a.multiply(x, y)) for y in cols] for x in cols]
+    return Algebra.from_table(table, proj.apply(a.unit), label)
 
 
 def subspace_algebra(ambient: Algebra, s: Subspace, label: str = "") -> Algebra:

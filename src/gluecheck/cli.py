@@ -22,15 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from gluecheck.algebra import FamilyValidationError
 from gluecheck.exactlin import Subspace
-from gluecheck.finset import (
-    FAMILY_FIXTURES,
-    GLUING_FIXTURES,
-    check_embedding,
-    duality_check,
-    dualize,
-    fixture_gluing,
-    glue,
-)
+from gluecheck.finset import check_embedding, duality_check, dualize, fixture_gluing, glue
 from gluecheck.lattice import DEFAULT_CAP
 from gluecheck.multipullback import (
     DEFAULT_MAX_INDICES,
@@ -91,19 +83,16 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
     if args.fixture and args.path:
         raise specfile.DocumentError("give a document path or a fixture, not both", "--fixture")
     if args.fixture:
-        gluing = expect_kind == specfile.KIND_GLUING
-        if args.fixture not in GLUING_FIXTURES and args.fixture not in FAMILY_FIXTURES:
-            raise specfile.DocumentError(
-                f"unknown fixture {args.fixture!r}; available: "
-                + ", ".join(sorted(GLUING_FIXTURES if gluing else FAMILY_FIXTURES))
-            )
-        g = fixture_gluing(args.fixture, args.chain)
-        return f"fixture:{args.fixture}", g if gluing else dualize(g), {}
+        try:
+            g = fixture_gluing(args.fixture, args.chain)
+        except KeyError as e:
+            raise specfile.DocumentError(e.args[0], "--fixture") from None
+        return f"fixture:{args.fixture}", g if expect_kind == specfile.KIND_GLUING else dualize(g), {}
     if not args.path:
         raise specfile.DocumentError("either a document path or --fixture is required")
     try:
-        text = Path(args.path).read_text()
-    except OSError as e:
+        text = Path(args.path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise specfile.DocumentError(f"cannot read {args.path}: {e}") from None
     kind, obj, options = specfile.parse_document(text)
     if kind != expect_kind:

@@ -380,8 +380,6 @@ class QuotientChart:
     subspace's RREF as the chart, so the chart is deterministic.
     """
 
-    ambient_dim: int
-    subspace: Subspace
     projection: Matrix
     section: Matrix
 
@@ -402,12 +400,7 @@ def quotient(ambient_dim: int, v: Subspace) -> QuotientChart:
         if r in chart_cols:
             row[chart_cols.index(r)] = F1
         section_rows.append(tuple(row))
-    return QuotientChart(
-        ambient_dim,
-        v,
-        Matrix(k, ambient_dim, proj_rows),
-        Matrix(ambient_dim, k, tuple(section_rows)),
-    )
+    return QuotientChart(Matrix(k, ambient_dim, proj_rows), Matrix(ambient_dim, k, tuple(section_rows)))
 
 
 def invert(m: Matrix) -> Matrix:

@@ -32,8 +32,8 @@ class FiniteGluing:
     ``identifications[(i, j)]`` (with i < j) lists (point of i, point of j)
     pairs; a missing pair means nothing is identified there.  Gluings are
     immutable by convention, so what is derived from one (its validation,
-    the glued space of each piece subset, its dual family) is computed once
-    and kept on the gluing.
+    the glued space of each piece subset, the embedding of each pair of
+    subsets, its dual family) is computed once and kept on the gluing.
     """
 
     labels: tuple[str, ...]
@@ -88,6 +88,11 @@ class FiniteGluing:
     @cached_property
     def glued_spaces(self) -> dict:
         """Memo of ``glue``, keyed by the chosen labels in label order."""
+        return {}
+
+    @cached_property
+    def embeddings(self) -> dict:
+        """Memo of ``check_embedding``, keyed by the inner and outer labels in label order."""
         return {}
 
     @cached_property
@@ -174,9 +179,13 @@ class EmbeddingReport:
 
 
 def check_embedding(g: FiniteGluing, inner: Iterable[str], outer: Iterable[str]) -> EmbeddingReport:
-    """Whether a partial gluing sits inside a larger one without collapsing."""
+    """Whether a partial gluing sits inside a larger one without collapsing,
+    settled once per pair of piece subsets of the gluing."""
     small = glue(g, inner)
     big = glue(g, outer)
+    key = (small.over, big.over)
+    if key in g.embeddings:
+        return g.embeddings[key]
     if not set(small.over) <= set(big.over):
         raise ValueError("the inner piece subset must be contained in the outer one")
     hits: dict[int, list[int]] = {}
@@ -187,7 +196,8 @@ def check_embedding(g: FiniteGluing, inner: Iterable[str], outer: Iterable[str])
         for a, b in itertools.combinations(group, 2):
             merged.append((small.classes[a], small.classes[b]))
     merged.sort()
-    return EmbeddingReport(small.over, big.over, not merged, tuple(merged))
+    g.embeddings[key] = EmbeddingReport(small.over, big.over, not merged, tuple(merged))
+    return g.embeddings[key]
 
 
 def _indicator_matrix(points: Sequence[str], chosen: Sequence[str]) -> Matrix:

@@ -202,30 +202,24 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
 
 
 def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
-                          ) -> tuple[int, bool, DistributivityVerdict]:
+                          ) -> tuple[int, bool, DistributivityVerdict, list[int] | None]:
     """Whether the generators' lattice is distributive, with the number of
-    elements ``generate_lattice`` lists for it under the same cap and
-    whether that listing is complete.
+    elements ``generate_lattice`` lists for it under the same cap, whether
+    that listing is complete, and the generators' masks over an adapted
+    basis, or None when there is none.
 
     When an adapted basis exists the lattice is distributive, whether or
     not closing the generators' masks in ``generate_lattice``'s order, which
     gives the count, passes the cap.  Otherwise the closure and
     ``is_distributive`` give the verdict and its witness triple.
     """
-    return _decide(gens, cap)[0]
-
-
-def _decide(gens: Iterable[Subspace], cap: int
-            ) -> tuple[tuple[int, bool, DistributivityVerdict], list[int] | None]:
-    """``decide_distributivity``'s answer, and the generators' masks over
-    an adapted basis, or None when there is none."""
     generators = _generators(gens, cap)
     masks = _adapted_masks(generators, cap)
     if masks is None:
         closure = generate_lattice(generators, cap)
-        return (len(closure.elements), closure.complete, is_distributive(closure)), None
+        return len(closure.elements), closure.complete, is_distributive(closure), None
     elements, complete, _, _ = _close(masks, int.__or__, int.__and__, cap)
-    return (len(elements), complete, DistributivityVerdict("distributive")), masks
+    return len(elements), complete, DistributivityVerdict("distributive"), masks
 
 
 @dataclass(frozen=True)
@@ -258,9 +252,9 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
     for i in sorted(fam.labels):
         others = [j for j in sorted(fam.labels) if j != i]
         gens = [fam.map_kernels[(i, j)] for j in others] or [Subspace.zero(fam.pieces[i].dim)]
-        decided, masks = _decide(gens, cap)
+        elements, complete, verdict, masks = decide_distributivity(gens, cap)
         if masks is not None:
             fam.kernel_blocks[i] = dict(zip(others, masks))
-        reports.append(PieceLatticeReport(i, *decided))
+        reports.append(PieceLatticeReport(i, elements, complete, verdict))
     ok = not fam.surjectivity_failures and all(r.verdict for r in reports)
     return DistributiveFamilyReport(tuple(reports), fam.surjectivity_failures, ok)

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family, pair_key
+from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _quotient_presentation, _trusted_family, pair_key
 from gluecheck.exactlin import (
     F0,
     Matrix,
@@ -536,7 +536,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
                 f"(image has dimension {p.dim - kernels[i].dim} of {fam.pieces[i].dim})",
                 projection=i,
             )
-    _, _, verdict = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
+    _, _, verdict, _ = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     if verdict.status == "indeterminate":
         raise RepairRefused(
             f"projection-kernel lattice exceeded the closure cap ({lattice_cap}); "
@@ -561,10 +561,8 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
         # pi_i is a hom and x - lifts[i] pi_i x lies in K_i, so the product of
         # classes x, y in P/(K_i+K_j) is to_i(pi_i x * pi_i y), read in B_i
         piece = fam.pieces[i]
-        reps = p.projections[i] @ chart.section
-        cols = [reps.column(x) for x in range(chart.dim)]
-        table = [[to_i.apply(piece.multiply(x, y)) for y in cols] for x in cols]
-        overlap = Algebra.from_table(table, to_i.apply(piece.unit), label=f"pullback/({i}+{j})")
+        overlap = _quotient_presentation(piece, to_i, p.projections[i] @ chart.section,
+                                         f"pullback/({i}+{j})")
         overlaps[pair_key(i, j)] = overlap
         maps[(i, j)] = AlgebraHom(piece, overlap, to_i)
         maps[(j, i)] = AlgebraHom(fam.pieces[j], overlap, chart.projection @ lifts[j])

@@ -376,6 +376,21 @@ class TestMalformedInput:
         assert code == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("command", ["check", "glue", "repair"])
+    def test_a_document_that_is_not_utf8_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "finite-gluing", "index": ["\u00e9"]}'.encode("latin-1"))
+        code, err = exit_code(capsys, command, str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", ["check", "glue", "repair"])
+    def test_an_unknown_fixture_names_the_flag_and_every_fixture(self, capsys, command):
+        code, err = exit_code(capsys, command, "--fixture", "bogus")
+        assert code == 2
+        assert err == ("error: --fixture: unknown fixture 'bogus'; available: "
+                       "tcirc-a, tcirc-c, tstar, example1, example2, example3\n")
+
     @pytest.mark.parametrize("out", ["missing/repaired.json", "."], ids=["missing-directory", "directory"])
     def test_unwritable_out_exits_two_naming_it(self, capsys, tmp_path, out):
         code, err = exit_code(capsys, "repair", "--fixture", "example3", "--out", str(tmp_path / out))
@@ -508,6 +523,20 @@ class TestOneAnalysisPerFamily:
         }  # whole gluing, pieces and pairs (embeddings), triples (duality)
         assert sorted(args[0] for args in glued) == sorted(subsets)
         assert validated == []  # the dual family is valid by construction
+
+    def test_glue_duality_settles_each_embedding_once(self, record_calls, tmp_path, capsys):
+        path = tmp_path / "gluing.json"
+        path.write_text(specfile.dump_document(specfile.gluing_json(random_gluing(7))))
+        reports = record_calls(finset, "EmbeddingReport")
+
+        assert main(["glue", str(path), "--duality"]) in (0, 1)
+        capsys.readouterr()
+        labels = random_gluing(7).labels
+        pieces_and_pairs = [(s, labels) for n in (1, 2) for s in itertools.combinations(labels, n)]
+        extensions = [((i, j), tuple(sorted((i, j, k), key=labels.index)))
+                      for i, j in itertools.combinations(labels, 2) for k in labels if k not in (i, j)]
+        # the report and the duality check both ask for each piece's embedding
+        assert sorted(args[:2] for args in reports) == sorted(pieces_and_pairs + extensions)
 
 
 class TestPullbacksTheSweepBuilds:

@@ -86,7 +86,7 @@ class TestGenerateLattice:
         assert not closure.complete
         assert len(closure.elements) == cap
         assert is_distributive(closure).status == "indeterminate"
-        elements, complete, verdict = decide_distributivity(gens, cap)
+        elements, complete, verdict, _ = decide_distributivity(gens, cap)
         assert (elements, complete, verdict.status) == (cap, False, "indeterminate")
 
     def test_mismatched_ambient_rejected(self):
@@ -152,8 +152,12 @@ class TestAdaptedBasisCertificate:
     def assert_matches_closure(gens, caps=(3, 6, DEFAULT_CAP)):
         for cap in caps:
             closure = generate_lattice(gens, cap)
-            elements, complete, verdict = decide_distributivity(gens, cap)
+            elements, complete, verdict, masks = decide_distributivity(gens, cap)
             expected = is_distributive(closure)
+            if masks is not None:
+                # the popcount of a generator's mask is its dimension
+                assert verdict.status == "distributive", cap
+                assert [bin(m).count("1") for m in masks] == [g.dim for g in gens], cap
             assert (elements, complete) == (len(closure.elements), closure.complete), cap
             if closure.complete or verdict.status == "indeterminate":
                 assert verdict.status == expected.status, cap
@@ -174,8 +178,8 @@ class TestAdaptedBasisCertificate:
         self.assert_matches_closure(gens, (3, 6, 120, DEFAULT_CAP) if finite else (3, 6, 120))
 
     def test_three_lines_fall_back_to_the_closure_witness(self):
-        elements, complete, verdict = decide_distributivity([LINE_A, LINE_B, LINE_C])
-        assert (elements, complete, verdict.status) == (5, True, "not-distributive")
+        elements, complete, verdict, masks = decide_distributivity([LINE_A, LINE_B, LINE_C])
+        assert (elements, complete, verdict.status, masks) == (5, True, "not-distributive", None)
         assert verdict.witness == (LINE_A, LINE_B, LINE_C)
 
     @pytest.mark.parametrize("cap", [5, 6, 7])
@@ -184,7 +188,7 @@ class TestAdaptedBasisCertificate:
         # their count proves the lattice distributive, while its eight
         # elements do not
         axes = [span([row], 3) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-        elements, complete, verdict = decide_distributivity(axes, cap)
+        elements, complete, verdict, _ = decide_distributivity(axes, cap)
         assert (elements, complete, verdict.status) == (cap, False, "distributive")
         self.assert_matches_closure(axes, (cap,))
 
@@ -193,7 +197,7 @@ class TestAdaptedBasisCertificate:
         # the count cannot run and the capped closure decides nothing
         hyperplanes = [span([[int(c == r) for c in range(4)] for r in range(4) if r != h], 4)
                        for h in range(4)]
-        elements, complete, verdict = decide_distributivity(hyperplanes, 10)
+        elements, complete, verdict, _ = decide_distributivity(hyperplanes, 10)
         assert (elements, complete, verdict.status) == (10, False, "indeterminate")
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
