@@ -218,7 +218,7 @@ def validate_hom(f: AlgebraHom) -> Violation | None:
     if f.matrix.apply(f.source.unit) != f.target.unit:
         return Violation("hom-unit", (), "unit does not map to the unit")
     d, prods = f.target.dim, f.target.products
-    cols = [_sparse(f.matrix.column(a)) for a in range(f.source.dim)]
+    cols = [_sparse(c) for c in f.matrix.columns()]
     live = _mask(a for a, c in enumerate(cols) if c)
     for a, row in enumerate(f.source.products):
         bs = _mask(b for b, v in enumerate(row) if v)
@@ -283,7 +283,7 @@ def _quotient_presentation(a: Algebra, proj: Matrix, lifts: Matrix, label: str) 
     """The algebra that a hom ``proj`` out of a maps onto, on the basis whose
     x-th vector lifts to column x of ``lifts``: e_x e_y = proj(lift_x lift_y)
     and the unit is proj(1)."""
-    cols = [lifts.column(x) for x in range(lifts.cols)]
+    cols = lifts.columns()
     table = [[proj.apply(a.multiply(x, y)) for y in cols] for x in cols]
     return Algebra.from_table(table, proj.apply(a.unit), label)
 

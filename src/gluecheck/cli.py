@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -101,8 +102,15 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
 
 
 def _emit(args: argparse.Namespace, report: dict, render: Callable[[dict], Iterable[str]]) -> int:
-    """Print the report as JSON under ``--json``, else the lines ``render`` makes of it."""
-    print(json.dumps(report) if args.json else "\n".join(render(report)))
+    """Print the report as JSON under ``--json``, else the lines ``render`` makes of it.
+    A reader that closed stdout does not change the exit code: the rest of
+    the output goes to the null device."""
+    try:
+        print(json.dumps(report) if args.json else "\n".join(render(report)), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report["exit"]
 
 

@@ -64,8 +64,9 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)))
 
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+    def columns(self) -> tuple[Vector, ...]:
+        """Every column, in one pass over the rows."""
+        return tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix-vector product (v as a column vector)."""
@@ -80,7 +81,7 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def compose(self, other: "Matrix") -> "Matrix":
+    def __matmul__(self, other: "Matrix") -> "Matrix":
         """self @ other, as composition of linear maps."""
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
@@ -94,9 +95,6 @@ class Matrix:
                             acc[j] += c * x
             out.append(tuple(acc))
         return Matrix(self.rows, other.cols, tuple(out))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.compose(other)
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
@@ -282,11 +280,6 @@ def span(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> Subspace:
         if len(r) != ambient_dim:
             raise ValueError("generator length does not match the ambient dimension")
     return _span(rows, ambient_dim)
-
-
-def rref(m: Matrix) -> Subspace:
-    """Canonical basis of the row space of m."""
-    return span(m.entries, m.cols)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:

@@ -328,13 +328,10 @@ def tcirc_c(chain_length: int = 3) -> FiniteGluing:
     )
 
 
-GLUING_FIXTURES = {
-    "tstar": tstar,
+FIXTURES = {
     "tcirc-a": tcirc_a,
     "tcirc-c": tcirc_c,
-}
-
-FAMILY_FIXTURES = {
+    "tstar": tstar,
     "example1": tstar,
     "example2": tcirc_a,
     "example3": tcirc_c,
@@ -342,13 +339,9 @@ FAMILY_FIXTURES = {
 
 
 def fixture_gluing(name: str, chain_length: int = 3) -> FiniteGluing:
-    try:
-        builder = GLUING_FIXTURES.get(name) or FAMILY_FIXTURES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fixture {name!r}; available: "
-            + ", ".join(sorted(GLUING_FIXTURES) + sorted(FAMILY_FIXTURES))
-        ) from None
+    builder = FIXTURES.get(name)
+    if builder is None:
+        raise KeyError(f"unknown fixture {name!r}; available: " + ", ".join(FIXTURES))
     return builder(chain_length)
 
 

@@ -115,46 +115,41 @@ def _shared_pullback_subspace(fam: GluingFamily, order: Sequence[str]) -> Subspa
 class MultiPullback:
     """The compatible-tuple subalgebra over a label subset.
 
-    ``subspace`` lives in the direct-sum ambient; ``projections[i]`` maps
-    presentation coordinates onto the piece B_i.
+    ``subspace`` lives in the direct-sum ambient, and piece B_i holds the
+    coordinates ``offsets[i]`` to ``offsets[i] + dim B_i`` of it.
     """
 
     family: GluingFamily
     over: tuple[str, ...]
     subspace: Subspace
-    projections: Mapping[str, Matrix]
+    offsets: Mapping[str, int]
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
+    def projection(self, label: str) -> Matrix:
+        """The matrix mapping presentation coordinates onto the piece ``label``."""
+        o, d = self.offsets[label], self.family.pieces[label].dim
+        rows = self.subspace.basis_rows
+        return Matrix(d, self.dim, tuple(tuple(row[o + r] for row in rows) for r in range(d)))
+
 
 def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> MultiPullback:
-    """The pullback over a label subset (all labels by default) with its projections."""
+    """The pullback over a label subset (all labels by default) with its block offsets."""
     fam.require_valid()
     order, offsets, _ = _block_layout(fam, fam.labels if over is None else over)
-    sub = _shared_pullback_subspace(fam, order)
-    projections = {
-        i: Matrix(
-            fam.pieces[i].dim,
-            sub.dim,
-            tuple(
-                tuple(row[offsets[i] + r] for row in sub.basis_rows)
-                for r in range(fam.pieces[i].dim)
-            ),
-        )
-        for i in order
-    }
-    return MultiPullback(fam, order, sub, projections)
+    return MultiPullback(fam, order, _shared_pullback_subspace(fam, order), offsets)
 
 
 def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]:
-    """Whether the coordinate projection onto a piece is onto, with its image."""
+    """Whether the coordinate projection onto a piece is onto, with its image:
+    the span of the piece's block of each basis row."""
     if label not in p.over:
         raise ValueError(f"{label} is not part of this pullback")
-    proj = p.projections[label]
-    img = _span((proj.column(c) for c in range(p.dim)), proj.rows)
-    return img.dim == p.family.pieces[label].dim, img
+    o, d = p.offsets[label], p.family.pieces[label].dim
+    img = _span((row[o:o + d] for row in p.subspace.basis_rows), d)
+    return img.dim == d, img
 
 
 @dataclass(frozen=True)
@@ -527,9 +522,10 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
         i, j = fam.surjectivity_failures[0]
         raise RepairRefused(f"map ({i}, {j}) is not surjective")
     p = build_pullback(fam)
+    proj = {i: p.projection(i) for i in p.over}
     kernels: dict[str, Subspace] = {}
     for i in sorted(p.over):
-        kernels[i] = kernel(p.projections[i])
+        kernels[i] = kernel(proj[i])
         if p.dim - kernels[i].dim != fam.pieces[i].dim:
             raise RepairRefused(
                 f"projection onto piece {i} is not surjective "
@@ -551,7 +547,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
     lifts: dict[str, Matrix] = {}
     for i in p.over:
         chart = quotient(p.dim, kernels[i])
-        lifts[i] = chart.section @ invert(p.projections[i] @ chart.section)
+        lifts[i] = chart.section @ invert(proj[i] @ chart.section)
 
     overlaps: dict[tuple[str, str], Algebra] = {}
     maps: dict[tuple[str, str], AlgebraHom] = {}
@@ -561,7 +557,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
         # pi_i is a hom and x - lifts[i] pi_i x lies in K_i, so the product of
         # classes x, y in P/(K_i+K_j) is to_i(pi_i x * pi_i y), read in B_i
         piece = fam.pieces[i]
-        overlap = _quotient_presentation(piece, to_i, p.projections[i] @ chart.section,
+        overlap = _quotient_presentation(piece, to_i, proj[i] @ chart.section,
                                          f"pullback/({i}+{j})")
         overlaps[pair_key(i, j)] = overlap
         maps[(i, j)] = AlgebraHom(piece, overlap, to_i)

@@ -103,6 +103,26 @@ def projection_reference():
     return _projection_reference
 
 
+def _projection_image_reference(p, label):
+    """``(matrix, (surjective, image))`` for the projection of the pullback
+    ``p`` onto piece ``label``: the d x dim P matrix that ``build_pullback``
+    stored for each piece, read row by row from the piece's block of the
+    basis, and the span of its columns, each read one index at a time."""
+    block, d = _blocks(p.family, p.over)[label], p.family.pieces[label].dim
+    rows = p.subspace.basis_rows
+    m = Matrix(d, len(rows), tuple(tuple(row[block][r] for row in rows) for r in range(d)))
+    img = _span((tuple(m.entries[r][c] for r in range(d)) for c in range(m.cols)), d)
+    return m, (img.dim == d, img)
+
+
+@pytest.fixture(scope="session")
+def projection_image_reference():
+    """The stored projection matrix and the image read from its columns,
+    which ``MultiPullback.projection`` and ``projection_surjective``'s read
+    of the piece's block replaced, to test them against."""
+    return _projection_image_reference
+
+
 def _pullback_algebra(p) -> Algebra:
     """The pullback's subspace of the direct sum of its pieces, presented on
     its basis; ``subspace_algebra`` checks the unit and the closure."""
@@ -281,7 +301,7 @@ def _change_of_basis(dim: int, rng: random.Random) -> Matrix:
 
 def _rebased_algebra(a: Algebra, s: Matrix, s_inv: Matrix) -> Algebra:
     """``a`` presented on the columns of ``s`` as its basis."""
-    cols = [s.column(c) for c in range(a.dim)]
+    cols = s.columns()
     table = [[s_inv.apply(a.multiply(x, y)) for y in cols] for x in cols]
     return Algebra.from_table(table, s_inv.apply(a.unit), a.label)
 
@@ -353,7 +373,7 @@ def report_entry():
 
 
 def _transposed(m: Matrix) -> Matrix:
-    return Matrix(m.cols, m.rows, tuple(m.column(c) for c in range(m.cols)))
+    return Matrix(m.cols, m.rows, m.columns())
 
 
 def _checked_quotient(algebra: Algebra, ideal):

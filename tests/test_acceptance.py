@@ -17,7 +17,6 @@ from gluecheck.exactlin import (
     image,
     kernel,
     quotient,
-    rref,
     span,
     subspace_sum,
     intersect,
@@ -122,7 +121,7 @@ def test_criterion_5_repair_suite(example1, example2, example3, matrices):
         assert repaired.family.overlap("I2", "I3").dim == 2
 
         comparison = matrices.stacked(
-            [repaired.pullback.projections[i] for i in repaired.family.labels],
+            [repaired.pullback.projection(i) for i in repaired.family.labels],
             repaired.pullback.dim,
         )
         assert kernel(comparison).dim == 0
@@ -200,7 +199,7 @@ def test_criterion_8_exactness_on_large_rationals():
                 [[big_fraction() for _ in range(cols)] for _ in range(rows)]
             )
 
-            s = rref(m)
+            s = span(m.entries, m.cols)
             assert span(s.basis_rows, cols) == s
 
             assert kernel(m).dim + image(m, Subspace.full(cols)).dim == cols

@@ -430,7 +430,7 @@ def dense_validate_algebra(a: Algebra, table) -> Violation | None:
 def dense_validate_hom(f: AlgebraHom, source, target) -> Violation | None:
     if f.matrix.apply(f.source.unit) != f.target.unit:
         return Violation("hom-unit", (), "unit does not map to the unit")
-    cols = [f.matrix.column(a) for a in range(f.source.dim)]
+    cols = f.matrix.columns()
     for a, b in itertools.product(range(f.source.dim), repeat=2):
         if f.matrix.apply(source[a][b]) != dense_multiply(target, cols[a], cols[b]):
             return Violation("hom-multiplicative", (a, b), f"f(e_{a} e_{b}) != f(e_{a}) f(e_{b})")

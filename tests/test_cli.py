@@ -753,6 +753,29 @@ class TestOneParserPerProcess:
         assert [code for code, _, _ in in_process] == [1, 1, 2, 0]
 
 
+class TestClosedStdout:
+    """A reader that has gone away is not a failed verdict: the exit code
+    is the report's, and nothing reaches stderr."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["check", "--fixture", "example2"], 1),
+        (["check", "--fixture", "example3", "--json"], 0),
+        (["glue", "--fixture", "tstar", "--duality"], 1),
+        (["repair", "--fixture", "example3"], 0),
+    ], ids=["check", "check-json", "glue-duality", "repair"])
+    def test_a_closed_pipe_keeps_the_exit_code(self, argv, expected):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "gluecheck", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (expected, "")
+
+
 class TestCompactJson:
     def test_a_json_report_is_one_line(self, capsys):
         code, out, _ = run(capsys, "check", "--fixture", "example2", "--json")

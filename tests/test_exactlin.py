@@ -13,7 +13,6 @@ from gluecheck.exactlin import (
     invert,
     kernel,
     quotient,
-    rref,
     span,
     subspace_sum,
     vec,
@@ -42,6 +41,11 @@ def subspaces(draw, ambient=None, max_ambient=4):
     return span(m.entries, n)
 
 
+def rref(m: Matrix) -> Subspace:
+    """The canonical basis of the row space of m."""
+    return span(m.entries, m.cols)
+
+
 class TestRref:
     def test_identity(self):
         assert rref(Matrix.identity(2)) == Subspace.full(2)
@@ -59,6 +63,17 @@ class TestRref:
     def test_idempotent(self, m):
         s = rref(m)
         assert span(s.basis_rows, s.ambient_dim) == s
+
+
+class TestColumns:
+    def test_columns_are_the_columns_read_one_index_at_a_time(self):
+        rng = random.Random(0)
+        shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(100)]
+        for rows, cols in shapes:
+            m = Matrix(rows, cols, tuple(tuple(rng.choice((0, 0, 1, -2, Fraction(3, 4)))
+                                               for _ in range(cols)) for _ in range(rows)))
+            assert m.columns() == tuple(tuple(m.entries[r][c] for r in range(rows)) for c in range(cols))
 
 
 class TestSum:

@@ -218,7 +218,7 @@ class TestAdaptedBasisCertificate:
         for name, fam in fresh_families:
             p = build_pullback(fam)
             if all(projection_surjective(p, i)[0] for i in p.over):
-                self.assert_matches_closure([kernel(p.projections[i]) for i in sorted(p.over)])
+                self.assert_matches_closure([kernel(p.projection(i)) for i in sorted(p.over)])
                 checked += 1
         assert checked >= 2
 

@@ -102,6 +102,25 @@ class TestProjections:
         ok, img = projection_surjective(p, "I1")
         assert ok and img.is_full()
 
+    def test_blocks_match_the_stored_matrices(self, rebased_families, projection_image_reference):
+        # over every label subset of size 1, 2 and all, so blocks start at
+        # offsets other than those of the full direct sum
+        families = [dualize(random_gluing(seed)) for seed in range(200)]
+        families += [fixture_family(name, chain) for name in ("example1", "example2", "example3")
+                     for chain in (3, 8, 24)]
+        families += [f for _, fam, rebased in rebased_families for f in (fam, rebased)]
+        compared = 0
+        for fam in families:
+            subsets = [*itertools.combinations(fam.labels, 1), *itertools.combinations(fam.labels, 2)]
+            for over in (None, *subsets):
+                p = build_pullback(fam, over)
+                for i in p.over:
+                    matrix, verdict = projection_image_reference(p, i)
+                    assert p.projection(i) == matrix
+                    assert projection_surjective(p, i) == verdict
+                    compared += 1
+        assert compared > 3000
+
 
 class TestPairwiseExtension:
     def test_circle_family_with_single_overlap_point_fails(self, example2):
@@ -539,7 +558,7 @@ class TestRepair:
                 q, surjection = quotient_algebra(induced, ideal, label=overlap.label)
                 assert overlap == q, (name, i, j)
                 for a, b in ((i, j), (j, i)):
-                    through_piece = result.family.map(a, b).matrix @ result.pullback.projections[a]
+                    through_piece = result.family.map(a, b).matrix @ result.pullback.projection(a)
                     assert through_piece == surjection.matrix, (name, a, b)
 
     def test_repaired_families_pass_validation(self, repairs):
@@ -563,7 +582,7 @@ class TestRepair:
         assert {name for name, _ in repairs} >= {"example2", "example3"}
         for name, result in repairs:
             comparison = matrices.stacked(
-                [result.pullback.projections[i] for i in result.family.labels],
+                [result.pullback.projection(i) for i in result.family.labels],
                 result.pullback.dim,
             )
             repaired_sub = pullback_subspace(result.family)
