@@ -40,6 +40,15 @@ def _combine(terms: Iterable[tuple[Scalar, SparseVector]], dim: int) -> Vector:
     return tuple(acc)
 
 
+def _sparse_sum(terms: Iterable[tuple[Scalar, SparseVector]]) -> dict[int, Scalar]:
+    """The nonzero coordinates k: t of the sum of c * v over the (c, v) in terms."""
+    acc: dict[int, Scalar] = {}
+    for c, v in terms:
+        for k, t in v:
+            acc[k] = acc.get(k, F0) + c * t
+    return {k: t for k, t in acc.items() if t}
+
+
 @dataclass(frozen=True)
 class Algebra:
     """Unital associative algebra; ``products`` is the one stored form of its
@@ -56,6 +65,12 @@ class Algebra:
             len(row) == d and all(_is_sparse(v, d) for v in row) for row in self.products
         ):
             raise ValueError("structure constants do not match the dimension")
+
+    @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """The support mask of each product row: bit b of entry a is set
+        when e_a e_b != 0.  Computed once, for every validator that reads it."""
+        return tuple(_mask(b for b, v in enumerate(row) if v) for row in self.products)
 
     def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear product of coordinate vectors."""
@@ -149,22 +164,27 @@ def validate_algebra(a: Algebra) -> Violation | None:
     where one side can be nonzero are visited, in the order (i, j, k), so
     the first violation is the one a visit of every triple finds.
     """
-    d, prods = a.dim, a.products
-    unit = _sparse(a.unit)
+    d, prods, rows, unit = a.dim, a.products, a.supports, a.unit
+    # the unit check sums only the nonzero products: held has bit m set when
+    # u_m != 0, and held_into[i] is the m in held with e_m e_i != 0
+    held = _mask(m for m, u in enumerate(unit) if u)
+    held_into = [0] * d
+    for m in _bits(held):
+        for i in _bits(rows[m]):
+            held_into[i] |= 1 << m
     for i in range(d):
-        e = ((i, F1),)
-        if _sparse(_combine(((u, prods[m][i]) for m, u in unit), d)) != e:
+        e = {i: F1}
+        if _sparse_sum((unit[m], prods[m][i]) for m in _bits(held_into[i])) != e:
             return Violation("unit", (i,), f"unit * e_{i} != e_{i}")
-        if _sparse(_combine(((u, prods[i][m]) for m, u in unit), d)) != e:
+        if _sparse_sum((unit[m], prods[i][m]) for m in _bits(rows[i] & held)) != e:
             return Violation("unit", (i,), f"e_{i} * unit != e_{i}")
     # rows[l]: the k with e_l e_k != 0; through[j][l]: the k with e_l in
     # e_j e_k; reach[l]: the j with e_l in some e_j e_k
-    rows = [_mask(k for k, v in enumerate(row) if v) for row in prods]
     through: list[dict[int, int]] = [{} for _ in range(d)]
     reach = [0] * d
     for j, row in enumerate(prods):
-        for k, v in enumerate(row):
-            for l, _ in v:
+        for k in _bits(rows[j]):
+            for l, _ in row[k]:
                 through[j][l] = through[j].get(l, 0) | 1 << k
                 reach[l] |= 1 << j
     for i in range(d):
@@ -220,8 +240,7 @@ def validate_hom(f: AlgebraHom) -> Violation | None:
     d, prods = f.target.dim, f.target.products
     cols = [_sparse(c) for c in f.matrix.columns()]
     live = _mask(a for a, c in enumerate(cols) if c)
-    for a, row in enumerate(f.source.products):
-        bs = _mask(b for b, v in enumerate(row) if v)
+    for a, (row, bs) in enumerate(zip(f.source.products, f.source.supports)):
         if live >> a & 1:
             bs |= live
         for b in _bits(bs):

@@ -62,7 +62,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)))
+        return Matrix(n, n, tuple((F0,) * i + (F1,) + (F0,) * (n - 1 - i) for i in range(n)))
 
     def columns(self) -> tuple[Vector, ...]:
         """Every column, in one pass over the rows."""

@@ -371,5 +371,7 @@ def random_gluing(seed: int, max_pieces: int = 6, max_points: int = 12) -> Finit
         size = rng.randint(1, most) if rng.random() < 0.2 else rng.randint(1, min(3, most))
         left = rng.sample(spaces[i], size)
         right = rng.sample(spaces[j], size)
-        identifications[(i, j)] = tuple(zip(left, right))
+        # past 9 pieces the labels S10, S11, ... sort before S2
+        key = pair_key(i, j)
+        identifications[key] = tuple(zip(left, right) if key == (i, j) else zip(right, left))
     return FiniteGluing(labels, spaces, identifications)

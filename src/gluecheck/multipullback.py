@@ -144,11 +144,12 @@ def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> Mult
 
 def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]:
     """Whether the coordinate projection onto a piece is onto, with its image:
-    the span of the piece's block of each basis row."""
+    the span of the piece's blocks of the basis rows that are nonzero."""
     if label not in p.over:
         raise ValueError(f"{label} is not part of this pullback")
     o, d = p.offsets[label], p.family.pieces[label].dim
-    img = _span((row[o:o + d] for row in p.subspace.basis_rows), d)
+    blocks = (row[o:o + d] for row in p.subspace.basis_rows)
+    img = _span([b for b in blocks if any(b)], d)
     return img.dim == d, img
 
 

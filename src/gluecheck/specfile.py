@@ -111,8 +111,6 @@ def _parse_product(value: Any, length: int, path: str, a: int, b: int) -> Sparse
     that ``Algebra.products`` stores.  A "0" is skipped unparsed; a JSON
     ``false`` or ``0.0`` is no "0", so it is still parsed and rejected."""
     _expect_entries(value, length, path, (a, b))
-    if value.count("0") == length:
-        return ()
     out = []
     try:
         for k, x in enumerate(value):
@@ -143,12 +141,14 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
     if len(sc) != dim:
         raise DocumentError(f"expected {dim} rows", here)
     products = []
+    zero = ["0"] * dim  # most vectors of a dense table: one comparison each, unparsed
     for a, row in enumerate(sc):
         if not isinstance(row, list):
             raise DocumentError("expected a list", f"{here}[{a}]")
         if len(row) != dim:
             raise DocumentError(f"expected {dim} entries", f"{here}[{a}]")
-        products.append(tuple(_parse_product(v, dim, here, a, b) for b, v in enumerate(row)))
+        products.append(tuple(() if v == zero else _parse_product(v, dim, here, a, b)
+                              for b, v in enumerate(row)))
     name = _expect(value.get("label", label), str, f"{path}.label", "a string")
     return _sparse_algebra(dim, tuple(products), unit, name)
 

@@ -12,12 +12,17 @@ from gluecheck.algebra import (
     Algebra,
     AlgebraHom,
     GluingFamily,
+    Violation,
+    _bits,
+    _combine,
+    _mask,
+    _sparse,
     pair_key,
     quotient_algebra,
     subspace_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum
+from gluecheck.exactlin import F1, Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum
 from gluecheck.finset import (
     FiniteGluing,
     dualize,
@@ -264,6 +269,80 @@ def surjective_reference():
     """The rank test of surjectivity, the reference for validation's read
     of each map's kernel."""
     return _surjective_reference
+
+
+def _validate_algebra_reference(a: Algebra) -> Violation | None:
+    """``validate_algebra`` before the support masks were kept on the
+    algebra: the unit check sums u_m e_m e_i and u_m e_i e_m over every m
+    with u_m != 0 into dense vectors, and each call scans all d^2 products
+    for their masks."""
+    d, prods = a.dim, a.products
+    unit = _sparse(a.unit)
+    for i in range(d):
+        e = ((i, F1),)
+        if _sparse(_combine(((u, prods[m][i]) for m, u in unit), d)) != e:
+            return Violation("unit", (i,), f"unit * e_{i} != e_{i}")
+        if _sparse(_combine(((u, prods[i][m]) for m, u in unit), d)) != e:
+            return Violation("unit", (i,), f"e_{i} * unit != e_{i}")
+    rows = [_mask(k for k, v in enumerate(row) if v) for row in prods]
+    through: list[dict[int, int]] = [{} for _ in range(d)]
+    reach = [0] * d
+    for j, row in enumerate(prods):
+        for k, v in enumerate(row):
+            for l, _ in v:
+                through[j][l] = through[j].get(l, 0) | 1 << k
+                reach[l] |= 1 << j
+    for i in range(d):
+        row_i, live = prods[i], rows[i]
+        js = live
+        for l in _bits(live):
+            js |= reach[l]
+        for j in _bits(js):
+            left = row_i[j]
+            ks = 0
+            for l, _ in left:
+                ks |= rows[l]
+            for l, m in through[j].items():
+                if live >> l & 1:
+                    ks |= m
+            for k in _bits(ks):
+                lhs = _combine(((c, prods[l][k]) for l, c in left), d)
+                rhs = _combine(((c, row_i[l]) for l, c in prods[j][k]), d)
+                if lhs != rhs:
+                    return Violation(
+                        "associativity", (i, j, k), f"(e_{i} e_{j}) e_{k} != e_{i} (e_{j} e_{k})"
+                    )
+    return None
+
+
+def _validate_hom_reference(f: AlgebraHom) -> Violation | None:
+    """``validate_hom`` before it read the source's support masks: it scans
+    every product of the source for them."""
+    if f.matrix.apply(f.source.unit) != f.target.unit:
+        return Violation("hom-unit", (), "unit does not map to the unit")
+    d, prods = f.target.dim, f.target.products
+    cols = [_sparse(c) for c in f.matrix.columns()]
+    live = _mask(a for a, c in enumerate(cols) if c)
+    for a, row in enumerate(f.source.products):
+        bs = _mask(b for b, v in enumerate(row) if v)
+        if live >> a & 1:
+            bs |= live
+        for b in _bits(bs):
+            lhs = _combine(((t, cols[k]) for k, t in row[b]), d)
+            rhs = _combine(((x * y, prods[p][q]) for p, x in cols[a] for q, y in cols[b]), d)
+            if lhs != rhs:
+                return Violation(
+                    "hom-multiplicative", (a, b), f"f(e_{a} e_{b}) != f(e_{a}) f(e_{b})"
+                )
+    return None
+
+
+@pytest.fixture(scope="session")
+def validator_reference():
+    """``algebra(a)`` and ``hom(f)``: the validators that the unit check
+    over nonzero products and the shared support masks replaced, to test
+    them against."""
+    return SimpleNamespace(algebra=_validate_algebra_reference, hom=_validate_hom_reference)
 
 
 def zeros(rows: int, cols: int) -> Matrix:

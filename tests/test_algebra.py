@@ -21,7 +21,7 @@ from gluecheck.algebra import (
 )
 from gluecheck.exactlin import F0, F1, Matrix, Subspace, kernel, span, vec
 from gluecheck.finset import dualize, fixture_family, tcirc_c
-from gluecheck.multipullback import analyse
+from gluecheck.multipullback import RepairRefused, analyse, repair
 
 
 def upper_triangular_2x2() -> Algebra:
@@ -124,6 +124,37 @@ class TestValidatorCost:
         sums = record_calls(algebra, "_combine")
         assert validate_hom(h) is None
         assert len(sums) <= 3 * 64
+
+
+class TestSupportMasks:
+    """Each algebra keeps the support masks of its product rows, and the
+    unit check sums over the nonzero products they mark."""
+
+    def test_unit_check_sums_no_dense_vector(self, record_calls):
+        sums = record_calls(algebra, "_combine")
+        assert validate_algebra(Algebra.functions(64)) is None
+        assert len(sums) <= 2 * 64
+
+    def test_masks_mark_the_nonzero_products(self):
+        a = upper_triangular_2x2()
+        assert a.supports == (0b011, 0b100, 0b100)
+        assert Algebra.functions(3).supports == (0b001, 0b010, 0b100)
+        assert Algebra.zero().supports == ()
+
+    def test_validating_a_family_computes_each_algebra_s_masks_once(self, monkeypatch):
+        prop = Algebra.__dict__["supports"]
+        computed = []
+
+        def recorded(a, original=prop.func):
+            computed.append(id(a))
+            return original(a)
+
+        monkeypatch.setattr(prop, "func", recorded)
+        text = specfile.dump_document(specfile.family_json(fixture_family("example2")))
+        _, fam, _ = specfile.parse_document(text)
+        assert fam.problems() == []
+        algebras = {id(a) for a in (*fam.pieces.values(), *fam.overlaps.values())}
+        assert sorted(computed) == sorted(algebras)
 
 
 def onto(h: AlgebraHom) -> bool:
@@ -523,3 +554,110 @@ class TestAgainstDenseReference:
         for h in (AlgebraHom(a, Algebra(b.dim, b.products, m.apply(a.unit)), m),
                   AlgebraHom(a, a, Matrix.identity(a.dim))):
             assert validate_hom(h) == dense_validate_hom(h, table, dense_table(h.target))
+
+
+# A mutation moves one entry by one of these steps, an int or a Fraction.
+MUTATION_STEPS = (1, -1, Fraction(1, 2))
+
+
+def mutated_algebra(a: Algebra, rng: random.Random) -> Algebra:
+    """a with one structure constant or one unit entry moved by a step.
+    Where the unit has entries u_x = 0, the constant moved is one of
+    e_x e_y with u_x = u_y = 0: the unit check cannot see it, so
+    associativity decides."""
+    step = rng.choice(MUTATION_STEPS)
+    if rng.random() < 0.3:
+        unit = list(a.unit)
+        unit[rng.randrange(a.dim)] += step
+        return Algebra(a.dim, a.products, tuple(unit), a.label)
+    off_unit = [m for m, u in enumerate(a.unit) if not u]
+    factors = off_unit or range(a.dim)
+    x, y, k = rng.choice(factors), rng.choice(factors), rng.randrange(a.dim)
+    products = [list(row) for row in a.products]
+    constants = dict(products[x][y])
+    constants[k] = constants.get(k, 0) + step
+    products[x][y] = tuple(sorted((k, t) for k, t in constants.items() if t))
+    return Algebra(a.dim, tuple(tuple(row) for row in products), a.unit, a.label)
+
+
+def mutations(fam: GluingFamily, rng: random.Random, count: int):
+    """``count`` seeded one-entry changes of fam, each as the algebras and
+    maps it changes: a structure constant or unit entry of one piece or
+    overlap, with every map into or out of it rebuilt on the changed
+    algebra, or one entry of one map's matrix."""
+    algebras = [a for a in (*fam.pieces.values(), *fam.overlaps.values()) if a.dim]
+    maps = [fam.maps[key] for key in sorted(fam.maps) if fam.maps[key].matrix.rows]
+    for _ in range(count):
+        if maps and rng.random() < 0.25:
+            h = rng.choice(maps)
+            entries = [list(row) for row in h.matrix.entries]
+            entries[rng.randrange(h.matrix.rows)][rng.randrange(h.matrix.cols)] += rng.choice(MUTATION_STEPS)
+            m = Matrix(h.matrix.rows, h.matrix.cols, tuple(tuple(row) for row in entries))
+            yield [], [AlgebraHom(h.source, h.target, m)]
+            continue
+        a = rng.choice(algebras)
+        b = mutated_algebra(a, rng)
+        yield [b], [AlgebraHom(b if h.source == a else h.source, b if h.target == a else h.target,
+                               h.matrix)
+                    for h in fam.maps.values() if a in (h.source, h.target)]
+
+
+def first_violation(v: Violation | None) -> str | None:
+    """The kind of a first violation, with the side of a unit failure."""
+    if v is None:
+        return None
+    if v.kind != "unit":
+        return v.kind
+    return "left-unit" if v.message.startswith("unit *") else "right-unit"
+
+
+class TestAgainstReferenceValidators:
+    """``validate_algebra`` and ``validate_hom`` give what the validators
+    they replaced give (``validator_reference`` in conftest): ``None`` or
+    the same first violation, on every piece, overlap and map."""
+
+    @staticmethod
+    def assert_agree(algebras, homs, validator_reference) -> list:
+        found = []
+        for a in algebras:
+            got = validate_algebra(a)
+            assert got == validator_reference.algebra(a), a.label
+            found.append(first_violation(got))
+        for h in homs:
+            got = validate_hom(h)
+            assert got == validator_reference.hom(h), (h.source.label, h.target.label)
+            found.append(first_violation(got))
+        return found
+
+    @pytest.fixture(scope="class")
+    def families(self, corpus, rebased_families):
+        """The duals of seeds 0-199, example1-3 at chains 3, 8 and 24, the
+        rebased families and their originals, and what ``repair`` writes
+        for each of them."""
+        fams = [fam for _, fam in corpus]
+        fams += [fixture_family(name, chain) for name in ("example1", "example2", "example3")
+                 for chain in (3, 8, 24)]
+        fams += [f for _, fam, rebased in rebased_families for f in (fam, rebased)]
+        repaired = []
+        for fam in fams:
+            try:
+                repaired.append(repair(fam).family)
+            except RepairRefused:
+                pass
+        assert repaired
+        return fams + repaired
+
+    def test_the_families_and_what_repair_writes(self, families, validator_reference):
+        for fam in families:
+            found = self.assert_agree((*fam.pieces.values(), *fam.overlaps.values()),
+                                      fam.maps.values(), validator_reference)
+            assert set(found) == {None}
+
+    def test_one_entry_mutations(self, families, validator_reference):
+        rng = random.Random(21)
+        found = []
+        for fam in families:
+            for algebras, homs in mutations(fam, rng, 2):
+                found += self.assert_agree(algebras, homs, validator_reference)
+        assert {"left-unit", "right-unit", "associativity", "hom-unit",
+                "hom-multiplicative"} <= set(found)

@@ -688,6 +688,11 @@ class TestScripts:
         pairwise = multipullback.check_condition3(dualize(random_gluing(9, max_pieces=12, max_points=2)))
         assert summary["extension"] == {"entries": len(pairwise.entries), "failing": len(pairwise.failures)}
 
+    def test_run_corpus_past_nine_pieces(self):
+        result = self.run_corpus("--max-pieces", "12", "--count", "20", "--json")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert json.loads(result.stdout)["violations"] == []
+
     def test_run_corpus_json_violation_exits_one(self, capsys, monkeypatch):
         spec = importlib.util.spec_from_file_location("run_corpus", ROOT / "scripts" / "run_corpus.py")
         script = importlib.util.module_from_spec(spec)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import deque
 
@@ -262,6 +263,21 @@ class TestRandomGluing:
         assert 2 <= len(g.labels) <= 6
         assert all(1 <= len(pts) <= 12 for pts in g.spaces.values())
         assert not g.problems()
+
+    def test_many_pieces_validate(self):
+        # labels S10, S11, ... sort before S2, so each pair is stored under
+        # its canonical key
+        gluings = [random_gluing(seed, max_pieces=12) for seed in range(60)]
+        assert all(not g.problems() for g in gluings)
+        assert max(len(g.labels) for g in gluings) >= 10
+
+    def test_the_default_draws_are_unchanged(self):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            g = random_gluing(seed)
+            digest.update(repr((g.labels, sorted(g.spaces.items()),
+                                sorted(g.identifications.items()))).encode())
+        assert digest.hexdigest() == "80e3a5ea32650f5df8aa3501b7b461feec88d9c8eed40d8bcd80a60014a93a14"
 
     def test_small_parameters(self):
         g = random_gluing(3, max_pieces=2, max_points=1)

@@ -66,6 +66,47 @@ class TestAgainstDenseParser:
         assert written > 0
 
 
+class TestZeroVectorFastPath:
+    """``_parse_algebra`` takes a vector equal to ["0"] * d as zero without
+    parsing it; every other vector is parsed, so that whatever is not
+    exactly that list gives the algebra or the error the dense parser gives,
+    with the vector's [a][b] path."""
+
+    @staticmethod
+    def with_vector(vector) -> dict:
+        value = specfile.algebra_json(Algebra.functions(5))
+        value["structure_constants"][1][3] = vector
+        return value
+
+    @pytest.mark.parametrize("vector,message", [
+        (["0"] * 4, "expected 5 entries, got 4"),
+        (["0"] * 6, "expected 5 entries, got 6"),
+        ("0", "expected a list"),
+        ({"0": "0"}, "expected a list"),
+    ], ids=["short", "long", "string", "object"])
+    def test_what_is_not_a_vector_of_d_entries(self, dense_specfile, vector, message):
+        value = self.with_vector(vector)
+        result = parsed(specfile._parse_algebra, value)
+        assert result == parsed(dense_specfile.parse_algebra, value)
+        assert result == ("pieces.A.structure_constants[1][3]",
+                          f"pieces.A.structure_constants[1][3]: {message}")
+
+    @pytest.mark.parametrize("zero", [0, "-0", "0/7"], ids=["int", "minus", "sevenths"])
+    def test_other_spellings_of_a_zero_vector(self, dense_specfile, zero):
+        value = self.with_vector([zero] * 5)
+        value["structure_constants"][2][2] = [zero] * 5
+        result = parsed(specfile._parse_algebra, value)
+        assert result == parsed(dense_specfile.parse_algebra, value)
+        assert result.products[2][2] == () and result.products[1][3] == ()
+
+    def test_only_vectors_that_are_not_all_zero_strings_are_parsed(self, record_calls):
+        parses = record_calls(specfile, "_parse_product")
+        value = self.with_vector([0] * 5)
+        result = parsed(specfile._parse_algebra, value)
+        assert result == Algebra.functions(5)
+        assert [(a, b) for _, _, _, a, b in parses] == [(0, 0), (1, 1), (1, 3), (2, 2), (3, 3), (4, 4)]
+
+
 @st.composite
 def algebra_documents(draw) -> dict:
     """An algebra object of dimension 0-3 whose entries spell zero four
