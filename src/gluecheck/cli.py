@@ -434,6 +434,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except specfile.DimensionRefused as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return REFUSED
     except specfile.DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return INVALID

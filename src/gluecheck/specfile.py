@@ -4,6 +4,11 @@ Rationals travel as strings "p/q" in lowest terms with positive
 denominator (plain "p" for integers), never as floats, so documents are
 exact and diff-stable and re-parsing an emitted document reproduces the
 in-memory objects bit for bit.
+
+An algebra's ``structure_constants`` are read in either of two spellings:
+dense, a list of d rows of d coordinate vectors, or sparse, an object
+``{"a": {"b": {"k": "t"}}}`` that lists only the nonzero constants.  The
+writer emits the sparse one.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, SparseVector, _sparse_algebra, pair_key
 from gluecheck.exactlin import Matrix, Scalar, scalar
@@ -20,6 +25,10 @@ from gluecheck.finset import FiniteGluing
 KIND_FAMILY = "algebra-family"
 KIND_GLUING = "finite-gluing"
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# The largest algebra a document may declare.  Checked before its constants
+# are read, in both spellings: the d x d table of products is allocated
+# whatever the spelling, and a sparse one names it in a few bytes.
+MAX_DIM = 1024
 
 
 class DocumentError(ValueError):
@@ -28,6 +37,33 @@ class DocumentError(ValueError):
     def __init__(self, message: str, path: str = ""):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class DimensionRefused(DocumentError):
+    """An algebra whose ``dim`` is past ``MAX_DIM``; the CLI refuses it with exit 3."""
+
+
+class _Repeated(dict):
+    """A JSON object that names ``key`` more than once.  It holds the last
+    value, as ``json`` keeps it; the sparse reader refuses it."""
+
+    key: str
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """The ``object_pairs_hook`` of the parser: a dict, or a ``_Repeated``
+    naming the first key that the object repeats."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            break
+        seen.add(key)
+    repeated = _Repeated(obj)
+    repeated.key = key
+    return repeated
 
 
 def _expect(value: Any, types: type | tuple, path: str, what: str) -> Any:
@@ -131,13 +167,9 @@ def _parse_matrix(value: Any, rows: int, cols: int, path: str) -> Matrix:
     return Matrix(rows, cols, entries)
 
 
-def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
-    _expect(value, dict, path, "an object")
-    dim = _integer(_get(value, "dim", path), 0, f"{path}.dim")
-    unit = _parse_vector(_get(value, "unit", path), dim, f"{path}.unit")
-    here = f"{path}.structure_constants"
-    sc = _get(value, "structure_constants", path)
-    _expect(sc, list, here, "a list")
+def _parse_dense(sc: Any, dim: int, here: str) -> tuple[tuple[SparseVector, ...], ...]:
+    """The products of the dense spelling: ``sc[a][b]`` is the coordinate
+    vector of e_a e_b."""
     if len(sc) != dim:
         raise DocumentError(f"expected {dim} rows", here)
     products = []
@@ -149,8 +181,63 @@ def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
             raise DocumentError(f"expected {dim} entries", f"{here}[{a}]")
         products.append(tuple(() if v == zero else _parse_product(v, dim, here, a, b)
                               for b, v in enumerate(row)))
+    return tuple(products)
+
+
+def _items(obj: Any, indices: Mapping[str, int], path: str, *index: int) -> Iterator[tuple[int, Any]]:
+    """The (n, value) of the object of a sparse table at ``path`` followed by
+    ``[m]`` for each m in ``index``: every key a decimal index below dim with
+    no leading zero, and none repeated."""
+    if not isinstance(obj, dict):
+        raise DocumentError("expected an object", _field(path, index))
+    if type(obj) is _Repeated:
+        raise DocumentError("key repeated in its object", _field(path, index) + f"[{obj.key}]")
+    for key, value in obj.items():
+        n = indices.get(key)
+        if n is None:
+            raise DocumentError(f"key {key!r} is not a decimal index below {len(indices)}",
+                                _field(path, index))
+        yield n, value
+
+
+def _parse_sparse(sc: dict, dim: int, here: str) -> tuple[tuple[SparseVector, ...], ...]:
+    """The products of the sparse spelling, ``sc["a"]["b"]["k"]`` being the
+    k-th coordinate of e_a e_b, in O(d + nonzeros) Python steps.  An absent
+    row, product or coordinate is zero, and so is a zero leaf."""
+    indices = {str(n): n for n in range(dim)}
+    empty = ((),) * dim
+    products = [empty] * dim
+    for a, row in _items(sc, indices, here):
+        vectors = list(empty)
+        for b, vector in _items(row, indices, here, a):
+            out = []
+            for k, x in _items(vector, indices, here, a, b):
+                try:
+                    t = _rational(x)
+                except ValueError as e:
+                    raise DocumentError(str(e), _field(here, (a, b, k))) from None
+                if t:
+                    out.append((k, t))
+            out.sort()
+            vectors[b] = tuple(out)
+        products[a] = tuple(vectors)
+    return tuple(products)
+
+
+def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
+    _expect(value, dict, path, "an object")
+    dim = _integer(_get(value, "dim", path), 0, f"{path}.dim")
+    if dim > MAX_DIM:
+        raise DimensionRefused(f"dimension {dim} is past the bound of {MAX_DIM}", f"{path}.dim")
+    unit = _parse_vector(_get(value, "unit", path), dim, f"{path}.unit")
+    here = f"{path}.structure_constants"
+    sc = _get(value, "structure_constants", path)
+    if isinstance(sc, dict):
+        products = _parse_sparse(sc, dim, here)
+    else:
+        products = _parse_dense(_expect(sc, list, here, "a list or an object"), dim, here)
     name = _expect(value.get("label", label), str, f"{path}.label", "a string")
-    return _sparse_algebra(dim, tuple(products), unit, name)
+    return _sparse_algebra(dim, products, unit, name)
 
 
 def _parse_index(doc: Mapping, path: str) -> tuple[str, ...]:
@@ -263,7 +350,7 @@ def parse_gluing(doc: Mapping, path: str = "") -> FiniteGluing:
 def parse_document(text: str) -> tuple[str, GluingFamily | FiniteGluing, dict]:
     """Parse a document; returns (kind, object, options)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except ValueError:  # an integer literal past Python's digit limit
@@ -292,19 +379,17 @@ def matrix_json(m: Matrix) -> list[list[str]]:
     return [vector_json(r) for r in m.entries]
 
 
-def _product_json(v: SparseVector, dim: int) -> list[str]:
-    out = ["0"] * dim
-    for k, t in v:
-        out[k] = str(t)
-    return out
-
-
 def algebra_json(a: Algebra) -> dict:
+    """The algebra with its constants in the sparse spelling: rows, products
+    and coordinates in increasing order, zeros left out."""
     return {
         "dim": a.dim,
         "label": a.label,
         "unit": vector_json(a.unit),
-        "structure_constants": [[_product_json(v, a.dim) for v in row] for row in a.products],
+        "structure_constants": {
+            str(i): {str(j): {str(k): str(t) for k, t in v} for j, v in enumerate(row) if v}
+            for i, row in enumerate(a.products) if any(row)
+        },
     }
 
 

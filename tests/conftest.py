@@ -206,11 +206,12 @@ def _dense_family_json(fam: GluingFamily, options=None) -> dict:
 
 @pytest.fixture(scope="session")
 def dense_specfile():
-    """``parse_algebra``, ``parse_document`` and ``family_json`` as they were
-    with dense structure constants: the reference that the sparse reader and
-    writer are tested against."""
+    """``parse_algebra``, ``parse_document``, ``algebra_json`` and
+    ``family_json`` as they were with dense structure constants: the
+    reference that the sparse reader and writer are tested against, and the
+    writer of the dense spelling, which the reader still accepts."""
     return SimpleNamespace(parse_algebra=_dense_parse_algebra, parse_document=_dense_parse_document,
-                           family_json=_dense_family_json)
+                           algebra_json=_dense_algebra_json, family_json=_dense_family_json)
 
 
 def _kernel_reference(f: Matrix) -> Subspace:

@@ -135,6 +135,18 @@ class TestSupportMasks:
         assert validate_algebra(Algebra.functions(64)) is None
         assert len(sums) <= 2 * 64
 
+    def test_rows_are_decoded_once_and_both_sides_summed_sparse(self, record_calls):
+        # each row's support is decoded once, then one union of rows per i
+        # and one per visited (i, j): 169 decodings and 24 dense sums before;
+        # validate_hom compares its two sides as sparse sums too
+        bits = record_calls(algebra, "_bits")
+        sums = record_calls(algebra, "_combine")
+        assert validate_algebra(Algebra.functions(24)) is None
+        assert len(bits) <= 3 * 24
+        restriction = Matrix.from_rows([one_hot(0, 24), one_hot(1, 24)])
+        assert validate_hom(AlgebraHom(Algebra.functions(24), Algebra.functions(2), restriction)) is None
+        assert sums == []
+
     def test_masks_mark_the_nonzero_products(self):
         a = upper_triangular_2x2()
         assert a.supports == (0b011, 0b100, 0b100)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _dense_family_json
 from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
 from gluecheck.cli import main
 from gluecheck.finset import dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
@@ -132,8 +133,8 @@ class TestCheckCommand:
         assert code == 2
         assert "pieces.I1.unit[0]" in err
 
-    def test_each_distinct_rational_is_parsed_once(self, monkeypatch):
-        doc = specfile.family_json(fixture_family("example3", 8))
+    def test_each_distinct_rational_is_parsed_once(self, monkeypatch, dense_specfile):
+        doc = dense_specfile.family_json(fixture_family("example3", 8))
         distinct = {x for piece in doc["pieces"].values()
                     for rows in piece["structure_constants"] for v in rows for x in v}
         matched = []
@@ -151,9 +152,9 @@ class TestCheckCommand:
         assert len(matched) == len(set(matched))
         assert set(matched) >= distinct
 
-    def test_a_repeated_bad_rational_names_each_field(self, capsys, tmp_path):
+    def test_a_repeated_bad_rational_names_each_field(self, capsys, tmp_path, dense_specfile):
         # the first bad entry met is named, on every parse: a bad string is not cached
-        doc = specfile.family_json(fixture_family("example3"))
+        doc = dense_specfile.family_json(fixture_family("example3"))
         doc["pieces"]["I2"]["structure_constants"][1][1][0] = "1/0"
         doc["pieces"]["I1"]["structure_constants"][0][1][1] = "1/0"
         path = tmp_path / "bad.json"
@@ -169,8 +170,8 @@ class TestCheckCommand:
         (("overlaps", 2, 1, 0, 1), True, "rationals must be integers or 'p/q' strings"),
         (("maps", 3, 1, 7), "x", "not a valid rational: 'x' is not 'p' or 'p/q'"),
     ], ids=["piece-constant", "last-piece-constant", "overlap-constant", "map-entry"])
-    def test_a_bad_entry_deep_in_a_table_names_its_exact_field(self, where, bad, message):
-        doc = specfile.family_json(fixture_family("example3", 8))
+    def test_a_bad_entry_deep_in_a_table_names_its_exact_field(self, where, bad, message, dense_specfile):
+        doc = dense_specfile.family_json(fixture_family("example3", 8))
         head, *index = where
         node = doc[head][index.pop(0)]
         node = node["structure_constants"] if head != "maps" else node["matrix"]
@@ -400,12 +401,13 @@ class TestMalformedInput:
 
 @functools.cache
 def seed_documents() -> tuple[dict, ...]:
-    """The family and gluing documents of the example fixtures and of
-    ``random_gluing`` seeds 0-3."""
+    """The gluing documents of the example fixtures and of ``random_gluing``
+    seeds 0-3, and their dual families' documents in both spellings of the
+    structure constants."""
     gluings = [fixture_gluing(name) for name in ("example1", "example2", "example3")]
     gluings += [random_gluing(seed) for seed in range(4)]
-    return tuple(doc for g in gluings
-                 for doc in (specfile.family_json(dualize(g)), specfile.gluing_json(g)))
+    return tuple(doc for g in gluings for doc in (
+        specfile.family_json(dualize(g)), _dense_family_json(dualize(g)), specfile.gluing_json(g)))
 
 
 # values a mutation writes: well-typed and ill-typed, in and out of range
@@ -416,9 +418,10 @@ POOL = (0, 1, -1, 2, "0", "1/2", "-1", "1/0", "x", "", "I1", None, True, 0.5, []
 def mutated_documents(draw) -> dict:
     """A seed document with one field replaced by a pool value, deleted, or
     duplicated (a list item inserted twice, a mapping's value copied under a
-    second key).  The field is found by walking down from the root and
-    stopping at each level with even odds, so the few top-level fields are
-    not drowned out by the entries of the tables."""
+    second key, which in a sparse table may be an index).  The field is
+    found by walking down from the root and stopping at each level with even
+    odds, so the few top-level fields are not drowned out by the entries of
+    the tables."""
     doc = copy.deepcopy(draw(st.sampled_from(seed_documents())))
     node = doc
     while True:
@@ -435,29 +438,41 @@ def mutated_documents(draw) -> dict:
     elif isinstance(node, list):
         node.insert(key, copy.deepcopy(child))
     else:
-        node[draw(st.sampled_from(("I1", "A", "kind", "extra")))] = copy.deepcopy(child)
+        node[draw(st.sampled_from(("I1", "A", "kind", "extra", "0", "01")))] = copy.deepcopy(child)
     return doc
 
 
 class TestMutatedDocuments:
-    """A damaged document never crashes a command: it exits 0-3, and a
-    repair that succeeds writes a document that re-parses and validates."""
+    """A damaged document never crashes a command: it exits 0-3, 1 only when
+    the document is valid and a verdict failed, and a repair that succeeds
+    writes a document that re-parses and validates."""
 
     @staticmethod
     def exit_of(argv: list[str]) -> int:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return main(argv)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @staticmethod
+    def assert_valid(path: Path, expect_kind: str) -> None:
+        kind, obj, _ = specfile.parse_document(path.read_text())
+        assert kind == expect_kind
+        if kind == specfile.KIND_FAMILY:
+            assert obj.problems() == []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mutated_documents())
     def test_every_command_exits_zero_to_three(self, doc):
         with tempfile.TemporaryDirectory() as work:
             path, out = Path(work) / "doc.json", Path(work) / "repaired.json"
             path.write_text(json.dumps(doc))
-            assert self.exit_of(["check", str(path)]) in (0, 1, 2, 3)
-            assert self.exit_of(["glue", str(path), "--duality"]) in (0, 1, 2, 3)
+            for argv, kind in ((["check", str(path)], specfile.KIND_FAMILY),
+                               (["glue", str(path), "--duality"], specfile.KIND_GLUING)):
+                code = self.exit_of(argv)
+                assert code in (0, 1, 2, 3)
+                if code == 1:
+                    self.assert_valid(path, kind)
             code = self.exit_of(["repair", str(path), "--out", str(out)])
-            assert code in (0, 1, 2, 3)
+            assert code in (0, 2, 3)
             if code == 0:
                 kind, repaired, _ = specfile.parse_document(out.read_text())
                 assert kind == specfile.KIND_FAMILY
