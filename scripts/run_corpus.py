@@ -14,8 +14,9 @@ and fails, the skips by reason, the violations, and the extension entries
 the families' sweeps decided and how many of them fail (the subset sweep's
 entries, or the pairwise sweep's past the subset bound).  Only a failing
 entry, or one whose extending piece has no adapted basis of its kernels,
-runs an elimination.  The exit code is 1 when there is a violation,
-either way.
+runs an elimination.  It also counts the pieces whose distributivity was
+checked and how many of them had no adapted basis, so that the closure
+decided them.  The exit code is 1 when there is a violation, either way.
 
 Usage: python scripts/run_corpus.py [--count N] [--seed N]
                                     [--max-pieces N] [--max-points N] [--json]
@@ -43,11 +44,15 @@ def main() -> None:
     verdict_counts: Counter = Counter()
     skipped: Counter = Counter()
     extension: Counter = Counter()
+    distributivity: Counter = Counter()
     bad = []
     start = time.perf_counter()
     for seed in range(args.seed, args.seed + args.count):
         gluing = random_gluing(seed, max_pieces=args.max_pieces, max_points=args.max_points)
         analysis = analyse(dualize(gluing))
+        for piece in analysis.distributive.per_piece:
+            distributivity["pieces"] += 1
+            distributivity["by_closure"] += piece.blocks is None
         swept = analysis.all_extensions
         if not isinstance(swept, ExtensionReport):
             swept = analysis.pairwise_extensions  # None when a map is not onto
@@ -74,6 +79,8 @@ def main() -> None:
             "violations": [{"seed": seed, "kind": kind, "detail": list(detail)}
                            for seed, kind, detail in bad],
             "extension": {"entries": extension["entries"], "failing": extension["failing"]},
+            "distributivity": {"pieces": distributivity["pieces"],
+                               "by_closure": distributivity["by_closure"]},
         }))
         raise SystemExit(1 if bad else 0)
 

@@ -153,13 +153,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     dist = analysis.distributive
     per_piece = []
     for p in dist.per_piece:
-        entry = {
-            "piece": p.label,
-            "lattice_elements": p.elements,
-            "complete": p.complete,
-            "all_ideals": True,  # kernels of validated homs are ideals
-            "status": p.verdict.status,
-        }
+        entry = {"piece": p.label, "status": p.verdict.status}
+        if p.blocks is not None:
+            entry["blocks"] = [{"width": c, "kernels": list(js)} for c, js in p.blocks]
         if p.verdict.witness is not None:
             entry["witness"] = _lattice_witness_json(p.verdict.witness)
         per_piece.append(entry)
@@ -412,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the family checks")
     common(p_check)
-    p_check.add_argument("--cap", type=at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
+    p_check.add_argument("--cap", type=at_least(1), help=f"lattice cap (default {DEFAULT_CAP})")
     p_check.add_argument("--max-j", type=at_least(1),
                          help=f"piece-count bound for the subset check (default {DEFAULT_MAX_INDICES})")
     p_check.set_defaults(fn=cmd_check)
@@ -424,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repair = sub.add_parser("repair", help="re-present a family so the cocycle condition holds")
     common(p_repair)
-    p_repair.add_argument("--cap", type=at_least(1), help=f"lattice closure cap (default {DEFAULT_CAP})")
+    p_repair.add_argument("--cap", type=at_least(1), help=f"lattice cap (default {DEFAULT_CAP})")
     p_repair.add_argument("--out", help="write the re-presented family document here")
     p_repair.set_defaults(fn=cmd_repair)
     return parser

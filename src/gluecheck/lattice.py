@@ -2,26 +2,26 @@
 intersection.
 
 ``decide_distributivity`` decides it by a dimension count over an adapted
-basis, and only when the count fails does it run the closure
-(``generate_lattice``) and the triple test on it (``is_distributive``),
-which give the verdict and its witness.  Closure of four or more
-generators can be infinite inside a modular lattice, so the closure stops
-at a cap with an honest ``complete`` flag.  A count that succeeds
-decides distributivity even when the listing passes the cap; otherwise
-distributivity of an incomplete closure is reported as indeterminate,
-never silently as true or false.
+basis, whose blocks are the report of a piece it decides.  Only when the
+count fails does it run the closure (``generate_lattice``) and the triple
+test on it (``is_distributive``), which give the verdict and its witness.
+The cap bounds both: the meets the count lists, then the elements the
+closure lists.  Closure of four or more generators can be infinite inside
+a modular lattice, so a closure stops at the cap with an honest
+``complete`` flag, and distributivity that only an incomplete closure
+could decide is reported as indeterminate, never silently as true or
+false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Iterable, Literal, Sequence
 
 from gluecheck.algebra import GluingFamily
 from gluecheck.exactlin import Subspace, _span, intersect, subspace_sum
 
 DEFAULT_CAP = 10_000
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,21 @@ def _generators(gens: Iterable[Subspace], cap: int) -> tuple[Subspace, ...]:
     return generators
 
 
-def _close(gens: Sequence[T], join: Callable[[T, T], T], meet: Callable[[T, T], T], cap: int
-           ) -> tuple[list[T], bool, dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Fixed-point closure under ``join`` and ``meet``: the generators first,
-    deduplicated, then each pair (i, j < i) in list order, join before meet.
+def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> LatticeClosure:
+    """Fixed-point closure of the generators under sum and intersection:
+    the generators first, deduplicated by canonical form, then each pair
+    (i, j < i) in list order, sum before meet.
 
-    Returns the elements, whether the closure finished before the cap (it
-    has not when a distinct generator is past it), and the join and meet of
-    every pair reached, keyed (larger index, smaller).
+    On completion the sum and meet tables cover every pair of elements.  If
+    the cap is hit first, as it is when a distinct generator is past it,
+    the closure stops with ``complete=False`` and partial tables, -1 marking
+    a pair not reached.
     """
-    elements: list[T] = []
-    index: dict[T, int] = {}
+    generators = _generators(gens, cap)
+    elements: list[Subspace] = []
+    index: dict[Subspace, int] = {}
 
-    def add(s: T) -> int | None:
+    def add(s: Subspace) -> int | None:
         found = index.get(s)
         if found is not None:
             return found
@@ -66,36 +68,24 @@ def _close(gens: Sequence[T], join: Callable[[T, T], T], meet: Callable[[T, T], 
         elements.append(s)
         return index[s]
 
-    for s in gens:
-        if add(s) is None:
-            return elements, False, {}, {}
-
-    joins: dict[tuple[int, int], int] = {}
+    sums: dict[tuple[int, int], int] = {}  # keyed (larger index, smaller)
     meets: dict[tuple[int, int], int] = {}
+    complete = all(add(s) is not None for s in generators)
     i = 0
-    while i < len(elements):
+    while complete and i < len(elements):
         a = elements[i]
         for j in range(i):  # a + a = a & a = a, recorded below
             b = elements[j]
-            si = add(join(a, b))
-            mi = add(meet(a, b))
+            si = add(subspace_sum(a, b))
+            mi = add(intersect(a, b))
             if si is None or mi is None:
-                return elements, False, joins, meets
-            joins[(i, j)] = si
+                complete = False
+                break
+            sums[(i, j)] = si
             meets[(i, j)] = mi
-        joins[(i, i)] = meets[(i, i)] = i
+        else:
+            sums[(i, i)] = meets[(i, i)] = i
         i += 1
-    return elements, True, joins, meets
-
-
-def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> LatticeClosure:
-    """Fixed-point closure of the generators under sum and intersection.
-
-    Elements are deduplicated by canonical form.  On completion the sum and
-    meet tables cover every pair of elements; if the cap is hit first the
-    closure stops with ``complete=False`` and partial tables.
-    """
-    elements, complete, sums, meets = _close(_generators(gens, cap), subspace_sum, intersect, cap)
     n = len(elements)
     sum_table = tuple(
         tuple(sums.get((max(x, y), min(x, y)), -1) for y in range(n)) for x in range(n)
@@ -140,9 +130,11 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
     return DistributivityVerdict("distributive")
 
 
-def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
-    """Each generator as a bit mask over the vectors of an adapted basis, or
-    None when no basis adapts to them all or their meets pass the cap.
+def _adapted_basis(gens: Sequence[Subspace], cap: int
+                   ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]] | None:
+    """Each generator as a bit mask over the vectors of an adapted basis,
+    and the blocks of that basis, or None when no basis adapts to them all
+    or their meets pass the cap.
 
     Let X run over the distinct meets of Q^d and the generators, and let
     X_< be the sum of the meets strictly inside X, which is the sum of the
@@ -158,7 +150,8 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
     give each S_i the blocks C_X with X inside S_i.  Block C_X takes c(X)
     bits, one for each of its vectors, so the popcount of a mask, or of
     the & of several, is the dimension of that generator or of their meet.
-    No C_X is built.
+    Each C_X with c(X) > 0 is listed, in the order of its bits, as c(X)
+    and the indices of the generators containing X.  No C_X is built.
     """
     ambient = gens[0].ambient_dim
     full = Subspace.full(ambient)
@@ -166,6 +159,7 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
     index = {full: 0}
     inside: list[set[int]] = [set()]  # generators known to contain each meet
     masks = [0] * len(gens)
+    blocks = []
     counted = 0
     x = 0
     while x < len(meets):
@@ -191,43 +185,43 @@ def _adapted_masks(gens: Sequence[Subspace], cap: int) -> list[int] | None:
         c = here.dim - _span(below, ambient).dim
         if counted + c > ambient:
             return None
-        block = ((1 << c) - 1) << counted  # the bits of C_X
-        for i in known:  # now every generator that contains this meet
-            masks[i] |= block
-        counted += c
+        if c:
+            block = ((1 << c) - 1) << counted  # the bits of C_X
+            for i in known:  # now every generator that contains this meet
+                masks[i] |= block
+            blocks.append((c, tuple(sorted(known))))
+            counted += c
         x += 1
     if counted != ambient:
         return None
-    return masks
+    return masks, blocks
 
 
 def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
-                          ) -> tuple[int, bool, DistributivityVerdict, list[int] | None]:
-    """Whether the generators' lattice is distributive, with the number of
-    elements ``generate_lattice`` lists for it under the same cap, whether
-    that listing is complete, and the generators' masks over an adapted
-    basis, or None when there is none.
+                          ) -> tuple[DistributivityVerdict, list[int] | None,
+                                     list[tuple[int, tuple[int, ...]]] | None]:
+    """Whether the generators' lattice is distributive, with the
+    generators' masks over an adapted basis and its blocks, as
+    ``_adapted_basis`` gives them, or None and None when there is none.
 
-    When an adapted basis exists the lattice is distributive, whether or
-    not closing the generators' masks in ``generate_lattice``'s order, which
-    gives the count, passes the cap.  Otherwise the closure and
-    ``is_distributive`` give the verdict and its witness triple.
+    An adapted basis proves the lattice distributive.  Without one, within
+    the cap, the closure and ``is_distributive`` give the verdict and its
+    witness triple.
     """
     generators = _generators(gens, cap)
-    masks = _adapted_masks(generators, cap)
-    if masks is None:
-        closure = generate_lattice(generators, cap)
-        return len(closure.elements), closure.complete, is_distributive(closure), None
-    elements, complete, _, _ = _close(masks, int.__or__, int.__and__, cap)
-    return len(elements), complete, DistributivityVerdict("distributive"), masks
+    basis = _adapted_basis(generators, cap)
+    if basis is None:
+        return is_distributive(generate_lattice(generators, cap)), None, None
+    return DistributivityVerdict("distributive"), *basis
 
 
 @dataclass(frozen=True)
 class PieceLatticeReport:
     label: str
-    elements: int  # of the kernels' closure, up to the cap
-    complete: bool  # whether the closure was listed within the cap
     verdict: DistributivityVerdict
+    # each block C_X of an adapted basis as (c(X), the sorted labels j
+    # whose ker m_ij contains X); None when the closure decided the piece
+    blocks: tuple[tuple[int, tuple[str, ...]], ...] | None
 
 
 @dataclass(frozen=True)
@@ -252,9 +246,10 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
     for i in sorted(fam.labels):
         others = [j for j in sorted(fam.labels) if j != i]
         gens = [fam.map_kernels[(i, j)] for j in others] or [Subspace.zero(fam.pieces[i].dim)]
-        elements, complete, verdict, masks = decide_distributivity(gens, cap)
+        verdict, masks, blocks = decide_distributivity(gens, cap)
         if masks is not None:
             fam.kernel_blocks[i] = dict(zip(others, masks))
-        reports.append(PieceLatticeReport(i, elements, complete, verdict))
+            blocks = tuple((c, tuple(others[n] for n in inside)) for c, inside in blocks)
+        reports.append(PieceLatticeReport(i, verdict, blocks))
     ok = not fam.surjectivity_failures and all(r.verdict for r in reports)
     return DistributiveFamilyReport(tuple(reports), fam.surjectivity_failures, ok)

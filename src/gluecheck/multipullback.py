@@ -533,7 +533,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
                 f"(image has dimension {p.dim - kernels[i].dim} of {fam.pieces[i].dim})",
                 projection=i,
             )
-    _, _, verdict, _ = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
+    verdict, _, _ = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     if verdict.status == "indeterminate":
         raise RepairRefused(
             f"projection-kernel lattice exceeded the closure cap ({lattice_cap}); "

@@ -45,7 +45,7 @@ class DimensionRefused(DocumentError):
 
 class _Repeated(dict):
     """A JSON object that names ``key`` more than once.  It holds the last
-    value, as ``json`` keeps it; the sparse reader refuses it."""
+    value, as ``json`` keeps it; ``_expect`` refuses it."""
 
     key: str
 
@@ -66,10 +66,20 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
     return repeated
 
 
-def _expect(value: Any, types: type | tuple, path: str, what: str) -> Any:
+def _expect(value: Any, types: type | tuple, path: str, what: str, indexed: bool = False) -> Any:
+    """``value``, if it is of ``types`` and not an object that repeats a
+    key; that key is named ``path[key]`` when ``indexed``, else ``path.key``."""
     if not isinstance(value, types):
         raise DocumentError(f"expected {what}", path)
+    if type(value) is _Repeated:
+        raise DocumentError("key repeated in its object",
+                            f"{path}[{value.key}]" if indexed else _member(path, value.key))
     return value
+
+
+def _member(path: str, key: str) -> str:
+    """The field name of ``key`` in the object at ``path``."""
+    return f"{path}.{key}" if path else key
 
 
 def _integer(value: Any, least: int, path: str) -> int:
@@ -82,7 +92,7 @@ def _integer(value: Any, least: int, path: str) -> int:
 
 def _get(obj: Mapping, key: str, path: str) -> Any:
     if key not in obj:
-        raise DocumentError("missing field", f"{path}.{key}" if path else key)
+        raise DocumentError("missing field", _member(path, key))
     return obj[key]
 
 
@@ -188,10 +198,8 @@ def _items(obj: Any, indices: Mapping[str, int], path: str, *index: int) -> Iter
     """The (n, value) of the object of a sparse table at ``path`` followed by
     ``[m]`` for each m in ``index``: every key a decimal index below dim with
     no leading zero, and none repeated."""
-    if not isinstance(obj, dict):
-        raise DocumentError("expected an object", _field(path, index))
-    if type(obj) is _Repeated:
-        raise DocumentError("key repeated in its object", _field(path, index) + f"[{obj.key}]")
+    if type(obj) is not dict:  # the field name is built only here, for the error
+        _expect(obj, dict, _field(path, index), "an object", indexed=True)
     for key, value in obj.items():
         n = indices.get(key)
         if n is None:

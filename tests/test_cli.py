@@ -237,8 +237,7 @@ class TestCheckCommand:
         assert code == 1
         pieces = {p["piece"]: p for p in report["distributive"]["per_piece"]}
         assert pieces["P1"]["status"] == "indeterminate"
-        assert (pieces["P1"]["complete"], pieces["P1"]["lattice_elements"]) == (False, cap)
-        assert "witness" not in pieces["P1"]
+        assert pieces["P1"] == {"piece": "P1", "status": "indeterminate"}  # no blocks, no witness
         assert report["theorem"] == {"ran": False, "reason": "family is not distributive"}
         code, out, _ = run(capsys, "check", str(path), "--cap", str(cap))
         assert code == 1
@@ -246,7 +245,8 @@ class TestCheckCommand:
         assert (f"kernel lattice of piece P1 passed the closure cap ({cap}); "
                 "distributivity undecided") in out
 
-    def test_a_count_that_succeeds_runs_the_theorem_past_the_cap(self, capsys, tmp_path):
+    @staticmethod
+    def spokes_document(tmp_path) -> Path:
         # each spoke matches its points to S1 = {a, b, c} and the spokes share
         # nothing, so S1's kernels are the three coordinate axes: five meets,
         # whose count proves distributivity, and eight lattice elements
@@ -258,13 +258,47 @@ class TestCheckCommand:
         )
         path = tmp_path / "spokes.json"
         path.write_text(specfile.dump_document(specfile.family_json(dualize(g))))
-        code, report, _ = run_json(capsys, "check", str(path), "--cap", "5")
+        return path
+
+    def test_a_count_that_succeeds_runs_the_theorem_past_the_cap(self, capsys, tmp_path):
+        # a cap of five admits exactly the five meets
+        code, report, _ = run_json(capsys, "check", str(self.spokes_document(tmp_path)), "--cap", "5")
         assert code == 1
         s1 = report["distributive"]["per_piece"][0]
-        assert (s1["piece"], s1["status"], s1["complete"], s1["lattice_elements"]) == (
-            "S1", "distributive", False, 5)
+        assert (s1["piece"], s1["status"], s1["blocks"]) == ("S1", "distributive", [
+            {"width": 1, "kernels": ["S2"]}, {"width": 1, "kernels": ["S3"]},
+            {"width": 1, "kernels": ["S4"]},
+        ])
         assert report["distributive"]["ok"] is True
         assert report["theorem"] == {"ran": True, "verdicts": [False, False, False], "consistent": True}
+
+    def test_a_cap_one_below_the_meets_is_indeterminate(self, capsys, tmp_path):
+        code, report, _ = run_json(capsys, "check", str(self.spokes_document(tmp_path)), "--cap", "4")
+        assert code == 1
+        s1 = report["distributive"]["per_piece"][0]
+        assert s1 == {"piece": "S1", "status": "indeterminate"}
+        assert report["theorem"] == {"ran": False, "reason": "family is not distributive"}
+
+    def test_a_one_piece_family_is_one_block(self, capsys, tmp_path):
+        # no map leaves the piece, so its whole algebra is one block in no kernel
+        g = finset.FiniteGluing(("A",), {"A": ("p", "q", "r")}, {})
+        path = tmp_path / "one-piece.json"
+        path.write_text(specfile.dump_document(specfile.family_json(dualize(g))))
+        code, report, _ = run_json(capsys, "check", str(path))
+        assert code == 0
+        assert report["distributive"]["per_piece"] == [
+            {"piece": "A", "status": "distributive", "blocks": [{"width": 3, "kernels": []}]},
+        ]
+
+    def test_a_piece_of_dimension_zero_has_no_blocks(self, capsys, tmp_path):
+        g = finset.FiniteGluing(("A", "E"), {"A": ("p", "q"), "E": ()}, {})
+        path = tmp_path / "empty-piece.json"
+        path.write_text(specfile.dump_document(specfile.family_json(dualize(g))))
+        code, report, _ = run_json(capsys, "check", str(path))
+        assert code == 0
+        pieces = {p["piece"]: p for p in report["distributive"]["per_piece"]}
+        assert pieces["E"] == {"piece": "E", "status": "distributive", "blocks": []}
+        assert pieces["A"]["blocks"] == [{"width": 2, "kernels": ["E"]}]
 
     def test_twisted_triangle_fails_clause_two(self, capsys, tmp_path, twisted_triangle):
         path = tmp_path / "twisted.json"
@@ -693,6 +727,9 @@ class TestScripts:
         assert summary["extension"] == {"entries": sum(len(r.entries) for r in sweeps),
                                         "failing": sum(len(r.failures) for r in sweeps)}
         assert 0 < summary["extension"]["failing"] < summary["extension"]["entries"]
+        # the count decides every piece of these families
+        pieces = sum(len(random_gluing(seed).labels) for seed in range(5))
+        assert summary["distributivity"] == {"pieces": pieces, "by_closure": 0}
         skipped = self.run_corpus("--count", "1", "--seed", "9", "--max-pieces", "12",
                                   "--max-points", "2", "--json")
         assert skipped.returncode == 0, skipped.stdout + skipped.stderr

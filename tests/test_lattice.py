@@ -86,8 +86,8 @@ class TestGenerateLattice:
         assert not closure.complete
         assert len(closure.elements) == cap
         assert is_distributive(closure).status == "indeterminate"
-        elements, complete, verdict, _ = decide_distributivity(gens, cap)
-        assert (elements, complete, verdict.status) == (cap, False, "indeterminate")
+        verdict, masks, blocks = decide_distributivity(gens, cap)
+        assert (verdict.status, masks, blocks) == ("indeterminate", None, None)
 
     def test_mismatched_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -144,21 +144,39 @@ def subspace_sets(draw):
 
 class TestAdaptedBasisCertificate:
     """``decide_distributivity`` against the closure and ``is_distributive``:
-    the same element count, the same ``complete`` and the same verdict,
-    except that the count may prove distributive a lattice whose closure
-    passes the cap."""
+    the same verdict and witness, except that the count may prove
+    distributive a lattice whose closure passes the cap.  The blocks it
+    reports are checked against exact linear algebra."""
 
     @staticmethod
-    def assert_matches_closure(gens, caps=(3, 6, DEFAULT_CAP)):
+    def assert_blocks_adapt(gens, masks, blocks):
+        """The blocks' widths count the ambient space, each generator and
+        each meet of two; the masks are the blocks' bits."""
+        assert all(width > 0 for width, _ in blocks)
+        assert sum(width for width, _ in blocks) == gens[0].ambient_dim
+        for n, g in enumerate(gens):
+            assert sum(width for width, inside in blocks if n in inside) == g.dim
+        for n, m in itertools.combinations(range(len(gens)), 2):
+            assert (sum(width for width, inside in blocks if n in inside and m in inside)
+                    == intersect(gens[n], gens[m]).dim)
+        bits = [0] * len(gens)
+        offset = 0
+        for width, inside in blocks:
+            for n in inside:
+                bits[n] |= ((1 << width) - 1) << offset
+            offset += width
+        assert bits == masks
+
+    @classmethod
+    def assert_matches_closure(cls, gens, caps=(3, 6, DEFAULT_CAP)):
         for cap in caps:
             closure = generate_lattice(gens, cap)
-            elements, complete, verdict, masks = decide_distributivity(gens, cap)
+            verdict, masks, blocks = decide_distributivity(gens, cap)
             expected = is_distributive(closure)
+            assert (masks is None) == (blocks is None), cap
             if masks is not None:
-                # the popcount of a generator's mask is its dimension
                 assert verdict.status == "distributive", cap
-                assert [bin(m).count("1") for m in masks] == [g.dim for g in gens], cap
-            assert (elements, complete) == (len(closure.elements), closure.complete), cap
+                cls.assert_blocks_adapt(gens, masks, blocks)
             if closure.complete or verdict.status == "indeterminate":
                 assert verdict.status == expected.status, cap
             else:
@@ -167,6 +185,29 @@ class TestAdaptedBasisCertificate:
                 uncapped = generate_lattice(gens, 2 ** gens[0].ambient_dim)
                 assert is_distributive(uncapped).status == "distributive", cap
             assert verdict.witness == expected.witness
+
+    @classmethod
+    def assert_piece_blocks_adapt(cls, fam):
+        """Every piece the count decides reports blocks whose widths count
+        the piece, each ker m_ij and each ker m_ij & ker m_il, with the
+        labels j in sorted order; returns how many pieces it decided."""
+        counted = 0
+        for piece in check_distributive_family(fam).per_piece:
+            if piece.blocks is not None:
+                others = [j for j in sorted(fam.labels) if j != piece.label]
+                assert all(list(inside) == sorted(inside) for _, inside in piece.blocks)
+                gens = [fam.map_kernels[(piece.label, j)] for j in others]
+                masks = [fam.kernel_blocks[piece.label][j] for j in others]
+                blocks = [(width, tuple(others.index(j) for j in inside)) for width, inside in piece.blocks]
+                cls.assert_blocks_adapt(gens, masks, blocks)
+                counted += 1
+        return counted
+
+    def test_reported_blocks_of_every_family(self, fresh_families, rebased_families):
+        # every piece of these families has maps out of it and is decided by the count
+        families = [fam for _, fam in fresh_families] + [fam for _, _, fam in rebased_families]
+        counted = sum(self.assert_piece_blocks_adapt(fam) for fam in families)
+        assert counted == sum(len(fam.labels) for fam in families)
 
     @given(subspace_sets())
     @settings(max_examples=300, deadline=None)
@@ -178,18 +219,20 @@ class TestAdaptedBasisCertificate:
         self.assert_matches_closure(gens, (3, 6, 120, DEFAULT_CAP) if finite else (3, 6, 120))
 
     def test_three_lines_fall_back_to_the_closure_witness(self):
-        elements, complete, verdict, masks = decide_distributivity([LINE_A, LINE_B, LINE_C])
-        assert (elements, complete, verdict.status, masks) == (5, True, "not-distributive", None)
+        verdict, masks, blocks = decide_distributivity([LINE_A, LINE_B, LINE_C])
+        assert (verdict.status, masks, blocks) == ("not-distributive", None, None)
         assert verdict.witness == (LINE_A, LINE_B, LINE_C)
 
     @pytest.mark.parametrize("cap", [5, 6, 7])
     def test_a_count_that_succeeds_decides_past_the_cap(self, cap):
         # the five meets of the coordinate axes of Q^3 fit under the cap and
         # their count proves the lattice distributive, while its eight
-        # elements do not
+        # elements do not; each axis is a block of its own
         axes = [span([row], 3) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-        elements, complete, verdict, _ = decide_distributivity(axes, cap)
-        assert (elements, complete, verdict.status) == (cap, False, "distributive")
+        verdict, _, blocks = decide_distributivity(axes, cap)
+        assert verdict.status == "distributive"
+        assert blocks == [(1, (0,)), (1, (1,)), (1, (2,))]
+        assert not generate_lattice(axes, cap).complete
         self.assert_matches_closure(axes, (cap,))
 
     def test_meets_past_the_cap_stay_indeterminate(self):
@@ -197,8 +240,8 @@ class TestAdaptedBasisCertificate:
         # the count cannot run and the capped closure decides nothing
         hyperplanes = [span([[int(c == r) for c in range(4)] for r in range(4) if r != h], 4)
                        for h in range(4)]
-        elements, complete, verdict, _ = decide_distributivity(hyperplanes, 10)
-        assert (elements, complete, verdict.status) == (10, False, "indeterminate")
+        verdict, _, blocks = decide_distributivity(hyperplanes, 10)
+        assert (verdict.status, blocks) == ("indeterminate", None)
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
     def test_generators_past_the_cap_keep_the_closure_order(self, order):

@@ -292,22 +292,33 @@ class TestSparseSpelling:
         for command in (["check"], ["check", "--json"], ["repair", "--out", str(tmp_path / "out.json")]):
             assert run_main(command + [str(path)]) == (2, "", f"error: {HERE}{field}: {message}\n")
 
-    @pytest.mark.parametrize("repeated,field", [
-        ('"1": {"1": {"1": "1"}}, "1": {"1": {"1": "1"}}', ""),
-        ('"1": {"1": {"1": "1"}, "1": {"1": "2"}}', "[1]"),
-        ('"1": {"1": {"1": "1", "1": "1"}}', "[1][1]"),
-    ], ids=["row", "product", "coordinate"])
-    def test_a_repeated_key_is_refused_not_overwritten(self, repeated, field, tmp_path):
-        text = one_piece_document(with_table(FUNCTIONS_3)).replace(
-            '"1": {"1": {"1": "1"}}', repeated)
+    @pytest.mark.parametrize("document,key,repeated,field", [
+        ("table", '"1": {"1": {"1": "1"}}', '"1": {"1": {"1": "1"}}, "1": {"1": {"1": "1"}}', f"{HERE}[1]"),
+        ("table", '"1": {"1": {"1": "1"}}', '"1": {"1": {"1": "1"}, "1": {"1": "2"}}', f"{HERE}[1][1]"),
+        ("table", '"1": {"1": {"1": "1"}}', '"1": {"1": {"1": "1", "1": "1"}}', f"{HERE}[1][1][1]"),
+        ("family", '{"kind"', '{"index": ["Z"], "kind"', "index"),
+        ("table", '"pieces": {"A": ', '"pieces": {"A": {}, "A": ', "pieces.A"),
+        ("table", '{"dim": 3', '{"dim": 4, "dim": 3', "pieces.A.dim"),
+        ("family", '"options": {"max_j": 8}', '"options": {"max_j": 8, "max_j": 8}', "options.max_j"),
+        ("gluing", '"spaces": {"S1": ', '"spaces": {"S1": [], "S1": ', "spaces.S1"),
+    ], ids=["row", "product", "coordinate", "index", "piece", "dim", "option", "spaces"])
+    def test_a_repeated_key_is_refused_not_overwritten(self, document, key, repeated, field, tmp_path):
+        # each document would parse, taking the last value of the key
+        command, text = {
+            "table": ("check", one_piece_document(with_table(FUNCTIONS_3))),
+            "family": ("check", specfile.dump_document(
+                specfile.family_json(dualize(random_gluing(0)), {"max_j": 8}))),
+            "gluing": ("glue", specfile.dump_document(specfile.gluing_json(random_gluing(0)))),
+        }[document]
+        text = text.replace(key, repeated, 1)
         assert repeated in text
         with pytest.raises(specfile.DocumentError) as caught:
             specfile.parse_document(text)
-        assert caught.value.path == f"{HERE}{field}[1]"
-        assert str(caught.value) == f"{HERE}{field}[1]: key repeated in its object"
+        assert caught.value.path == field
+        assert str(caught.value) == f"{field}: key repeated in its object"
         path = tmp_path / "repeated.json"
         path.write_text(text)
-        assert run_main(["check", str(path)])[0] == 2
+        assert run_main([command, str(path)]) == (2, "", f"error: {field}: key repeated in its object\n")
 
 
 class TestDimensionBound:
