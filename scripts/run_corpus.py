@@ -50,9 +50,9 @@ def main() -> None:
     for seed in range(args.seed, args.seed + args.count):
         gluing = random_gluing(seed, max_pieces=args.max_pieces, max_points=args.max_points)
         analysis = analyse(dualize(gluing))
-        for piece in analysis.distributive.per_piece:
+        for verdict in analysis.distributive.per_piece.values():
             distributivity["pieces"] += 1
-            distributivity["by_closure"] += piece.blocks is None
+            distributivity["by_closure"] += verdict.blocks is None
         swept = analysis.all_extensions
         if not isinstance(swept, ExtensionReport):
             swept = analysis.pairwise_extensions  # None when a map is not onto

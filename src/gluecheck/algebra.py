@@ -70,7 +70,7 @@ class Algebra:
     def supports(self) -> tuple[int, ...]:
         """The support mask of each product row: bit b of entry a is set
         when e_a e_b != 0.  Computed once, for every validator that reads it."""
-        return tuple(_mask(b for b, v in enumerate(row) if v) for row in self.products)
+        return tuple(_mask(itertools.compress(range(self.dim), row)) for row in self.products)
 
     def multiply(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear product of coordinate vectors."""
@@ -391,7 +391,8 @@ class GluingFamily:
 
     @cached_property
     def kernel_blocks(self) -> dict:
-        """Adapted bases of the pieces' kernels, keyed by piece, filled by
+        """The blocks of an adapted basis of each piece's kernels, keyed by
+        piece, kernels named by label, filled by
         ``lattice.check_distributive_family``."""
         return {}
 

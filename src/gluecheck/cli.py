@@ -84,6 +84,7 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
     if args.fixture and args.path:
         raise specfile.DocumentError("give a document path or a fixture, not both", "--fixture")
     if args.fixture:
+        specfile.bound_dim(args.chain, "--chain")  # before any point is built
         try:
             g = fixture_gluing(args.fixture, args.chain)
         except KeyError as e:
@@ -152,12 +153,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     dist = analysis.distributive
     per_piece = []
-    for p in dist.per_piece:
-        entry = {"piece": p.label, "status": p.verdict.status}
-        if p.blocks is not None:
-            entry["blocks"] = [{"width": c, "kernels": list(js)} for c, js in p.blocks]
-        if p.verdict.witness is not None:
-            entry["witness"] = _lattice_witness_json(p.verdict.witness)
+    for i, verdict in dist.per_piece.items():
+        entry = {"piece": i, "status": verdict.status}
+        if verdict.blocks is not None:
+            entry["blocks"] = [{"width": c, "kernels": sorted(js)} for c, js in verdict.blocks]
+        if verdict.witness is not None:
+            entry["witness"] = _lattice_witness_json(verdict.witness)
         per_piece.append(entry)
     report["distributive"] = {
         "ok": dist.ok,

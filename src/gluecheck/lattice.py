@@ -2,20 +2,20 @@
 intersection.
 
 ``decide_distributivity`` decides it by a dimension count over an adapted
-basis, whose blocks are the report of a piece it decides.  Only when the
-count fails does it run the closure (``generate_lattice``) and the triple
-test on it (``is_distributive``), which give the verdict and its witness.
-The cap bounds both: the meets the count lists, then the elements the
-closure lists.  Closure of four or more generators can be infinite inside
-a modular lattice, so a closure stops at the cap with an honest
-``complete`` flag, and distributivity that only an incomplete closure
-could decide is reported as indeterminate, never silently as true or
-false.
+basis, and a verdict the count proves carries the basis's blocks.  Only
+when the count fails does it run the closure (``generate_lattice``) and
+the triple test on it (``is_distributive``), which give the verdict and
+its witness.  The cap bounds both: the meets the count lists, then the
+elements the closure lists.  Closure of four or more generators can be
+infinite inside a modular lattice, so a closure stops at the cap with an
+honest ``complete`` flag, and distributivity that only an incomplete
+closure could decide is reported as indeterminate, never silently as true
+or false.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
 from gluecheck.algebra import GluingFamily
@@ -96,10 +96,15 @@ def generate_lattice(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> Lattic
     return LatticeClosure(tuple(elements), complete, sum_table, meet_table)
 
 
+# each block C_X of an adapted basis as (c(X), the generators containing X)
+Blocks = tuple[tuple[int, frozenset], ...]
+
+
 @dataclass(frozen=True)
 class DistributivityVerdict:
     status: Literal["distributive", "not-distributive", "indeterminate"]
-    witness: tuple[Subspace, Subspace, Subspace] | None = None
+    witness: tuple[Subspace, Subspace, Subspace] | None = None  # when the closure refutes
+    blocks: Blocks | None = None  # when the count proves
 
     def __bool__(self) -> bool:
         return self.status == "distributive"
@@ -130,11 +135,9 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
     return DistributivityVerdict("distributive")
 
 
-def _adapted_basis(gens: Sequence[Subspace], cap: int
-                   ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]] | None:
-    """Each generator as a bit mask over the vectors of an adapted basis,
-    and the blocks of that basis, or None when no basis adapts to them all
-    or their meets pass the cap.
+def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | None:
+    """The blocks of an adapted basis of the generators, or None when no
+    basis adapts to them all or their meets pass the cap.
 
     Let X run over the distinct meets of Q^d and the generators, and let
     X_< be the sum of the meets strictly inside X, which is the sum of the
@@ -146,19 +149,17 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int
     Positselski, *Quadratic Algebras*, Ch. 1 §7), and each of its vectors
     is counted by the c(X) of the least meet it lies in.  So the
     generators' lattice is distributive exactly when the c(X) add up to d,
-    and then sum and meet are union and intersection of the masks that
-    give each S_i the blocks C_X with X inside S_i.  Block C_X takes c(X)
-    bits, one for each of its vectors, so the popcount of a mask, or of
-    the & of several, is the dimension of that generator or of their meet.
-    Each C_X with c(X) > 0 is listed, in the order of its bits, as c(X)
-    and the indices of the generators containing X.  No C_X is built.
+    which they do unless a running sum of them passes d, and then the meet
+    of any set of generators is spanned by the C_X with X inside all of
+    them: its dimension is the sum of their c(X).  Each C_X with c(X) > 0
+    is listed as c(X) and the frozenset of the indices of the generators
+    containing X.  No C_X is built.
     """
     ambient = gens[0].ambient_dim
     full = Subspace.full(ambient)
     meets = [full]
     index = {full: 0}
     inside: list[set[int]] = [set()]  # generators known to contain each meet
-    masks = [0] * len(gens)
     blocks = []
     counted = 0
     x = 0
@@ -183,50 +184,33 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int
             inside[found] |= known
             inside[found].add(i)
         c = here.dim - _span(below, ambient).dim
-        if counted + c > ambient:
+        counted += c
+        if counted > ambient:
             return None
-        if c:
-            block = ((1 << c) - 1) << counted  # the bits of C_X
-            for i in known:  # now every generator that contains this meet
-                masks[i] |= block
-            blocks.append((c, tuple(sorted(known))))
-            counted += c
+        if c:  # known is now every generator that contains this meet
+            blocks.append((c, frozenset(known)))
         x += 1
-    if counted != ambient:
-        return None
-    return masks, blocks
+    return tuple(blocks)
 
 
-def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP
-                          ) -> tuple[DistributivityVerdict, list[int] | None,
-                                     list[tuple[int, tuple[int, ...]]] | None]:
-    """Whether the generators' lattice is distributive, with the
-    generators' masks over an adapted basis and its blocks, as
-    ``_adapted_basis`` gives them, or None and None when there is none.
+def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> DistributivityVerdict:
+    """Whether the generators' lattice is distributive.
 
-    An adapted basis proves the lattice distributive.  Without one, within
-    the cap, the closure and ``is_distributive`` give the verdict and its
-    witness triple.
+    An adapted basis proves it, and the verdict carries its blocks as
+    ``_adapted_basis`` gives them.  Without one, within the cap, the
+    closure and ``is_distributive`` give the verdict and its witness
+    triple.
     """
     generators = _generators(gens, cap)
-    basis = _adapted_basis(generators, cap)
-    if basis is None:
-        return is_distributive(generate_lattice(generators, cap)), None, None
-    return DistributivityVerdict("distributive"), *basis
-
-
-@dataclass(frozen=True)
-class PieceLatticeReport:
-    label: str
-    verdict: DistributivityVerdict
-    # each block C_X of an adapted basis as (c(X), the sorted labels j
-    # whose ker m_ij contains X); None when the closure decided the piece
-    blocks: tuple[tuple[int, tuple[str, ...]], ...] | None
+    blocks = _adapted_basis(generators, cap)
+    if blocks is None:
+        return is_distributive(generate_lattice(generators, cap))
+    return DistributivityVerdict("distributive", blocks=blocks)
 
 
 @dataclass(frozen=True)
 class DistributiveFamilyReport:
-    per_piece: tuple[PieceLatticeReport, ...]
+    per_piece: dict[str, DistributivityVerdict]  # by label, in sorted order
     surjectivity_failures: tuple[tuple[str, str], ...]
     ok: bool
 
@@ -238,18 +222,19 @@ def check_distributive_family(fam: GluingFamily, cap: int = DEFAULT_CAP) -> Dist
 
     ``require_valid`` has checked every map to be a homomorphism, whose
     kernel is a two-sided ideal, and listed the maps that are not onto, so
-    only distributivity is decided here.  Each piece i whose kernels have
-    an adapted basis within the cap keeps the mask of each ker m_ij over
-    it, keyed by j, in ``fam.kernel_blocks[i]``."""
+    only distributivity is decided here.  A piece i that the count decides
+    names the kernels ker m_ij in its verdict's blocks by their labels j,
+    and ``fam.kernel_blocks[i]`` keeps those blocks."""
     fam.require_valid(require_surjective=False)
-    reports = []
+    per_piece = {}
     for i in sorted(fam.labels):
         others = [j for j in sorted(fam.labels) if j != i]
         gens = [fam.map_kernels[(i, j)] for j in others] or [Subspace.zero(fam.pieces[i].dim)]
-        verdict, masks, blocks = decide_distributivity(gens, cap)
-        if masks is not None:
-            fam.kernel_blocks[i] = dict(zip(others, masks))
-            blocks = tuple((c, tuple(others[n] for n in inside)) for c, inside in blocks)
-        reports.append(PieceLatticeReport(i, verdict, blocks))
-    ok = not fam.surjectivity_failures and all(r.verdict for r in reports)
-    return DistributiveFamilyReport(tuple(reports), fam.surjectivity_failures, ok)
+        verdict = decide_distributivity(gens, cap)
+        if verdict.blocks is not None:
+            blocks = tuple((c, frozenset(others[n] for n in inside)) for c, inside in verdict.blocks)
+            verdict = replace(verdict, blocks=blocks)
+            fam.kernel_blocks[i] = blocks
+        per_piece[i] = verdict
+    ok = not fam.surjectivity_failures and all(per_piece.values())
+    return DistributiveFamilyReport(per_piece, fam.surjectivity_failures, ok)

@@ -188,18 +188,15 @@ def _extends_by_count(fam: GluingFamily, order: Sequence[str], k: str, small: Su
     by k; False when it shows one does not, or the dimensions are not at
     hand.  Restriction P(K + {k}) -> P(K) has kernel 0 + M, with M the meet
     of the ker m_kj over j in K, so it is onto exactly when
-    dim P(K + {k}) = dim P(K) + dim M.  dim M is the number of adapted
-    basis vectors that the masks of those kernels share."""
-    masks = fam.kernel_blocks.get(k)
-    if masks is None:
+    dim P(K + {k}) = dim P(K) + dim M.  dim M is the width of the blocks
+    of piece k's adapted basis that lie in every kernel of K."""
+    blocks = fam.kernel_blocks.get(k)
+    if blocks is None:
         return False
     big = fam.pullback_subspaces.get(frozenset((*order, k)))
     if big is None:
         return False
-    meet = -1  # every bit; K is nonempty
-    for j in order:
-        meet &= masks[j]
-    return big.dim == small.dim + meet.bit_count()
+    return big.dim == small.dim + sum(c for c, inside in blocks if inside.issuperset(order))
 
 
 def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
@@ -441,10 +438,10 @@ class Analysis:
 
 
 def _why_not_distributive(dist: DistributiveFamilyReport) -> str:
-    piece = next(p for p in dist.per_piece if not p.verdict)
-    if piece.verdict.status == "indeterminate":
-        return f"kernel lattice of piece {piece.label} hit the closure cap; distributivity undecided"
-    return f"kernels do not generate a distributive lattice of ideals in piece {piece.label}"
+    piece, verdict = next((i, v) for i, v in dist.per_piece.items() if not v)
+    if verdict.status == "indeterminate":
+        return f"kernel lattice of piece {piece} hit the closure cap; distributivity undecided"
+    return f"kernels do not generate a distributive lattice of ideals in piece {piece}"
 
 
 def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
@@ -533,7 +530,7 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
                 f"(image has dimension {p.dim - kernels[i].dim} of {fam.pieces[i].dim})",
                 projection=i,
             )
-    verdict, _, _ = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
+    verdict = decide_distributivity([kernels[i] for i in sorted(p.over)], cap=lattice_cap)
     if verdict.status == "indeterminate":
         raise RepairRefused(
             f"projection-kernel lattice exceeded the closure cap ({lattice_cap}); "

@@ -40,7 +40,14 @@ class DocumentError(ValueError):
 
 
 class DimensionRefused(DocumentError):
-    """An algebra whose ``dim`` is past ``MAX_DIM``; the CLI refuses it with exit 3."""
+    """A dimension past ``MAX_DIM``, an algebra's ``dim`` or a fixture's
+    ``--chain``; the CLI refuses it with exit 3."""
+
+
+def bound_dim(dim: int, path: str) -> None:
+    """Refuse a dimension past ``MAX_DIM``, naming the field that gives it."""
+    if dim > MAX_DIM:
+        raise DimensionRefused(f"dimension {dim} is past the bound of {MAX_DIM}", path)
 
 
 class _Repeated(dict):
@@ -235,8 +242,7 @@ def _parse_sparse(sc: dict, dim: int, here: str) -> tuple[tuple[SparseVector, ..
 def _parse_algebra(value: Any, path: str, label: str) -> Algebra:
     _expect(value, dict, path, "an object")
     dim = _integer(_get(value, "dim", path), 0, f"{path}.dim")
-    if dim > MAX_DIM:
-        raise DimensionRefused(f"dimension {dim} is past the bound of {MAX_DIM}", f"{path}.dim")
+    bound_dim(dim, f"{path}.dim")
     unit = _parse_vector(_get(value, "unit", path), dim, f"{path}.unit")
     here = f"{path}.structure_constants"
     sc = _get(value, "structure_constants", path)

@@ -86,8 +86,8 @@ class TestGenerateLattice:
         assert not closure.complete
         assert len(closure.elements) == cap
         assert is_distributive(closure).status == "indeterminate"
-        verdict, masks, blocks = decide_distributivity(gens, cap)
-        assert (verdict.status, masks, blocks) == ("indeterminate", None, None)
+        verdict = decide_distributivity(gens, cap)
+        assert (verdict.status, verdict.blocks) == ("indeterminate", None)
 
     def test_mismatched_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -149,9 +149,9 @@ class TestAdaptedBasisCertificate:
     reports are checked against exact linear algebra."""
 
     @staticmethod
-    def assert_blocks_adapt(gens, masks, blocks):
+    def assert_blocks_adapt(gens, blocks):
         """The blocks' widths count the ambient space, each generator and
-        each meet of two; the masks are the blocks' bits."""
+        each meet of two."""
         assert all(width > 0 for width, _ in blocks)
         assert sum(width for width, _ in blocks) == gens[0].ambient_dim
         for n, g in enumerate(gens):
@@ -159,24 +159,16 @@ class TestAdaptedBasisCertificate:
         for n, m in itertools.combinations(range(len(gens)), 2):
             assert (sum(width for width, inside in blocks if n in inside and m in inside)
                     == intersect(gens[n], gens[m]).dim)
-        bits = [0] * len(gens)
-        offset = 0
-        for width, inside in blocks:
-            for n in inside:
-                bits[n] |= ((1 << width) - 1) << offset
-            offset += width
-        assert bits == masks
 
     @classmethod
     def assert_matches_closure(cls, gens, caps=(3, 6, DEFAULT_CAP)):
         for cap in caps:
             closure = generate_lattice(gens, cap)
-            verdict, masks, blocks = decide_distributivity(gens, cap)
+            verdict = decide_distributivity(gens, cap)
             expected = is_distributive(closure)
-            assert (masks is None) == (blocks is None), cap
-            if masks is not None:
+            if verdict.blocks is not None:
                 assert verdict.status == "distributive", cap
-                cls.assert_blocks_adapt(gens, masks, blocks)
+                cls.assert_blocks_adapt(gens, verdict.blocks)
             if closure.complete or verdict.status == "indeterminate":
                 assert verdict.status == expected.status, cap
             else:
@@ -189,17 +181,17 @@ class TestAdaptedBasisCertificate:
     @classmethod
     def assert_piece_blocks_adapt(cls, fam):
         """Every piece the count decides reports blocks whose widths count
-        the piece, each ker m_ij and each ker m_ij & ker m_il, with the
-        labels j in sorted order; returns how many pieces it decided."""
+        the piece, each ker m_ij and each ker m_ij & ker m_il, each kernel
+        named by its label j, and are the blocks the family keeps for the
+        piece; returns how many pieces it decided."""
         counted = 0
-        for piece in check_distributive_family(fam).per_piece:
-            if piece.blocks is not None:
-                others = [j for j in sorted(fam.labels) if j != piece.label]
-                assert all(list(inside) == sorted(inside) for _, inside in piece.blocks)
-                gens = [fam.map_kernels[(piece.label, j)] for j in others]
-                masks = [fam.kernel_blocks[piece.label][j] for j in others]
-                blocks = [(width, tuple(others.index(j) for j in inside)) for width, inside in piece.blocks]
-                cls.assert_blocks_adapt(gens, masks, blocks)
+        for label, verdict in check_distributive_family(fam).per_piece.items():
+            if verdict.blocks is not None:
+                assert fam.kernel_blocks[label] == verdict.blocks
+                others = [j for j in sorted(fam.labels) if j != label]
+                gens = [fam.map_kernels[(label, j)] for j in others]
+                blocks = [(width, {others.index(j) for j in inside}) for width, inside in verdict.blocks]
+                cls.assert_blocks_adapt(gens, blocks)
                 counted += 1
         return counted
 
@@ -219,8 +211,8 @@ class TestAdaptedBasisCertificate:
         self.assert_matches_closure(gens, (3, 6, 120, DEFAULT_CAP) if finite else (3, 6, 120))
 
     def test_three_lines_fall_back_to_the_closure_witness(self):
-        verdict, masks, blocks = decide_distributivity([LINE_A, LINE_B, LINE_C])
-        assert (verdict.status, masks, blocks) == ("not-distributive", None, None)
+        verdict = decide_distributivity([LINE_A, LINE_B, LINE_C])
+        assert (verdict.status, verdict.blocks) == ("not-distributive", None)
         assert verdict.witness == (LINE_A, LINE_B, LINE_C)
 
     @pytest.mark.parametrize("cap", [5, 6, 7])
@@ -229,9 +221,9 @@ class TestAdaptedBasisCertificate:
         # their count proves the lattice distributive, while its eight
         # elements do not; each axis is a block of its own
         axes = [span([row], 3) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
-        verdict, _, blocks = decide_distributivity(axes, cap)
+        verdict = decide_distributivity(axes, cap)
         assert verdict.status == "distributive"
-        assert blocks == [(1, (0,)), (1, (1,)), (1, (2,))]
+        assert verdict.blocks == ((1, frozenset({0})), (1, frozenset({1})), (1, frozenset({2})))
         assert not generate_lattice(axes, cap).complete
         self.assert_matches_closure(axes, (cap,))
 
@@ -240,8 +232,8 @@ class TestAdaptedBasisCertificate:
         # the count cannot run and the capped closure decides nothing
         hyperplanes = [span([[int(c == r) for c in range(4)] for r in range(4) if r != h], 4)
                        for h in range(4)]
-        verdict, _, blocks = decide_distributivity(hyperplanes, 10)
-        assert (verdict.status, blocks) == ("indeterminate", None)
+        verdict = decide_distributivity(hyperplanes, 10)
+        assert (verdict.status, verdict.blocks) == ("indeterminate", None)
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
     def test_generators_past_the_cap_keep_the_closure_order(self, order):
@@ -296,8 +288,8 @@ class TestDistributiveFamily:
         report = check_distributive_family(dualize(fixture()))
         assert report.ok
         assert not report.surjectivity_failures
-        for piece in report.per_piece:
-            assert piece.verdict.status == "distributive"
+        for verdict in report.per_piece.values():
+            assert verdict.status == "distributive"
 
     def test_every_closure_element_is_an_ideal(self, fresh_families):
         # the check tests no element: kernels of homs are ideals, and sums

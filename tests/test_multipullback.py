@@ -305,18 +305,22 @@ class TestExtensionByCount:
             assert e.ok == (projected == e.expected), (e.subset, e.extend_by)
             assert e.witness == witness, (e.subset, e.extend_by)
 
-    def test_masks_count_the_dimension_of_each_kernel_meet(self, fresh_families):
-        # one bit per adapted basis vector: the popcount of an & of masks is
-        # the dimension of the meet of those kernels
-        for name, fam in fresh_families:
+    def test_blocks_count_the_dimension_of_each_kernel_meet(self, fresh_families, rebased_families):
+        # the meet of any set of kernels ker m_kj, the empty set's being the
+        # whole piece, is spanned by the blocks inside all of them, so its
+        # dimension is their widths' sum; rebased families have Fraction entries
+        families = fresh_families + [(f"{name}-rebased", fam) for name, _, fam in rebased_families]
+        for name, fam in families:
             check_distributive_family(fam)
-            for k, masks in fam.kernel_blocks.items():
-                for r in range(1, len(masks) + 1):
-                    for js in itertools.combinations(masks, r):
-                        meet = functools.reduce(intersect, (fam.map_kernels[(k, j)] for j in js))
-                        mask = functools.reduce(int.__and__, (masks[j] for j in js))
-                        assert meet.dim == mask.bit_count(), (name, k, js)
-                assert functools.reduce(int.__or__, masks.values()).bit_length() <= fam.pieces[k].dim
+            assert len(fam.kernel_blocks) == len(fam.labels), name
+            for k, blocks in fam.kernel_blocks.items():
+                others = [j for j in fam.labels if j != k]
+                for r in range(len(others) + 1):
+                    for js in itertools.combinations(others, r):
+                        meet = functools.reduce(intersect, (fam.map_kernels[(k, j)] for j in js),
+                                                Subspace.full(fam.pieces[k].dim))
+                        width = sum(c for c, inside in blocks if inside.issuperset(js))
+                        assert meet.dim == width, (name, k, js)
 
 
 class TestTripleQuotients:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_three_line_family, nilpotent_plane_algebra, twisted_triangle_gluing
-from gluecheck import specfile
+from gluecheck import cli, specfile
 from gluecheck.algebra import Algebra
 from gluecheck.cli import main
 from gluecheck.finset import dualize, fixture_family, random_gluing
@@ -339,6 +339,20 @@ class TestDimensionBound:
         path.write_text(one_piece_document(value))
         for command in (["check"], ["check", "--json"], ["repair"]):
             assert run_main(command + [str(path)]) == (3, "", f"refused: {message}\n")
+
+    @pytest.mark.parametrize("chain", [specfile.MAX_DIM + 1, 10**12], ids=["past", "far-past"])
+    @pytest.mark.parametrize("command", ["check", "glue", "repair"])
+    def test_a_chain_past_the_bound_is_refused_before_its_points(self, chain, command, monkeypatch):
+        # a fixture of chain length N has pieces of dimension N
+        monkeypatch.setattr(cli, "fixture_gluing", None)  # no point is built
+        message = f"refused: --chain: dimension {chain} is past the bound of {specfile.MAX_DIM}\n"
+        assert run_main([command, "--fixture", "example2", "--chain", str(chain)]) == (3, "", message)
+
+    def test_a_chain_at_the_bound_is_glued(self):
+        code, out, err = run_main(["glue", "--fixture", "example3", "--chain", str(specfile.MAX_DIM)])
+        assert (code, err) == (0, "")
+        # three chains of MAX_DIM points, glued end to end into a circle
+        assert f"glued space has {3 * specfile.MAX_DIM - 3} point classes" in out.splitlines()
 
     def test_at_the_bound_is_read(self):
         d = specfile.MAX_DIM
