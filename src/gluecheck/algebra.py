@@ -364,9 +364,9 @@ class GluingFamily:
     ``maps[(i, j)]`` is the hom out of piece i into the overlap of {i, j};
     both directions target the same overlap object by construction.
     Families are immutable by convention, so what is derived from one (its
-    validation, the kernels of its maps and their adapted bases, its
-    pullback subspaces and extension entries) is computed once and kept on
-    it.
+    validation, the kernels of its maps and their adapted bases, the
+    nonzeros of its maps' rows, its pullback subspaces and extension
+    entries) is computed once and kept on it.
     """
 
     labels: tuple[str, ...]
@@ -383,6 +383,13 @@ class GluingFamily:
     @cached_property
     def map_kernels(self) -> Mapping[tuple[str, str], Subspace]:
         return {key: kernel(h.matrix) for key, h in self.maps.items()}
+
+    @cached_property
+    def map_rows(self) -> Mapping[tuple[str, str], tuple[SparseVector, ...]]:
+        """Each map's rows as their nonzeros, once per family (``_map_rows``):
+        row r of m_ij and of m_ji make the pullback's constraint row r of
+        the pair {i, j}."""
+        return _map_rows(self)
 
     @cached_property
     def pullback_subspaces(self) -> dict:
@@ -459,6 +466,10 @@ class GluingFamily:
         problems = self.problems(require_surjective)
         if problems:
             raise FamilyValidationError(problems)
+
+
+def _map_rows(fam: GluingFamily) -> dict[tuple[str, str], tuple[SparseVector, ...]]:
+    return {key: tuple(map(_sparse, h.matrix.entries)) for key, h in fam.maps.items()}
 
 
 def _trusted_family(labels, pieces, overlaps, maps) -> GluingFamily:

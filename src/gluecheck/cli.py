@@ -37,6 +37,7 @@ from gluecheck.multipullback import (
 from gluecheck import specfile
 
 PASS, FAIL, INVALID, REFUSED = 0, 1, 2, 3
+FIXTURE_CHAIN = 3
 
 
 def _subspace_json(s: Subspace) -> dict:
@@ -84,14 +85,17 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
     if args.fixture and args.path:
         raise specfile.DocumentError("give a document path or a fixture, not both", "--fixture")
     if args.fixture:
-        specfile.bound_dim(args.chain, "--chain")  # before any point is built
+        chain = args.chain or FIXTURE_CHAIN
+        specfile.bound_dim(chain, "--chain")  # before any point is built
         try:
-            g = fixture_gluing(args.fixture, args.chain)
+            g = fixture_gluing(args.fixture, chain)
         except KeyError as e:
             raise specfile.DocumentError(e.args[0], "--fixture") from None
         return f"fixture:{args.fixture}", g if expect_kind == specfile.KIND_GLUING else dualize(g), {}
     if not args.path:
         raise specfile.DocumentError("either a document path or --fixture is required")
+    if args.chain is not None:
+        raise specfile.DocumentError("only applies with --fixture", "--chain")
     try:
         text = Path(args.path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("path", nargs="?", help="JSON document to read")
         p.add_argument("--fixture", help="use a built-in fixture instead of a document")
-        p.add_argument("--chain", type=at_least(2), default=3, help="chain length for fixtures (default 3)")
+        p.add_argument("--chain", type=at_least(2), help=f"chain length for fixtures (default {FIXTURE_CHAIN})")
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
     p_check = sub.add_parser("check", help="run the family checks")

@@ -32,21 +32,14 @@ class FiniteGluing:
     ``identifications[(i, j)]`` (with i < j) lists (point of i, point of j)
     pairs; a missing pair means nothing is identified there.  Gluings are
     immutable by convention, so what is derived from one (its validation,
-    the glued space of each piece subset, the embedding of each pair of
-    subsets, its dual family) is computed once and kept on the gluing.
+    its point ids, the roots and the glued space of each piece subset, the
+    embedding of each pair of subsets, its dual family) is computed once
+    and kept on the gluing.
     """
 
     labels: tuple[str, ...]
     spaces: Mapping[str, tuple[str, ...]]
     identifications: Mapping[tuple[str, str], tuple[tuple[str, str], ...]]
-
-    def pairs(self, i: str, j: str) -> tuple[tuple[str, str], ...]:
-        """Identified (point-of-i, point-of-j) pairs, in stored orientation."""
-        key = pair_key(i, j)
-        stored = self.identifications.get(key, ())
-        if key == (i, j):
-            return stored
-        return tuple((b, a) for a, b in stored)
 
     def problems(self) -> list[str]:
         return list(self._problems)
@@ -81,9 +74,18 @@ class FiniteGluing:
         return tuple(out)
 
     def require_valid(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ValueError("; ".join(problems))
+        if self._problems:
+            raise ValueError("; ".join(self._problems))
+
+    @cached_property
+    def point_index(self) -> PointIndex:
+        """Integer ids of the points, built once per gluing (``_point_index``)."""
+        return _point_index(self)
+
+    @cached_property
+    def subset_roots(self) -> dict:
+        """Memo of ``_union_find``, keyed by the chosen labels in label order."""
+        return {}
 
     @cached_property
     def glued_spaces(self) -> dict:
@@ -121,6 +123,76 @@ class FiniteGluing:
 
 
 @dataclass(frozen=True)
+class PointIndex:
+    """A gluing's points numbered in label order: piece i holds the ids
+    ``piece_ids[i]``, ``points[x]`` is the point of id x and ``ids[pt]``
+    the id of point pt, and ``pairs`` holds each stored identification as
+    pairs of ids."""
+
+    points: tuple[Point, ...]
+    ids: Mapping[Point, int]
+    piece_ids: Mapping[str, tuple[int, ...]]
+    pairs: Mapping[tuple[str, str], tuple[tuple[int, int], ...]]
+
+
+def _point_index(g: FiniteGluing) -> PointIndex:
+    points: list[Point] = []
+    piece_ids = {}
+    for i in g.labels:
+        start = len(points)
+        points.extend((i, p) for p in g.spaces[i])
+        piece_ids[i] = tuple(range(start, len(points)))
+    ids = {pt: x for x, pt in enumerate(points)}
+    pairs = {(i, j): tuple((ids[i, a], ids[j, b]) for a, b in stored)
+             for (i, j), stored in g.identifications.items()}
+    return PointIndex(tuple(points), ids, piece_ids, pairs)
+
+
+def _union_find(index: PointIndex, over: tuple[str, ...]) -> dict[int, int]:
+    """The root id of each point id of the pieces ``over``, in id order,
+    under the identifications among those pieces.  A point that no such
+    identification names is its own root."""
+    parent = list(range(len(index.points)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    named: list[int] = []
+    for (i, j), pairs in index.pairs.items():
+        if i in over and j in over:
+            for a, b in pairs:
+                parent[find(a)] = find(b)
+                named += a, b
+    ids = list(itertools.chain.from_iterable(map(index.piece_ids.__getitem__, over)))
+    roots = dict(zip(ids, ids))
+    for x in named:
+        roots[x] = find(x)
+    return roots
+
+
+def _subset(g: FiniteGluing, over: Iterable[str] | None) -> tuple[str, ...]:
+    """The chosen labels in label order, refused when unknown or none."""
+    g.require_valid()
+    chosen = set(g.labels if over is None else over)
+    key = tuple(filter(chosen.__contains__, g.labels))
+    if len(key) != len(chosen):
+        raise ValueError(f"labels not in the gluing: {sorted(chosen - set(key))}")
+    if not key:
+        raise ValueError("the piece subset must be nonempty")
+    return key
+
+
+def _roots(g: FiniteGluing, key: tuple[str, ...]) -> dict[int, int]:
+    """``_union_find`` over a piece subset, run once per subset of the gluing."""
+    if key not in g.subset_roots:
+        g.subset_roots[key] = _union_find(g.point_index, key)
+    return g.subset_roots[key]
+
+
+@dataclass(frozen=True)
 class GluedSpace:
     """Colimit of the selected pieces: points modulo all identifications."""
 
@@ -134,34 +206,16 @@ class GluedSpace:
 
 
 def glue(g: FiniteGluing, over: Iterable[str] | None = None) -> GluedSpace:
-    """Union-find closure of the identifications among the chosen pieces,
-    computed once per piece subset of the gluing."""
-    g.require_valid()
-    chosen = set(g.labels if over is None else over)
-    unknown = chosen - set(g.labels)
-    if unknown:
-        raise ValueError(f"labels not in the gluing: {sorted(unknown)}")
-    key = tuple(i for i in g.labels if i in chosen)
-    if not key:
-        raise ValueError("the piece subset must be nonempty")
+    """The classes of the chosen pieces' points under their identifications,
+    read off the subset's roots, computed once per piece subset of the
+    gluing."""
+    key = _subset(g, over)
     if key in g.glued_spaces:
         return g.glued_spaces[key]
-    points: list[Point] = [(i, p) for i in key for p in g.spaces[i]]
-    idx = {pt: n for n, pt in enumerate(points)}
-    parent = list(range(len(points)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in itertools.combinations(key, 2):
-        for a, b in g.pairs(i, j):
-            parent[find(idx[(i, a)])] = find(idx[(j, b)])
+    points = g.point_index.points
     groups: dict[int, list[Point]] = {}
-    for n in range(len(points)):
-        groups.setdefault(find(n), []).append(points[n])
+    for x, root in _roots(g, key).items():
+        groups.setdefault(root, []).append(points[x])
     classes = tuple(map(tuple, groups.values()))  # ordered by their first point
     class_of = {pt: c for c, cls in enumerate(classes) for pt in cls}
     g.glued_spaces[key] = GluedSpace(key, classes, class_of)
@@ -180,23 +234,34 @@ class EmbeddingReport:
 
 def check_embedding(g: FiniteGluing, inner: Iterable[str], outer: Iterable[str]) -> EmbeddingReport:
     """Whether a partial gluing sits inside a larger one without collapsing,
-    settled once per pair of piece subsets of the gluing."""
-    small = glue(g, inner)
-    big = glue(g, outer)
-    key = (small.over, big.over)
+    settled once per pair of piece subsets of the gluing.
+
+    Every inner class lies in one outer class, so the map is injective
+    exactly when the inner points have as many distinct outer roots as
+    inner ones; only a map that is not builds the inner glued space, to
+    name the pairs of its classes whose first points share an outer
+    root."""
+    small = _subset(g, inner)
+    big = _subset(g, outer)
+    key = (small, big)
     if key in g.embeddings:
         return g.embeddings[key]
-    if not set(small.over) <= set(big.over):
+    if not set(small) <= set(big):
         raise ValueError("the inner piece subset must be contained in the outer one")
+    inside, outside = _roots(g, small), _roots(g, big)
+    if len(set(inside.values())) == len(set(map(outside.__getitem__, inside))):
+        g.embeddings[key] = EmbeddingReport(small, big, True, ())
+        return g.embeddings[key]
+    classes, ids = glue(g, small).classes, g.point_index.ids
     hits: dict[int, list[int]] = {}
-    for c, cls in enumerate(small.classes):
-        hits.setdefault(big.class_of[cls[0]], []).append(c)
+    for c, cls in enumerate(classes):
+        hits.setdefault(outside[ids[cls[0]]], []).append(c)
     merged = []
     for group in hits.values():
         for a, b in itertools.combinations(group, 2):
-            merged.append((small.classes[a], small.classes[b]))
+            merged.append((classes[a], classes[b]))
     merged.sort()
-    g.embeddings[key] = EmbeddingReport(small.over, big.over, not merged, tuple(merged))
+    g.embeddings[key] = EmbeddingReport(small, big, False, tuple(merged))
     return g.embeddings[key]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _quotient_presentation, _trusted_family, pair_key
@@ -24,9 +25,10 @@ from gluecheck.exactlin import (
     Matrix,
     Subspace,
     Vector,
+    _null_space,
     _reduce,
+    _reduced_subspace,
     _span,
-    image,
     invert,
     kernel,
     quotient,
@@ -84,23 +86,24 @@ def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None) -> S
     """Compatible tuples over the given labels, inside the direct sum.
 
     A tuple is compatible when both maps into each overlap agree on it, so
-    the subspace is the kernel of the stacked difference constraints.
+    the subspace is the kernel of the stacked difference constraints.  The
+    family keeps its maps' rows as their nonzeros (``map_rows``); row r of
+    m_ij and of m_ji are laid out at the subset's block offsets, columns
+    reversed, for the one elimination that ``kernel`` would run.
     """
     order, offsets, total = _block_layout(fam, fam.labels if over is None else over)
+    last = total - 1
     rows: list[list] = []
     for i, j in itertools.combinations(order, 2):
-        fwd = fam.map(i, j).matrix
-        bwd = fam.map(j, i).matrix
-        for r in range(fam.overlap(i, j).dim):
+        end_i, end_j = last - offsets[i], last - offsets[j]
+        for left, right in zip(fam.map_rows[(i, j)], fam.map_rows[(j, i)]):
             row = [F0] * total
-            for c, x in enumerate(fwd.entries[r]):
-                if x:
-                    row[offsets[i] + c] = x
-            for c, x in enumerate(bwd.entries[r]):
-                if x:
-                    row[offsets[j] + c] -= x
+            for c, x in left:
+                row[end_i - c] = x
+            for c, x in right:
+                row[end_j - c] = -x
             rows.append(row)
-    return kernel(Matrix(len(rows), total, tuple(tuple(r) for r in rows)))
+    return _reduced_subspace(total, *_null_space(rows, total))
 
 
 def _shared_pullback_subspace(fam: GluingFamily, order: Sequence[str]) -> Subspace:
@@ -199,7 +202,25 @@ def _extends_by_count(fam: GluingFamily, order: Sequence[str], k: str, small: Su
     return big.dim == small.dim + sum(c for c, inside in blocks if inside.issuperset(order))
 
 
-def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> ExtensionEntry:
+class _SubsetLayout:
+    """P(K) for a label subset K with its block layout, shared by the
+    extension entries (K, k) of one sweep."""
+
+    def __init__(self, fam: GluingFamily, subset: Sequence[str]):
+        self.family = fam
+        self.order, self.offsets, _ = _block_layout(fam, subset)
+        self.small = _shared_pullback_subspace(fam, self.order)
+
+    @cached_property
+    def columns(self) -> dict[str, list[Vector]]:
+        """``columns[j][c][t]`` is coordinate c of piece j's block of the basis
+        row x_t of P(K); read by the first entry that runs an elimination."""
+        coords = list(zip(*self.small.basis_rows)) or [()] * self.small.ambient_dim
+        return {j: coords[o:o + self.family.pieces[j].dim] for j, o in self.offsets.items()}
+
+
+def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str,
+                     layout: _SubsetLayout | None = None) -> ExtensionEntry:
     """A compatible tuple x = sum_t a_t x_t over K, with x_t the basis rows
     of P(K), extends by k exactly when some y in B_k solves
     m_kj y - sum_t a_t m_jk x_t|_j = 0 for every j in K.
@@ -212,24 +233,23 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str) -> Extens
     pivot there, at a_t, names the witness x_t, the first basis row that
     does not extend: its RREF row reads a_t + sum_{s>t} c_s a_s = 0, so
     x_t has no extension, and every x_s with s < t has one, since each
-    a-pivot row involves only a-columns right of its pivot."""
-    order, offsets, _ = _block_layout(fam, subset)
-    small = _shared_pullback_subspace(fam, order)
+    a-pivot row involves only a-columns right of its pivot.
+
+    ``layout`` is K's, when the caller shares it among K's entries."""
+    layout = layout or _SubsetLayout(fam, subset)
+    order, offsets, small = layout.order, layout.offsets, layout.small
     if _extends_by_count(fam, order, k, small):
         return ExtensionEntry(tuple(sorted(subset)), k, True, small, None)
     d_k, n = fam.pieces[k].dim, small.dim
-    # coords[c][t] is coordinate c of x_t
-    coords = list(zip(*small.basis_rows)) or [()] * small.ambient_dim
     rows = []
     for j in order:
-        block = coords[offsets[j]:offsets[j] + fam.pieces[j].dim]
-        for lhs, m_r in zip(fam.map(k, j).matrix.entries, fam.map(j, k).matrix.entries):
+        block = layout.columns[j]
+        for lhs, m_r in zip(fam.map(k, j).matrix.entries, fam.map_rows[(j, k)]):
             rhs = [F0] * n
-            for c, m in enumerate(m_r):
-                if m:
-                    for t, x in enumerate(block[c]):
-                        if x:
-                            rhs[t] -= m * x
+            for c, m in m_r:
+                for t, x in enumerate(block[c]):
+                    if x:
+                        rhs[t] -= m * x
             rows.append([*lhs, *rhs])
     _, pivots = _reduce(rows, d_k + n)
     first = next((p - d_k for p in pivots if p >= d_k), None)
@@ -243,14 +263,18 @@ def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport
     """Extension entries for every subset K of each size and every k not in
     K, in label order, each computed once per family.  They are computed
     from the largest K down, so that P(K + {k}) is built before (K, k)
-    when the sweep builds it at all."""
+    when the sweep builds it at all, and the entries of one K share its
+    layout."""
     labels = sorted(fam.labels)
-    keys = [(subset, k) for size in sizes for subset in itertools.combinations(labels, size)
-            for k in labels if k not in subset]
-    for key in sorted(keys, key=lambda key: -len(key[0])):
-        if key not in fam.extension_entries:
-            fam.extension_entries[key] = _extension_entry(fam, *key)
-    return ExtensionReport(tuple(fam.extension_entries[key] for key in keys))
+    subsets = [subset for size in sizes for subset in itertools.combinations(labels, size)]
+    for subset in sorted(subsets, key=lambda subset: -len(subset)):
+        missing = [k for k in labels if k not in subset and (subset, k) not in fam.extension_entries]
+        if missing:
+            layout = _SubsetLayout(fam, subset)
+            for k in missing:
+                fam.extension_entries[subset, k] = _extension_entry(fam, subset, k, layout)
+    return ExtensionReport(tuple(fam.extension_entries[subset, k]
+                                 for subset in subsets for k in labels if k not in subset))
 
 
 def check_condition3(fam: GluingFamily) -> ExtensionReport:
@@ -281,8 +305,22 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
 
 
 def _pushed_kernel(fam: GluingFamily, i: str, j: str, k: str) -> Subspace:
-    """m_ij(ker m_ik), the ideal of B_ij that the triple (i, j, k) quotients by."""
-    return image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
+    """m_ij(ker m_ik), the ideal of B_ij that the triple (i, j, k) quotients
+    by: the span of m_ij applied to each basis row of the kernel, through
+    the nonzeros of m_ij's rows (``map_rows``)."""
+    rows = fam.map_rows[(i, j)]
+    pushed = []
+    for v in fam.map_kernels[(i, k)].basis_rows:
+        out = []
+        for row in rows:
+            acc = F0
+            for c, m in row:
+                x = v[c]
+                if x:
+                    acc += m * x
+            out.append(acc)
+        pushed.append(tuple(out))
+    return _span(pushed, len(rows))
 
 
 def _trio_loop(fam: GluingFamily, trio: tuple[str, str, str],

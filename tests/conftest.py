@@ -22,9 +22,11 @@ from gluecheck.algebra import (
     subspace_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import F1, Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum
+from gluecheck.exactlin import F0, F1, Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum
 from gluecheck.finset import (
+    EmbeddingReport,
     FiniteGluing,
+    GluedSpace,
     dualize,
     fixture_family,
     random_gluing,
@@ -256,6 +258,93 @@ def intersect_reference():
     """The Zassenhaus block that ``exactlin.intersect``'s elimination over
     v's constraint rows replaced, to test it against."""
     return _intersect_reference
+
+
+def oriented_pairs(g: FiniteGluing, i: str, j: str) -> tuple[tuple[str, str], ...]:
+    """The identified (point of i, point of j) pairs of pieces i and j."""
+    key = pair_key(i, j)
+    stored = g.identifications.get(key, ())
+    return stored if key == (i, j) else tuple((b, a) for a, b in stored)
+
+
+def _glue_reference(g: FiniteGluing, over=None) -> GluedSpace:
+    """``finset.glue`` before the point ids: a union-find over the chosen
+    pieces' (piece, point) tuples, found through a dict, with no memo."""
+    g.require_valid()
+    chosen = set(g.labels if over is None else over)
+    key = tuple(i for i in g.labels if i in chosen)
+    points = [(i, p) for i in key for p in g.spaces[i]]
+    idx = {pt: n for n, pt in enumerate(points)}
+    parent = list(range(len(points)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in itertools.combinations(key, 2):
+        for a, b in oriented_pairs(g, i, j):
+            parent[find(idx[(i, a)])] = find(idx[(j, b)])
+    groups: dict = {}
+    for n in range(len(points)):
+        groups.setdefault(find(n), []).append(points[n])
+    classes = tuple(map(tuple, groups.values()))
+    class_of = {pt: c for c, cls in enumerate(classes) for pt in cls}
+    return GluedSpace(key, classes, class_of)
+
+
+def _embedding_reference(g: FiniteGluing, inner, outer) -> EmbeddingReport:
+    """``finset.check_embedding`` before the root counts: both glued spaces,
+    then the pairs of inner classes that land in one outer class."""
+    small, big = _glue_reference(g, inner), _glue_reference(g, outer)
+    hits: dict = {}
+    for c, cls in enumerate(small.classes):
+        hits.setdefault(big.class_of[cls[0]], []).append(c)
+    merged = []
+    for group in hits.values():
+        for a, b in itertools.combinations(group, 2):
+            merged.append((small.classes[a], small.classes[b]))
+    merged.sort()
+    return EmbeddingReport(small.over, big.over, not merged, tuple(merged))
+
+
+@pytest.fixture(scope="session")
+def gluing_reference():
+    """``glue(g, over)`` and ``embedding(g, inner, outer)``: the glued space
+    and the embedding as they were computed from point tuples, to test the
+    point ids and root counts against."""
+    return SimpleNamespace(glue=_glue_reference, embedding=_embedding_reference)
+
+
+def _pullback_subspace_reference(fam: GluingFamily, over) -> Subspace:
+    """``multipullback.pullback_subspace`` before the family kept its pair
+    rows: each row built densely from the two maps' rows, then ``kernel`` of
+    the stacked matrix."""
+    order = [i for i in fam.labels if i in set(over)]
+    slices = _blocks(fam, order)
+    total = sum(fam.pieces[i].dim for i in order)
+    rows: list[list] = []
+    for i, j in itertools.combinations(order, 2):
+        fwd = fam.map(i, j).matrix
+        bwd = fam.map(j, i).matrix
+        for r in range(fam.overlap(i, j).dim):
+            row = [F0] * total
+            for c, x in enumerate(fwd.entries[r]):
+                if x:
+                    row[slices[i].start + c] = x
+            for c, x in enumerate(bwd.entries[r]):
+                if x:
+                    row[slices[j].start + c] -= x
+            rows.append(row)
+    return kernel(Matrix(len(rows), total, tuple(tuple(r) for r in rows)))
+
+
+@pytest.fixture(scope="session")
+def pullback_subspace_reference():
+    """The pullback subspace over a label subset, from a dense stacked
+    matrix, to test the family's pair rows against."""
+    return _pullback_subspace_reference
 
 
 def _surjective_reference(f: AlgebraHom) -> bool:

@@ -349,6 +349,17 @@ class TestMalformedInput:
         assert code == 2
         assert name in err
 
+    @pytest.mark.parametrize("chain", ["3", "5000"])
+    @pytest.mark.parametrize("command", ["check", "glue", "repair"])
+    def test_chain_with_a_document_exits_two_naming_it(self, capsys, tmp_path, command, chain):
+        g = random_gluing(0)
+        doc = specfile.gluing_json(g) if command == "glue" else specfile.family_json(dualize(g))
+        path = tmp_path / "doc.json"
+        path.write_text(specfile.dump_document(doc))
+        message = "error: --chain: only applies with --fixture\n"
+        assert run(capsys, command, str(path), "--chain", chain) == (2, "", message)
+        assert run(capsys, command, str(path), "--json")[0] in (0, 1, 3)
+
     @pytest.mark.parametrize("command,change,name", [
         ("check", {"options": {"lattice_cap": "abc"}}, "options.lattice_cap"),
         ("check", {"options": {"lattice_cap": 0}}, "options.lattice_cap"),
@@ -537,6 +548,7 @@ class TestOneAnalysisPerFamily:
         validated = record_calls(algebra, "validate_algebra")
         kernels = record_calls(exactlin, "kernel")
         pullbacks = record_calls(multipullback, "pullback_subspace")
+        map_rows = record_calls(algebra, "_map_rows")
         induced = record_calls(algebra, "subspace_algebra")
         ideal_tests = record_calls(algebra, "is_ideal")
 
@@ -554,6 +566,7 @@ class TestOneAnalysisPerFamily:
             for s in itertools.combinations(fam.labels, n)
         }
         assert sorted(map(sorted, subsets)) == sorted(map(sorted, every_subset))
+        assert len(map_rows) == 1 and map_rows[0][0] is fam  # read by every subset
         assert induced == []
         assert ideal_tests == []  # kernels of validated homs are ideals
 
@@ -561,7 +574,8 @@ class TestOneAnalysisPerFamily:
         path = tmp_path / "gluing.json"
         path.write_text(specfile.dump_document(specfile.gluing_json(random_gluing(7))))
         validated = record_calls(algebra, "validate_algebra")
-        glued = record_calls(finset, "GluedSpace")  # one per union-find
+        union_finds = record_calls(finset, "_union_find")
+        indexes = record_calls(finset, "_point_index")
 
         assert main(["glue", str(path), "--duality"]) in (0, 1)
         capsys.readouterr()
@@ -570,7 +584,8 @@ class TestOneAnalysisPerFamily:
         subsets = {(*labels,)} | {
             s for n in (1, 2, 3) for s in itertools.combinations(labels, n)
         }  # whole gluing, pieces and pairs (embeddings), triples (duality)
-        assert sorted(args[0] for args in glued) == sorted(subsets)
+        assert sorted(args[1] for args in union_finds) == sorted(subsets)
+        assert len(indexes) == 1
         assert validated == []  # the dual family is valid by construction
 
     def test_glue_duality_settles_each_embedding_once(self, record_calls, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from gluecheck import multipullback
+from conftest import oriented_pairs, twisted_triangle_gluing
+from gluecheck import finset, multipullback
 from gluecheck.algebra import GluingFamily, _onto, validate_algebra, validate_hom
 from gluecheck.exactlin import Matrix
 from gluecheck.finset import (
@@ -30,7 +31,7 @@ def component_count(g: FiniteGluing, over) -> int:
     points = [(i, p) for i in chosen for p in g.spaces[i]]
     adjacency = {pt: [] for pt in points}
     for i, j in itertools.combinations(chosen, 2):
-        for a, b in g.pairs(i, j):
+        for a, b in oriented_pairs(g, i, j):
             adjacency[(i, a)].append((j, b))
             adjacency[(j, b)].append((i, a))
     seen = set()
@@ -131,6 +132,101 @@ class TestEmbedding:
     def test_unknown_labels_are_rejected(self, inner, outer):
         with pytest.raises(ValueError, match="zzz"):
             check_embedding(tstar(), inner, outer)
+
+
+def gate_subsets(g: FiniteGluing) -> list[tuple[str, ...]]:
+    """Every piece subset of a gluing of at most six pieces; past that, the
+    subsets of one to three pieces and the whole gluing."""
+    n = len(g.labels)
+    sizes = range(1, n + 1) if n <= 6 else (1, 2, 3, n)
+    return [s for size in sizes for s in itertools.combinations(g.labels, size)]
+
+
+def assert_as_reference(g: FiniteGluing, reference, embeddings_first: bool) -> Counter:
+    """``glue`` on every gate subset, and ``check_embedding`` of each into
+    the whole gluing and, for one or two pieces, into each subset one piece
+    larger, equal to the reference field for field: ``classes`` in order,
+    ``class_of``, ``injective`` and ``merged``.  Returns how many of the
+    embeddings compared are injective and how many are not."""
+    subsets = gate_subsets(g)
+    pairs = [(s, g.labels) for s in subsets if len(s) < len(g.labels)]
+    pairs += [(s, (*s, k)) for s in subsets if len(s) <= 2 for k in g.labels if k not in s]
+
+    injective = Counter()
+
+    def embeddings():
+        for inner, outer in pairs:
+            got, want = check_embedding(g, set(inner), set(outer)), reference.embedding(g, inner, outer)
+            assert (got.inner_over, got.outer_over) == (want.inner_over, want.outer_over)
+            assert (got.injective, got.merged) == (want.injective, want.merged), (inner, outer)
+            injective[want.injective] += 1
+
+    if embeddings_first:
+        embeddings()
+    for s in subsets:
+        got, want = glue(g, s), reference.glue(g, s)
+        assert got.over == want.over and got.classes == want.classes, s
+        assert got.class_of == want.class_of, s
+    if not embeddings_first:
+        embeddings()
+    return injective
+
+
+class TestAgainstPointTuples:
+    """The point ids and root counts give the glued spaces and embeddings
+    that the union-find over point tuples gave, in either order of asking."""
+
+    def test_the_corpus(self, gluing_reference):
+        compared = sum((assert_as_reference(random_gluing(seed), gluing_reference, seed % 2 == 0)
+                        for seed in range(200)), Counter())
+        assert compared[True] > 5000 and compared[False] > 5000
+
+    def test_many_pieces(self, gluing_reference):
+        # labels S10 and S11 sort before S2
+        gluings = [random_gluing(seed, max_pieces=12) for seed in range(40)]
+        assert any(len(g.labels) >= 11 for g in gluings)
+        for seed, g in enumerate(gluings):
+            assert_as_reference(g, gluing_reference, seed % 2 == 0)
+
+    @pytest.mark.parametrize("chain", [3, 8])
+    @pytest.mark.parametrize("name", list(finset.FIXTURES))
+    def test_the_fixtures(self, gluing_reference, name, chain):
+        assert_as_reference(fixture_gluing(name, chain), gluing_reference, True)
+        assert_as_reference(fixture_gluing(name, chain), gluing_reference, False)
+
+    def test_the_twisted_triangle(self, gluing_reference):
+        assert_as_reference(twisted_triangle_gluing(), gluing_reference, True)
+        assert_as_reference(twisted_triangle_gluing(), gluing_reference, False)
+
+
+class TestGluingCost:
+    """One point-id index per gluing, one union-find per piece subset, and
+    no glued space built for an embedding that is injective."""
+
+    def test_one_union_find_per_piece_subset(self, record_calls):
+        g = random_gluing(5, max_pieces=12)
+        union_finds = record_calls(finset, "_union_find")
+        indexes = record_calls(finset, "_point_index")
+        asked = set()
+        for s in gate_subsets(g)[:200]:
+            rest = [k for k in g.labels if k not in s]
+            check_embedding(g, s, g.labels)
+            check_embedding(g, set(s), {*s, rest[0]} if rest else s)
+            glue(g, reversed(s))
+            asked |= {s, tuple(i for i in g.labels if i in {*s, *rest[:1]}), g.labels}
+        keys = [args[1] for args in union_finds]
+        assert len(keys) == len(set(keys)) and set(keys) == asked
+        assert len(indexes) == 1
+
+    def test_no_glued_space_for_an_injective_embedding(self, record_calls):
+        g = tcirc_c()
+        spaces = record_calls(finset, "GluedSpace")
+        for s in gate_subsets(g):
+            assert check_embedding(g, s, g.labels).injective
+        assert spaces == []
+        g = tcirc_a()
+        assert not check_embedding(g, {"I2", "I3"}, g.labels).injective
+        assert [args[0] for args in spaces] == [("I2", "I3")]  # to name the merged classes
 
 
 class TestDualize:

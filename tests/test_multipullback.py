@@ -1,5 +1,6 @@
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,47 @@ class TestBuildPullback:
                               {**example3.maps, ("I2", "I3"): bad})
         with pytest.raises(FamilyValidationError):
             build_pullback(broken)
+
+
+class TestMapRows:
+    """What the family's sparse map rows compute equals the dense path it
+    replaced: the pullback subspace on every label subset, against the
+    stacked dense matrix, and every pushed kernel m_ij(ker m_ik), against
+    ``image`` of the dense map."""
+
+    @staticmethod
+    def assert_as_reference(fam: GluingFamily, reference) -> int:
+        """Returns the number of ``Fraction`` entries in the bases compared."""
+        fractions = 0
+        for n in range(1, len(fam.labels) + 1):
+            for s in itertools.combinations(fam.labels, n):
+                got, want = pullback_subspace(fam, s), reference(fam, s)
+                assert got == want and got.pivots == want.pivots, s
+                assert repr(got.basis_rows) == repr(want.basis_rows), s  # ints stay ints
+                fractions += sum(type(x) is Fraction for row in got.basis_rows for x in row)
+        return fractions
+
+    def test_the_duals_of_the_corpus(self, pullback_subspace_reference):
+        for seed in range(100):
+            self.assert_as_reference(dualize(random_gluing(seed)), pullback_subspace_reference)
+
+    def test_the_rebased_families(self, rebased_families, pullback_subspace_reference):
+        fractions = 0
+        for _, fam, rebased in rebased_families:
+            self.assert_as_reference(fam, pullback_subspace_reference)
+            fractions += self.assert_as_reference(rebased, pullback_subspace_reference)
+        assert fractions > 0
+
+    def test_pushed_kernels(self, fresh_families, rebased_families):
+        families = [fam for _, fam in fresh_families] + [fam for _, _, fam in rebased_families]
+        fractions = 0
+        for fam in families:
+            for i, j, k in itertools.permutations(fam.labels, 3):
+                got = multipullback._pushed_kernel(fam, i, j, k)
+                want = image(fam.map(i, j).matrix, fam.map_kernels[(i, k)])
+                assert got == want and repr(got.basis_rows) == repr(want.basis_rows), (i, j, k)
+                fractions += sum(type(x) is Fraction for row in got.basis_rows for x in row)
+        assert fractions > 0
 
 
 class TestProjections:
