@@ -365,7 +365,7 @@ class GluingFamily:
     both directions target the same overlap object by construction.
     Families are immutable by convention, so what is derived from one (its
     validation, the kernels of its maps and their adapted bases, the
-    nonzeros of its maps' rows, its pullback subspaces and extension
+    nonzeros of its maps' rows, its pullbacks and extension
     entries) is computed once and kept on it.
     """
 
@@ -392,8 +392,8 @@ class GluingFamily:
         return _map_rows(self)
 
     @cached_property
-    def pullback_subspaces(self) -> dict:
-        """Memo of ``multipullback.pullback_subspace``, keyed by label subset."""
+    def pullbacks(self) -> dict:
+        """Memo of ``multipullback.build_pullback``, keyed by label subset."""
         return {}
 
     @cached_property

@@ -52,15 +52,6 @@ class Matrix:
                 raise ValueError(f"expected {self.cols} columns, got {len(r)}")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
-        entries = tuple(vec(r) for r in rows)
-        if cols is None:
-            if not entries:
-                raise ValueError("cols is required for a matrix with no rows")
-            cols = len(entries[0])
-        return Matrix(len(entries), cols, entries)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple((F0,) * i + (F1,) + (F0,) * (n - 1 - i) for i in range(n)))
 
@@ -218,9 +209,6 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return _reduced_subspace(ambient_dim, Matrix.identity(ambient_dim).entries, range(ambient_dim))
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def _residual(self, v: Sequence[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
         """Reduce v against the basis; returns (coefficients, remainder)."""
         rem = list(v)
@@ -248,12 +236,6 @@ class Subspace:
         if any(rem):
             return None
         return tuple(coeffs)
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return subspace_sum(self, other)
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
 
     def __str__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -16,10 +16,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family, pair_key
-from gluecheck.exactlin import F0, F1, Matrix
+from gluecheck.exactlin import Matrix
 from gluecheck.multipullback import build_pullback, check_condition3, projection_surjective
 
 Point = tuple[str, str]  # (piece label, point label)
@@ -108,17 +108,20 @@ class FiniteGluing:
         """
         self.require_valid()
         pieces = {i: Algebra.functions(self.spaces[i], label=f"functions({i})") for i in self.labels}
+        # the indicator row of each point, from one identity matrix per piece
+        row_of = {i: dict(zip(self.spaces[i], Matrix.identity(len(self.spaces[i])).entries))
+                  for i in self.labels}
         overlaps: dict[tuple[str, str], Algebra] = {}
         maps: dict[tuple[str, str], AlgebraHom] = {}
         for i, j in itertools.combinations(self.labels, 2):
-            key = pair_key(i, j)
-            pairs = self.identifications.get(key, ())
-            overlap = Algebra.functions(len(pairs), label=f"functions({key[0]}~{key[1]})")
-            overlaps[key] = overlap
-            left = _indicator_matrix(self.spaces[key[0]], [a for a, _ in pairs])
-            right = _indicator_matrix(self.spaces[key[1]], [b for _, b in pairs])
-            maps[(key[0], key[1])] = AlgebraHom(pieces[key[0]], overlap, left)
-            maps[(key[1], key[0])] = AlgebraHom(pieces[key[1]], overlap, right)
+            a, b = pair_key(i, j)
+            pairs = self.identifications.get((a, b), ())
+            overlap = Algebra.functions(len(pairs), label=f"functions({a}~{b})")
+            overlaps[a, b] = overlap
+            left = Matrix(len(pairs), pieces[a].dim, tuple(row_of[a][x] for x, _ in pairs))
+            right = Matrix(len(pairs), pieces[b].dim, tuple(row_of[b][y] for _, y in pairs))
+            maps[(a, b)] = AlgebraHom(pieces[a], overlap, left)
+            maps[(b, a)] = AlgebraHom(pieces[b], overlap, right)
         return _trusted_family(tuple(self.labels), pieces, overlaps, maps)
 
 
@@ -263,13 +266,6 @@ def check_embedding(g: FiniteGluing, inner: Iterable[str], outer: Iterable[str])
     merged.sort()
     g.embeddings[key] = EmbeddingReport(small, big, False, tuple(merged))
     return g.embeddings[key]
-
-
-def _indicator_matrix(points: Sequence[str], chosen: Sequence[str]) -> Matrix:
-    rows = []
-    for c in chosen:
-        rows.append(tuple(F1 if p == c else F0 for p in points))
-    return Matrix(len(chosen), len(points), tuple(rows))
 
 
 def dualize(g: FiniteGluing) -> GluingFamily:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _quotient_presentation, _trusted_family, pair_key
 from gluecheck.exactlin import (
@@ -65,53 +65,22 @@ class RepairRefused(ValueError):
         self.witness = witness
 
 
-def _block_layout(fam: GluingFamily, over: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int], int]:
-    """Block order (family label order), offsets, and total dimension."""
+def _block_layout(fam: GluingFamily, over: Iterable[str]) -> dict[str, tuple[int, int]]:
+    """Each chosen piece's coordinates (start, stop) in their direct sum,
+    blocks in family label order."""
     chosen = set(over)
     unknown = chosen - set(fam.labels)
     if unknown:
         raise ValueError(f"labels not in the family: {sorted(unknown)}")
-    order = tuple(i for i in fam.labels if i in chosen)
-    if not order:
-        raise ValueError("the index subset must be nonempty")
-    offsets = {}
+    blocks = {}
     total = 0
-    for i in order:
-        offsets[i] = total
-        total += fam.pieces[i].dim
-    return order, offsets, total
-
-
-def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None) -> Subspace:
-    """Compatible tuples over the given labels, inside the direct sum.
-
-    A tuple is compatible when both maps into each overlap agree on it, so
-    the subspace is the kernel of the stacked difference constraints.  The
-    family keeps its maps' rows as their nonzeros (``map_rows``); row r of
-    m_ij and of m_ji are laid out at the subset's block offsets, columns
-    reversed, for the one elimination that ``kernel`` would run.
-    """
-    order, offsets, total = _block_layout(fam, fam.labels if over is None else over)
-    last = total - 1
-    rows: list[list] = []
-    for i, j in itertools.combinations(order, 2):
-        end_i, end_j = last - offsets[i], last - offsets[j]
-        for left, right in zip(fam.map_rows[(i, j)], fam.map_rows[(j, i)]):
-            row = [F0] * total
-            for c, x in left:
-                row[end_i - c] = x
-            for c, x in right:
-                row[end_j - c] = -x
-            rows.append(row)
-    return _reduced_subspace(total, *_null_space(rows, total))
-
-
-def _shared_pullback_subspace(fam: GluingFamily, order: Sequence[str]) -> Subspace:
-    """``pullback_subspace`` over ``order``, computed once per label subset of the family."""
-    key = frozenset(order)
-    if key not in fam.pullback_subspaces:
-        fam.pullback_subspaces[key] = pullback_subspace(fam, order)
-    return fam.pullback_subspaces[key]
+    for i in fam.labels:
+        if i in chosen:
+            blocks[i] = (total, total + fam.pieces[i].dim)
+            total += fam.pieces[i].dim
+    if not blocks:
+        raise ValueError("the index subset must be nonempty")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -119,30 +88,68 @@ class MultiPullback:
     """The compatible-tuple subalgebra over a label subset.
 
     ``subspace`` lives in the direct-sum ambient, and piece B_i holds the
-    coordinates ``offsets[i]`` to ``offsets[i] + dim B_i`` of it.
+    coordinates ``blocks[i] = (start, stop)`` of it.  It keeps no family,
+    so the family's memo of its pullbacks makes no reference cycle.
     """
 
-    family: GluingFamily
     over: tuple[str, ...]
     subspace: Subspace
-    offsets: Mapping[str, int]
+    blocks: Mapping[str, tuple[int, int]]
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
+    @cached_property
+    def columns(self) -> dict[str, tuple[Vector, ...]]:
+        """``columns[j][c][t]`` is coordinate c of piece j's block of the basis
+        row x_t: the rows of the projection onto piece j."""
+        coords = tuple(zip(*self.subspace.basis_rows)) or ((),) * self.subspace.ambient_dim
+        return {j: coords[start:stop] for j, (start, stop) in self.blocks.items()}
+
     def projection(self, label: str) -> Matrix:
         """The matrix mapping presentation coordinates onto the piece ``label``."""
-        o, d = self.offsets[label], self.family.pieces[label].dim
-        rows = self.subspace.basis_rows
-        return Matrix(d, self.dim, tuple(tuple(row[o + r] for row in rows) for r in range(d)))
+        rows = self.columns[label]
+        return Matrix(len(rows), self.dim, rows)
 
 
 def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> MultiPullback:
-    """The pullback over a label subset (all labels by default) with its block offsets."""
+    """The pullback over a label subset (all labels by default), built once
+    per label subset of the family and kept in ``fam.pullbacks``.
+
+    A tuple is compatible when both maps into each overlap agree on it, so
+    the subspace is the kernel of the stacked difference constraints.  The
+    family keeps its maps' rows as their nonzeros (``map_rows``); row r of
+    m_ij and of m_ji are laid out at the subset's blocks, columns
+    reversed, for the one elimination that ``kernel`` would run.
+    """
     fam.require_valid()
-    order, offsets, _ = _block_layout(fam, fam.labels if over is None else over)
-    return MultiPullback(fam, order, _shared_pullback_subspace(fam, order), offsets)
+    key = frozenset(fam.labels if over is None else over)
+    if key in fam.pullbacks:
+        return fam.pullbacks[key]
+    blocks = _block_layout(fam, key)
+    order = tuple(blocks)
+    total = blocks[order[-1]][1]
+    last = total - 1
+    rows: list[list] = []
+    for i, j in itertools.combinations(order, 2):
+        end_i, end_j = last - blocks[i][0], last - blocks[j][0]
+        for left, right in zip(fam.map_rows[(i, j)], fam.map_rows[(j, i)]):
+            row = [F0] * total
+            for c, x in left:
+                row[end_i - c] = x
+            for c, x in right:
+                row[end_j - c] = -x
+            rows.append(row)
+    subspace = _reduced_subspace(total, *_null_space(rows, total))
+    fam.pullbacks[key] = MultiPullback(order, subspace, blocks)
+    return fam.pullbacks[key]
+
+
+def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None) -> Subspace:
+    """Compatible tuples over the given labels, inside the direct sum:
+    ``build_pullback(fam, over).subspace``."""
+    return build_pullback(fam, over).subspace
 
 
 def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]:
@@ -150,10 +157,10 @@ def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]
     the span of the piece's blocks of the basis rows that are nonzero."""
     if label not in p.over:
         raise ValueError(f"{label} is not part of this pullback")
-    o, d = p.offsets[label], p.family.pieces[label].dim
-    blocks = (row[o:o + d] for row in p.subspace.basis_rows)
-    img = _span([b for b in blocks if any(b)], d)
-    return img.dim == d, img
+    start, stop = p.blocks[label]
+    blocks = (row[start:stop] for row in p.subspace.basis_rows)
+    img = _span([b for b in blocks if any(b)], stop - start)
+    return img.dim == stop - start, img
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,7 @@ class ExtensionReport:
         return tuple(e for e in self.entries if not e.ok)
 
 
-def _extends_by_count(fam: GluingFamily, order: Sequence[str], k: str, small: Subspace) -> bool:
+def _extends_by_count(fam: GluingFamily, small: MultiPullback, k: str) -> bool:
     """Whether rank-nullity shows every tuple of P(K) = ``small`` to extend
     by k; False when it shows one does not, or the dimensions are not at
     hand.  Restriction P(K + {k}) -> P(K) has kernel 0 + M, with M the meet
@@ -196,33 +203,15 @@ def _extends_by_count(fam: GluingFamily, order: Sequence[str], k: str, small: Su
     blocks = fam.kernel_blocks.get(k)
     if blocks is None:
         return False
-    big = fam.pullback_subspaces.get(frozenset((*order, k)))
+    big = fam.pullbacks.get(frozenset((*small.over, k)))
     if big is None:
         return False
-    return big.dim == small.dim + sum(c for c, inside in blocks if inside.issuperset(order))
+    return big.dim == small.dim + sum(c for c, inside in blocks if inside.issuperset(small.over))
 
 
-class _SubsetLayout:
-    """P(K) for a label subset K with its block layout, shared by the
-    extension entries (K, k) of one sweep."""
-
-    def __init__(self, fam: GluingFamily, subset: Sequence[str]):
-        self.family = fam
-        self.order, self.offsets, _ = _block_layout(fam, subset)
-        self.small = _shared_pullback_subspace(fam, self.order)
-
-    @cached_property
-    def columns(self) -> dict[str, list[Vector]]:
-        """``columns[j][c][t]`` is coordinate c of piece j's block of the basis
-        row x_t of P(K); read by the first entry that runs an elimination."""
-        coords = list(zip(*self.small.basis_rows)) or [()] * self.small.ambient_dim
-        return {j: coords[o:o + self.family.pieces[j].dim] for j, o in self.offsets.items()}
-
-
-def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str,
-                     layout: _SubsetLayout | None = None) -> ExtensionEntry:
+def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> ExtensionEntry:
     """A compatible tuple x = sum_t a_t x_t over K, with x_t the basis rows
-    of P(K), extends by k exactly when some y in B_k solves
+    of P(K) = ``small``, extends by k exactly when some y in B_k solves
     m_kj y - sum_t a_t m_jk x_t|_j = 0 for every j in K.
 
     When piece k has an adapted basis of its kernels and P(K + {k}) is
@@ -233,17 +222,15 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str,
     pivot there, at a_t, names the witness x_t, the first basis row that
     does not extend: its RREF row reads a_t + sum_{s>t} c_s a_s = 0, so
     x_t has no extension, and every x_s with s < t has one, since each
-    a-pivot row involves only a-columns right of its pivot.
-
-    ``layout`` is K's, when the caller shares it among K's entries."""
-    layout = layout or _SubsetLayout(fam, subset)
-    order, offsets, small = layout.order, layout.offsets, layout.small
-    if _extends_by_count(fam, order, k, small):
-        return ExtensionEntry(tuple(sorted(subset)), k, True, small, None)
-    d_k, n = fam.pieces[k].dim, small.dim
+    a-pivot row involves only a-columns right of its pivot."""
+    over, sub = small.over, small.subspace
+    if _extends_by_count(fam, small, k):
+        return ExtensionEntry(tuple(sorted(over)), k, True, sub, None)
+    d_k, n = fam.pieces[k].dim, sub.dim
+    columns = small.columns
     rows = []
-    for j in order:
-        block = layout.columns[j]
+    for j in over:
+        block = columns[j]
         for lhs, m_r in zip(fam.map(k, j).matrix.entries, fam.map_rows[(j, k)]):
             rhs = [F0] * n
             for c, m in m_r:
@@ -254,25 +241,24 @@ def _extension_entry(fam: GluingFamily, subset: Sequence[str], k: str,
     _, pivots = _reduce(rows, d_k + n)
     first = next((p - d_k for p in pivots if p >= d_k), None)
     witness = None if first is None else {
-        j: small.basis_rows[first][offsets[j]:offsets[j] + fam.pieces[j].dim] for j in order
+        j: sub.basis_rows[first][start:stop] for j, (start, stop) in small.blocks.items()
     }
-    return ExtensionEntry(tuple(sorted(subset)), k, witness is None, small, witness)
+    return ExtensionEntry(tuple(sorted(over)), k, witness is None, sub, witness)
 
 
 def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport:
     """Extension entries for every subset K of each size and every k not in
     K, in label order, each computed once per family.  They are computed
     from the largest K down, so that P(K + {k}) is built before (K, k)
-    when the sweep builds it at all, and the entries of one K share its
-    layout."""
+    when the sweep builds it at all."""
     labels = sorted(fam.labels)
     subsets = [subset for size in sizes for subset in itertools.combinations(labels, size)]
     for subset in sorted(subsets, key=lambda subset: -len(subset)):
         missing = [k for k in labels if k not in subset and (subset, k) not in fam.extension_entries]
         if missing:
-            layout = _SubsetLayout(fam, subset)
+            small = build_pullback(fam, subset)
             for k in missing:
-                fam.extension_entries[subset, k] = _extension_entry(fam, subset, k, layout)
+                fam.extension_entries[subset, k] = _extension_entry(fam, small, k)
     return ExtensionReport(tuple(fam.extension_entries[subset, k]
                                  for subset in subsets for k in labels if k not in subset))
 

@@ -22,7 +22,7 @@ from gluecheck.algebra import (
     subspace_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import F0, F1, Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum
+from gluecheck.exactlin import F0, F1, Matrix, Subspace, _reduce, _span, image, invert, kernel, span, subspace_sum, vec
 from gluecheck.finset import (
     EmbeddingReport,
     FiniteGluing,
@@ -110,12 +110,13 @@ def projection_reference():
     return _projection_reference
 
 
-def _projection_image_reference(p, label):
+def _projection_image_reference(fam, p, label):
     """``(matrix, (surjective, image))`` for the projection of the pullback
-    ``p`` onto piece ``label``: the d x dim P matrix that ``build_pullback``
-    stored for each piece, read row by row from the piece's block of the
-    basis, and the span of its columns, each read one index at a time."""
-    block, d = _blocks(p.family, p.over)[label], p.family.pieces[label].dim
+    ``p`` of ``fam`` onto piece ``label``: the d x dim P matrix that
+    ``build_pullback`` stored for each piece, read row by row from the
+    piece's block of the basis, and the span of its columns, each read one
+    index at a time."""
+    block, d = _blocks(fam, p.over)[label], fam.pieces[label].dim
     rows = p.subspace.basis_rows
     m = Matrix(d, len(rows), tuple(tuple(row[block][r] for row in rows) for r in range(d)))
     img = _span((tuple(m.entries[r][c] for r in range(d)) for c in range(m.cols)), d)
@@ -130,10 +131,11 @@ def projection_image_reference():
     return _projection_image_reference
 
 
-def _pullback_algebra(p) -> Algebra:
-    """The pullback's subspace of the direct sum of its pieces, presented on
-    its basis; ``subspace_algebra`` checks the unit and the closure."""
-    ambient = Algebra.direct_sum([p.family.pieces[i] for i in p.over])
+def _pullback_algebra(fam, p) -> Algebra:
+    """The subspace of the pullback ``p`` of ``fam`` in the direct sum of its
+    pieces, presented on its basis; ``subspace_algebra`` checks the unit and
+    the closure."""
+    ambient = Algebra.direct_sum([fam.pieces[i] for i in p.over])
     return subspace_algebra(ambient, p.subspace)
 
 
@@ -265,6 +267,16 @@ def oriented_pairs(g: FiniteGluing, i: str, j: str) -> tuple[tuple[str, str], ..
     key = pair_key(i, j)
     stored = g.identifications.get(key, ())
     return stored if key == (i, j) else tuple((b, a) for a, b in stored)
+
+
+def indicator_matrix(points, chosen) -> Matrix:
+    """The restriction of functions on ``points`` to the ``chosen`` points,
+    each row a pass over all the points: how ``FiniteGluing.dual_family``
+    built its maps before it took their rows from one identity matrix."""
+    rows = []
+    for c in chosen:
+        rows.append(tuple(F1 if p == c else F0 for p in points))
+    return Matrix(len(chosen), len(points), tuple(rows))
 
 
 def _glue_reference(g: FiniteGluing, over=None) -> GluedSpace:
@@ -433,6 +445,13 @@ def validator_reference():
     over nonzero products and the shared support masks replaced, to test
     them against."""
     return SimpleNamespace(algebra=_validate_algebra_reference, hom=_validate_hom_reference)
+
+
+def matrix_of(rows, cols: int | None = None) -> Matrix:
+    """The matrix with these rows, each through ``vec``; ``cols`` is needed
+    only when there are no rows."""
+    entries = tuple(vec(r) for r in rows)
+    return Matrix(len(entries), len(entries[0]) if cols is None else cols, entries)
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import matrix_of
 from gluecheck.exactlin import (
-    Matrix,
     Subspace,
     image,
     kernel,
@@ -195,7 +195,7 @@ def test_criterion_8_exactness_on_large_rationals():
         for trial in range(1000):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
-            m = Matrix.from_rows(
+            m = matrix_of(
                 [[big_fraction() for _ in range(cols)] for _ in range(rows)]
             )
 

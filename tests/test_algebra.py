@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import matrix_of
 from gluecheck import algebra, exactlin, specfile
 from gluecheck.algebra import (
     Algebra,
@@ -19,7 +20,7 @@ from gluecheck.algebra import (
     validate_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import F0, F1, Matrix, Subspace, kernel, span, vec
+from gluecheck.exactlin import F0, F1, Matrix, Subspace, kernel, span, subspace_sum, vec
 from gluecheck.finset import dualize, fixture_family, tcirc_c
 from gluecheck.multipullback import RepairRefused, analyse, repair
 
@@ -75,7 +76,7 @@ class TestValidateAlgebra:
 
 
 def evaluation_hom(points: int, at: int) -> AlgebraHom:
-    m = Matrix.from_rows([[1 if c == at else 0 for c in range(points)]])
+    m = matrix_of([[1 if c == at else 0 for c in range(points)]])
     return AlgebraHom(Algebra.functions(points), Algebra.functions(1), m)
 
 
@@ -84,7 +85,7 @@ class TestValidateHom:
         assert validate_hom(evaluation_hom(3, 2)) is None
 
     def test_pair_evaluation(self):
-        m = Matrix.from_rows([[1, 0, 0], [0, 0, 1]])
+        m = matrix_of([[1, 0, 0], [0, 0, 1]])
         h = AlgebraHom(Algebra.functions(3), Algebra.functions(2), m)
         assert validate_hom(h) is None
 
@@ -99,7 +100,7 @@ class TestValidateHom:
         h = AlgebraHom(
             Algebra.functions(2),
             Algebra.functions(1),
-            Matrix.from_rows([["1/2", "1/2"]]),
+            matrix_of([["1/2", "1/2"]]),
         )
         violation = validate_hom(h)
         assert violation is not None and violation.kind == "hom-multiplicative"
@@ -119,7 +120,7 @@ class TestValidatorCost:
         assert len(sums) <= 4 * 64
 
     def test_validate_hom_of_a_restriction(self, record_calls):
-        restriction = Matrix.from_rows([one_hot(0, 64), one_hot(1, 64)])
+        restriction = matrix_of([one_hot(0, 64), one_hot(1, 64)])
         h = AlgebraHom(Algebra.functions(64), Algebra.functions(2), restriction)
         sums = record_calls(algebra, "_combine")
         assert validate_hom(h) is None
@@ -143,7 +144,7 @@ class TestSupportMasks:
         sums = record_calls(algebra, "_combine")
         assert validate_algebra(Algebra.functions(24)) is None
         assert len(bits) <= 3 * 24
-        restriction = Matrix.from_rows([one_hot(0, 24), one_hot(1, 24)])
+        restriction = matrix_of([one_hot(0, 24), one_hot(1, 24)])
         assert validate_hom(AlgebraHom(Algebra.functions(24), Algebra.functions(2), restriction)) is None
         assert sums == []
 
@@ -183,7 +184,7 @@ class TestSurjectivity:
         assert onto(evaluation_hom(3, 2))
 
     def test_diagonal_embedding_is_not(self):
-        h = AlgebraHom(Algebra.functions(1), Algebra.functions(2), Matrix.from_rows([[1], [1]]))
+        h = AlgebraHom(Algebra.functions(1), Algebra.functions(2), matrix_of([[1], [1]]))
         assert validate_hom(h) is None
         assert not onto(h)
 
@@ -193,7 +194,7 @@ SURJECTIVITY_ENTRIES = (0, 0, 0, 1, -1, 2, Fraction(1, 3))
 
 def squashed(fam: GluingFamily) -> GluingFamily:
     """The family with its map (I2, I3) replaced by one whose image is a line."""
-    squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
+    squash = matrix_of([[0, 0, 1], [0, 0, 1]])
     bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), squash)
     return GluingFamily(fam.labels, fam.pieces, fam.overlaps, {**fam.maps, ("I2", "I3"): bad})
 
@@ -335,7 +336,7 @@ class TestQuotientAlgebra:
 
 def restriction_hom(source_points: int, targets: list[int]) -> AlgebraHom:
     """Dual of a map of finite sets: restrict functions along the target list."""
-    m = Matrix.from_rows(
+    m = matrix_of(
         [[1 if c == t else 0 for c in range(source_points)] for t in targets],
         cols=source_points,
     )
@@ -390,8 +391,8 @@ def tiny_family() -> GluingFamily:
     pieces = {"A": Algebra.functions(2), "B": Algebra.functions(2)}
     overlap = Algebra.functions(1)
     maps = {
-        ("A", "B"): AlgebraHom(pieces["A"], overlap, Matrix.from_rows([[1, 0]])),
-        ("B", "A"): AlgebraHom(pieces["B"], overlap, Matrix.from_rows([[0, 1]])),
+        ("A", "B"): AlgebraHom(pieces["A"], overlap, matrix_of([[1, 0]])),
+        ("B", "A"): AlgebraHom(pieces["B"], overlap, matrix_of([[0, 1]])),
     }
     return GluingFamily(("A", "B"), pieces, {("A", "B"): overlap}, maps)
 
@@ -410,7 +411,7 @@ class TestGluingFamilyValidation:
     def test_map_with_wrong_target(self):
         fam = tiny_family()
         other = Algebra.functions(1, label="imposter")
-        bad = AlgebraHom(fam.pieces["B"], other, Matrix.from_rows([[0, 1]]))
+        bad = AlgebraHom(fam.pieces["B"], other, matrix_of([[0, 1]]))
         broken = GluingFamily(fam.labels, fam.pieces, fam.overlaps,
                               {**fam.maps, ("B", "A"): bad})
         assert any(p.kind == "map-target" for p in broken.problems())
@@ -418,7 +419,7 @@ class TestGluingFamilyValidation:
     def test_surjectivity_only_when_required(self):
         pieces = {"A": Algebra.functions(1), "B": Algebra.functions(1)}
         overlap = Algebra.functions(2)
-        diag = Matrix.from_rows([[1], [1]])
+        diag = matrix_of([[1], [1]])
         fam = GluingFamily(
             ("A", "B"),
             pieces,
@@ -520,7 +521,7 @@ def generated(table, x, sides: str) -> Subspace:
     while True:
         more = [dense_multiply(table, e, r) for e in basis for r in s.basis_rows if "l" in sides]
         more += [dense_multiply(table, r, e) for e in basis for r in s.basis_rows if "r" in sides]
-        grown = s + span(more, d)
+        grown = subspace_sum(s, span(more, d))
         if grown == s:
             return s
         s = grown
@@ -544,7 +545,7 @@ class TestAgainstDenseReference:
                 # kernel plus the unit, which often is not
                 a, ker = fam.pieces[i], fam.map_kernels[next(k for k in fam.maps if k[0] == i)]
                 table = dense_table(a)
-                for s in (ker, ker + span([a.unit], a.dim)):
+                for s in (ker, subspace_sum(ker, span([a.unit], a.dim))):
                     assert is_ideal(a, s) == dense_is_ideal(table, s), (name, i)
                 for x, y in itertools.product((a.unit, *ker.basis_rows[:2]), repeat=2):
                     assert a.multiply(x, y) == dense_multiply(table, x, y), (name, i)
@@ -562,7 +563,7 @@ class TestAgainstDenseReference:
                   *(generated(table, x, sides) for sides in ("l", "r", "lr"))):
             assert is_ideal(a, s) == dense_is_ideal(table, s)
         rows = data.draw(st.lists(vectors, min_size=b.dim, max_size=b.dim))
-        m = Matrix.from_rows(rows, cols=a.dim)
+        m = matrix_of(rows, cols=a.dim)
         # the target's unit is the image of the source's, so that the
         # multiplicativity check is what runs
         for h in (AlgebraHom(a, Algebra(b.dim, b.products, m.apply(a.unit)), m),

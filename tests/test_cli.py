@@ -16,12 +16,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _dense_family_json
+from conftest import _dense_family_json, matrix_of
 from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
 from gluecheck.cli import main
 from gluecheck.finset import dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
-from gluecheck.exactlin import Matrix
 from gluecheck.lattice import check_distributive_family
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +49,7 @@ def run_json(capsys, *argv):
 def replaced_map(rows) -> GluingFamily:
     """The dual of tcirc-c with its map (I2, I3) replaced by ``rows``."""
     fam = dualize(tcirc_c())
-    bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), Matrix.from_rows(rows))
+    bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), matrix_of(rows))
     return GluingFamily(fam.labels, fam.pieces, fam.overlaps, {**fam.maps, ("I2", "I3"): bad})
 
 
@@ -547,7 +546,15 @@ class TestOneAnalysisPerFamily:
         monkeypatch.setattr(cli, "_load", capture)
         validated = record_calls(algebra, "validate_algebra")
         kernels = record_calls(exactlin, "kernel")
-        pullbacks = record_calls(multipullback, "pullback_subspace")
+        layouts = record_calls(multipullback, "_block_layout")
+        null_spaces = []
+        null_space = multipullback._null_space
+
+        def eliminated(*args):
+            null_spaces.append(args)
+            return null_space(*args)
+
+        monkeypatch.setattr(multipullback, "_null_space", eliminated)  # the pullbacks' eliminations only
         map_rows = record_calls(algebra, "_map_rows")
         induced = record_calls(algebra, "subspace_algebra")
         ideal_tests = record_calls(algebra, "is_ideal")
@@ -560,12 +567,14 @@ class TestOneAnalysisPerFamily:
         assert all(sum(a is args[0] for args in validated) == 1 for a in algebras)
         for h in fam.maps.values():
             assert sum(h.matrix is args[0] for args in kernels) == 1
-        subsets = [frozenset(args[1]) for args in pullbacks]
+        subsets = [frozenset(args[1]) for args in layouts]
         every_subset = {
             frozenset(s) for n in range(1, len(fam.labels) + 1)
             for s in itertools.combinations(fam.labels, n)
         }
+        # each subset laid out and eliminated once: the sweep's K and the whole pullback
         assert sorted(map(sorted, subsets)) == sorted(map(sorted, every_subset))
+        assert len(null_spaces) == len(every_subset)
         assert len(map_rows) == 1 and map_rows[0][0] is fam  # read by every subset
         assert induced == []
         assert ideal_tests == []  # kernels of validated homs are ideals
@@ -619,7 +628,7 @@ class TestPullbacksTheSweepBuilds:
         doc = specfile.gluing_json(g) if command.startswith("glue") else specfile.family_json(dualize(g))
         path = tmp_path / "doc.json"
         path.write_text(specfile.dump_document(doc))
-        pullbacks = record_calls(multipullback, "pullback_subspace")
+        layouts = record_calls(multipullback, "_block_layout")
         name, *flags = command.split()
         assert main([name, str(path), *flags]) in (0, 1, 3)
         capsys.readouterr()
@@ -628,13 +637,13 @@ class TestPullbacksTheSweepBuilds:
             "check --max-j 2": self.subsets(2, 4),  # pairwise sweep and the whole pullback
             "glue --duality": self.subsets(2, 4),
         }[command]
-        assert sorted(sorted(args[1]) for args in pullbacks) == expected
+        assert sorted(sorted(args[1]) for args in layouts) == expected
 
     def test_the_pairwise_sweep_alone_builds_no_triple(self, record_calls, monkeypatch):
         fam = dualize(random_gluing(7))
         check_distributive_family(fam)
         assert len(fam.kernel_blocks) == len(self.LABELS)
-        pullbacks = record_calls(multipullback, "pullback_subspace")
+        layouts = record_calls(multipullback, "_block_layout")
         reduced = []
         reduce = multipullback._reduce
 
@@ -644,7 +653,7 @@ class TestPullbacksTheSweepBuilds:
 
         monkeypatch.setattr(multipullback, "_reduce", recorded)  # the sweep's own eliminations only
         report = multipullback.check_condition3(fam)
-        assert sorted(sorted(args[1]) for args in pullbacks) == self.subsets(2)
+        assert sorted(sorted(args[1]) for args in layouts) == self.subsets(2)
         assert len(reduced) == len(report.entries)  # no P(K + {k}) at hand, so each is eliminated
 
 
@@ -956,7 +965,8 @@ class TestRepairCommand:
         assert code == 3
         assert "distributive" in report["refused"]["reason"]
         a, b, c = (exactlin.span(rows, len(rows[0])) for rows in report["refused"]["witness"])
-        assert a & (b + c) != (a & b) + (a & c)
+        meet, join = exactlin.intersect, exactlin.subspace_sum
+        assert meet(a, join(b, c)) != join(meet(a, b), meet(a, c))
         code, out, _ = run(capsys, "repair", str(path))
         assert code == 3
         assert "refused: projection kernels do not generate a distributive lattice" in out

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import matrix_of
 from gluecheck import exactlin, lattice
 from gluecheck.exactlin import (
     Matrix,
@@ -31,7 +32,7 @@ def matrices(draw, max_rows=4, max_cols=4, min_rows=0, min_cols=1):
     entries = draw(
         st.lists(st.lists(fracs, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
     )
-    return Matrix.from_rows(entries, cols)
+    return matrix_of(entries, cols)
 
 
 @st.composite
@@ -56,7 +57,7 @@ class TestRref:
         assert s.ambient_dim == 2
 
     def test_dependent_rows(self):
-        s = rref(Matrix.from_rows([[2, 4], [1, 2]]))
+        s = rref(matrix_of([[2, 4], [1, 2]]))
         assert s.basis_rows == (vec([1, 2]),)
 
     @given(matrices())
@@ -82,10 +83,10 @@ class TestSum:
         assert subspace_sum(u, Subspace.zero(3)) == u
 
     def test_complementary_lines(self):
-        assert span([[1, 0]], 2) + span([[0, 1]], 2) == Subspace.full(2)
+        assert subspace_sum(span([[1, 0]], 2), span([[0, 1]], 2)) == Subspace.full(2)
 
     def test_two_planes_generators(self):
-        s = span([[1, 1, 0]], 3) + span([[1, 1, 1]], 3)
+        s = subspace_sum(span([[1, 1, 0]], 3), span([[1, 1, 1]], 3))
         assert s.basis_rows == (vec([1, 1, 0]), vec([0, 0, 1]))
 
     def test_ambient_mismatch(self):
@@ -112,7 +113,7 @@ class TestIntersect:
 
     @given(subspaces(ambient=4), subspaces(ambient=4))
     def test_dimension_formula(self, u, v):
-        assert (u + v).dim == u.dim + v.dim - (u & v).dim
+        assert subspace_sum(u, v).dim == u.dim + v.dim - intersect(u, v).dim
 
 
 class TestMaps:
@@ -122,7 +123,7 @@ class TestMaps:
 
     def test_kernel_of_point_evaluation(self):
         # evaluation at the last point of a 3-point chain
-        k = kernel(Matrix.from_rows([[0, 0, 1]]))
+        k = kernel(matrix_of([[0, 0, 1]]))
         assert k == span([[1, 0, 0], [0, 1, 0]], 3)
 
     @given(matrices())
@@ -170,20 +171,20 @@ class TestModularLaw:
         # u below w: spanned by a subset of w's basis rows
         keep = data.draw(st.lists(st.booleans(), min_size=w.dim, max_size=w.dim))
         u = span([r for r, k in zip(w.basis_rows, keep) if k], w.ambient_dim)
-        assert u + intersect(v, w) == intersect(u + v, w)
+        assert subspace_sum(u, intersect(v, w)) == intersect(subspace_sum(u, v), w)
 
 
 class TestInvert:
     def test_round_trip(self):
-        m = Matrix.from_rows([[1, 2], [3, 5]])
+        m = matrix_of([[1, 2], [3, 5]])
         assert m @ invert(m) == Matrix.identity(2)
 
     def test_singular_raises(self):
         with pytest.raises(ValueError):
-            invert(Matrix.from_rows([[1, 2], [2, 4]]))
+            invert(matrix_of([[1, 2], [2, 4]]))
 
     def test_empty_matrix(self):
-        assert invert(Matrix.from_rows([], cols=0)) == Matrix.identity(0)
+        assert invert(matrix_of([], cols=0)) == Matrix.identity(0)
 
 
 class TestMembership:
@@ -205,7 +206,7 @@ class TestMembership:
 
 
 def test_rank_of_rectangular():
-    assert rref(Matrix.from_rows([[1, 2, 3], [2, 4, 6]])).dim == 1
+    assert rref(matrix_of([[1, 2, 3], [2, 4, 6]])).dim == 1
 
 
 def _entries(result) -> list:
@@ -230,7 +231,7 @@ def test_int_entries_reduce_exactly(op, rows):
     # a Matrix built directly may hold ints; int / int would make floats
     ints = Matrix(len(rows), len(rows[0]), tuple(tuple(r) for r in rows))
     result = op(ints)
-    assert result == op(Matrix.from_rows(rows))
+    assert result == op(matrix_of(rows))
     assert all(type(x) is int or type(x) is Fraction for x in _entries(result))
 
 
@@ -275,7 +276,7 @@ class TestKernelInOneElimination:
     def test_matches_the_two_pass_kernel(self, kernel_reference):
         rng = random.Random(14)
         cases = [Matrix(0, 0, ()), Matrix(0, 3, ()), Matrix(2, 0, ((), ())),
-                 Matrix.from_rows([[0]]), Matrix.from_rows([[0] * 4] * 3)]
+                 matrix_of([[0]]), matrix_of([[0] * 4] * 3)]
         for _ in range(3000):
             rows, cols = rng.randint(0, 6), rng.randint(1, 6)
             cases.append(Matrix(rows, cols, tuple(tuple(rng.choice(KERNEL_ENTRIES) for _ in range(cols))
@@ -289,7 +290,7 @@ class TestKernelInOneElimination:
 
     def test_one_elimination_per_call(self, record_calls):
         calls = record_calls(exactlin, "_reduce")
-        k = kernel(Matrix.from_rows([[1, 2, 0, 1], [0, 0, 1, Fraction(1, 3)]]))
+        k = kernel(matrix_of([[1, 2, 0, 1], [0, 0, 1, Fraction(1, 3)]]))
         assert len(calls) == 1
         assert k.dim == 2
 
@@ -357,8 +358,10 @@ class TestIntersectThroughConstraintRows:
         for _ in range(3000):
             n = rng.randint(0, 7)
             u, v = subspace(n), subspace(n)
-            # u inside u + v and u & v inside v: the meet is u itself; v inside u + v
-            pairs += [(u, v), (u, u + v), (u + v, v), (intersect_reference(u, v), v)]
+            both = subspace_sum(u, v)
+            # nested pairs, whose meet is the smaller one: u inside u + v, the
+            # meet of u and v inside v, and v inside u + v
+            pairs += [(u, v), (u, both), (both, v), (intersect_reference(u, v), v)]
         for u, v in pairs:
             self.assert_matches(u, v, intersect(u, v), intersect_reference)
 

@@ -4,11 +4,11 @@ from collections import Counter, deque
 
 import pytest
 
-from conftest import oriented_pairs, twisted_triangle_gluing
+from conftest import indicator_matrix, matrix_of, oriented_pairs, twisted_triangle_gluing
 from gluecheck import finset, multipullback
 from gluecheck.algebra import GluingFamily, _onto, validate_algebra, validate_hom
-from gluecheck.exactlin import Matrix
 from gluecheck.finset import (
+    FIXTURES,
     FiniteGluing,
     check_embedding,
     chain_points,
@@ -232,8 +232,8 @@ class TestGluingCost:
 class TestDualize:
     def test_single_point_circle_reproduces_the_evaluation_maps(self):
         fam = dualize(tcirc_a())
-        eval_at_1 = Matrix.from_rows([[0, 0, 1]])
-        eval_at_minus1 = Matrix.from_rows([[1, 0, 0]])
+        eval_at_1 = matrix_of([[0, 0, 1]])
+        eval_at_minus1 = matrix_of([[1, 0, 0]])
         assert fam.map("I1", "I2").matrix == eval_at_1
         assert fam.map("I2", "I1").matrix == eval_at_1
         assert fam.map("I1", "I3").matrix == eval_at_1
@@ -244,18 +244,31 @@ class TestDualize:
     def test_double_point_overlap_has_dimension_two(self):
         fam = dualize(tcirc_c())
         assert fam.overlap("I2", "I3").dim == 2
-        assert fam.map("I2", "I3").matrix == Matrix.from_rows([[1, 0, 0], [0, 0, 1]])
+        assert fam.map("I2", "I3").matrix == matrix_of([[1, 0, 0], [0, 0, 1]])
 
     def test_swapped_endpoint_identification(self):
         fam = dualize(tstar())
-        assert fam.map("I2", "I3").matrix == Matrix.from_rows([[1, 0, 0], [0, 0, 1]])
-        assert fam.map("I3", "I2").matrix == Matrix.from_rows([[0, 0, 1], [1, 0, 0]])
+        assert fam.map("I2", "I3").matrix == matrix_of([[1, 0, 0], [0, 0, 1]])
+        assert fam.map("I3", "I2").matrix == matrix_of([[0, 0, 1], [1, 0, 0]])
 
     def test_empty_identification_gives_a_zero_overlap(self):
         g = FiniteGluing(("A", "B"), {"A": ("x",), "B": ("y",)}, {})
         fam = dualize(g)
         assert fam.overlap("A", "B").dim == 0
         fam.require_valid()
+
+    def test_maps_are_the_indicator_matrices(self):
+        gluings = [random_gluing(seed) for seed in range(200)]
+        gluings += [fixture_gluing(name, chain) for name in FIXTURES for chain in (3, 8)]
+        compared = 0
+        for g in gluings:
+            fam = dualize(g)
+            for i, j in itertools.permutations(g.labels, 2):
+                want = indicator_matrix(g.spaces[i], [a for a, _ in oriented_pairs(g, i, j)])
+                got = fam.map(i, j).matrix
+                assert got == want and repr(got) == repr(want), (i, j)
+                compared += 1
+        assert compared > 2000
 
     @pytest.mark.parametrize("source", [
         *range(100), "example1", "example2", "example3", "example1@24", "example2@24", "example3@24",
@@ -319,7 +332,7 @@ class TestDualityBridge:
         fam = dualize(g)
         assert dualize(g) is fam
         duality_check(g)
-        assert frozenset(g.labels) in fam.pullback_subspaces
+        assert frozenset(g.labels) in fam.pullbacks
 
 
 class TestFixtures:

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import matrix_of
 from gluecheck import lattice
 from gluecheck.algebra import AlgebraHom, FamilyValidationError, GluingFamily, is_ideal
-from gluecheck.exactlin import Matrix, Subspace, intersect, kernel, span, subspace_sum
+from gluecheck.exactlin import Subspace, intersect, kernel, span, subspace_sum
 from gluecheck.finset import FiniteGluing, dualize, tcirc_a, tcirc_c, tstar
 from gluecheck.lattice import (
     DEFAULT_CAP,
@@ -301,7 +302,7 @@ class TestDistributiveFamily:
 
     def test_non_surjective_map_is_named(self):
         fam = dualize(tcirc_c())
-        squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
+        squash = matrix_of([[0, 0, 1], [0, 0, 1]])
         bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"), squash)
         broken = GluingFamily(
             fam.labels, fam.pieces, fam.overlaps, {**fam.maps, ("I2", "I3"): bad}
@@ -315,7 +316,7 @@ class TestDistributiveFamily:
         # family before any kernel is taken on trust
         fam = dualize(tcirc_c())
         bad = AlgebraHom(fam.pieces["I2"], fam.overlap("I2", "I3"),
-                         Matrix.from_rows([[1, 1, 0], [0, 0, 1]]))
+                         matrix_of([[1, 1, 0], [0, 0, 1]]))
         broken = GluingFamily(
             fam.labels, fam.pieces, fam.overlaps, {**fam.maps, ("I2", "I3"): bad}
         )

@@ -1,11 +1,14 @@
 import functools
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gluecheck import algebra, multipullback
+from conftest import matrix_of
+from gluecheck import algebra, multipullback, specfile
 from gluecheck.algebra import (
     AlgebraHom,
     FamilyValidationError,
@@ -15,7 +18,7 @@ from gluecheck.algebra import (
     validate_hom,
 )
 from gluecheck.exactlin import Matrix, Subspace, image, intersect, kernel, quotient, span, subspace_sum, vec
-from gluecheck.finset import FiniteGluing, dualize, fixture_family, random_gluing
+from gluecheck.finset import FIXTURES, FiniteGluing, duality_check, dualize, fixture_family, fixture_gluing, random_gluing
 from gluecheck.lattice import DEFAULT_CAP, check_distributive_family
 from gluecheck.multipullback import (
     HypothesisNotMet,
@@ -63,13 +66,13 @@ class TestBuildPullback:
         p = build_pullback(example1)
         from gluecheck.algebra import validate_algebra
 
-        assert validate_algebra(pullback_algebra(p)) is None
+        assert validate_algebra(pullback_algebra(example1, p)) is None
 
     def test_induced_algebra_builds_on_the_corpus(self, corpus, pullback_algebra):
         # the closure of the pullback, which no command checks at run time
         for _, fam in corpus:
             p = build_pullback(fam)
-            assert pullback_algebra(p).dim == p.dim
+            assert pullback_algebra(fam, p).dim == p.dim
 
     def test_no_overlaps_mean_no_constraints(self):
         fam = no_overlap_family()
@@ -77,7 +80,7 @@ class TestBuildPullback:
         assert p.dim == 7
 
     def test_rejects_non_surjective_family(self, example3):
-        squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
+        squash = matrix_of([[0, 0, 1], [0, 0, 1]])
         bad = AlgebraHom(example3.pieces["I2"], example3.overlap("I2", "I3"), squash)
         broken = GluingFamily(example3.labels, example3.pieces, example3.overlaps,
                               {**example3.maps, ("I2", "I3"): bad})
@@ -142,7 +145,7 @@ class TestProjections:
     def test_singleton_projection(self, example1):
         p = build_pullback(example1, ["I1"])
         ok, img = projection_surjective(p, "I1")
-        assert ok and img.is_full()
+        assert ok and img == Subspace.full(img.ambient_dim)
 
     def test_blocks_match_the_stored_matrices(self, rebased_families, projection_image_reference):
         # over every label subset of size 1, 2 and all, so blocks start at
@@ -157,7 +160,7 @@ class TestProjections:
             for over in (None, *subsets):
                 p = build_pullback(fam, over)
                 for i in p.over:
-                    matrix, verdict = projection_image_reference(p, i)
+                    matrix, verdict = projection_image_reference(fam, p, i)
                     assert p.projection(i) == matrix
                     assert projection_surjective(p, i) == verdict
                     compared += 1
@@ -276,12 +279,12 @@ def count_against_elimination(fam: GluingFamily) -> int:
     counted = {}
     for (subset, k), e in fam.extension_entries.items():
         if k in blocks:
-            order = [i for i in fam.labels if i in subset]
-            counted[(subset, k)] = (e, multipullback._extends_by_count(fam, order, k, e.expected))
+            small = build_pullback(fam, subset)
+            counted[(subset, k)] = (e, multipullback._extends_by_count(fam, small, k))
     fam.kernel_blocks.clear()
     try:
         for (subset, k), (e, by_count) in counted.items():
-            eliminated = multipullback._extension_entry(fam, subset, k)
+            eliminated = multipullback._extension_entry(fam, build_pullback(fam, subset), k)
             assert by_count == eliminated.ok, (subset, k)
             if by_count:
                 fields = (eliminated.ok, eliminated.witness, eliminated.expected)
@@ -532,7 +535,7 @@ class TestTheoremEquivalence:
             check_theorem_equivalence(three_line_family)
 
     def test_refuses_non_surjective_families(self, example3):
-        squash = Matrix.from_rows([[0, 0, 1], [0, 0, 1]])
+        squash = matrix_of([[0, 0, 1], [0, 0, 1]])
         bad = AlgebraHom(example3.pieces["I2"], example3.overlap("I2", "I3"), squash)
         broken = GluingFamily(example3.labels, example3.pieces, example3.overlaps,
                               {**example3.maps, ("I2", "I3"): bad})
@@ -589,7 +592,7 @@ class TestRepair:
 
     def test_projection_kernels_are_ideals(self, repairs, pullback_algebra):
         for name, result in repairs:
-            induced = pullback_algebra(result.pullback)
+            induced = pullback_algebra(result.family, result.pullback)  # the pieces are kept
             for i, k in result.projection_kernels.items():
                 assert is_ideal(induced, k), (name, i)
 
@@ -597,7 +600,7 @@ class TestRepair:
         # repair presents P/(K_i+K_j) from the piece B_i; the checked
         # quotient of the pullback's induced algebra is the reference
         for name, result in repairs:
-            induced = pullback_algebra(result.pullback)
+            induced = pullback_algebra(result.family, result.pullback)
             kernels = result.projection_kernels
             for (i, j), overlap in result.family.overlaps.items():
                 ideal = subspace_sum(kernels[i], kernels[j])
@@ -634,3 +637,35 @@ class TestRepair:
             repaired_sub = pullback_subspace(result.family)
             assert image(comparison, Subspace.full(result.pullback.dim)) == repaired_sub, name
             assert kernel(comparison).dim == 0, name
+
+
+def checked_and_released(g: FiniteGluing) -> tuple[weakref.ref, weakref.ref]:
+    """Weak references to the family parsed from the dual of ``g``, after
+    ``analyse`` and ``repair``, and to ``g``, after ``duality_check``, once
+    nothing here refers to them."""
+    _, fam, _ = specfile.parse_document(specfile.dump_document(specfile.family_json(dualize(g))))
+    analyse(fam)
+    try:
+        repair(fam)
+    except RepairRefused:
+        pass
+    duality_check(g)
+    return weakref.ref(fam), weakref.ref(g)
+
+
+class TestFreedByReferenceCounting:
+    """What a family and a gluing keep of their analyses (the pullback of
+    each label subset among them) holds no reference back to either, so
+    they are freed with the cycle collector switched off."""
+
+    def test_families_and_gluings_are_freed(self):
+        gc.collect()
+        gc.disable()
+        try:
+            refs = [checked_and_released(fixture_gluing(name)) for name in FIXTURES]
+            refs += [checked_and_released(random_gluing(seed)) for seed in range(15)]
+            alive = [(n, fam() is not None, g() is not None) for n, (fam, g) in enumerate(refs)]
+        finally:
+            gc.enable()
+        assert len(refs) == 21
+        assert [a for a in alive if a[1] or a[2]] == []
