@@ -6,9 +6,12 @@ BENCHMARK.json declares, one process after another, reads the JSON object
 on the last line of each run's output, and writes ``BENCH_<n>.json`` at
 the root of the checkout. The file holds the git revision checked out,
 the git tree hash of each directory whose code the runs execute, as the
-working tree held it (so a change not yet committed is named too), the
-Python version, and for each workload the operations attempted and failed
-and the end-to-end metrics BENCHMARK.json lists.
+working tree held it (so a change not yet committed is named too),
+whether every one of those trees is the revision's own, the Python
+version, and for each workload the operations attempted and failed and
+the end-to-end metrics BENCHMARK.json lists. A file written before its
+change is committed names the parent as ``rev``, with ``trees_at_rev``
+false; compare ``trees`` to tell which code was measured.
 
 Usage: python scripts/bench.py N
 """
@@ -43,6 +46,15 @@ def measured_trees() -> dict[str, str]:
         return {d: git("write-tree", f"--prefix={d}/", env=env) for d in CODE_DIRS}
 
 
+def trees_at_rev(trees: dict[str, str]) -> bool:
+    """Whether each measured tree is ``git rev-parse HEAD:<dir>``, the tree
+    the checked-out revision holds there."""
+    try:
+        return all(git("rev-parse", f"HEAD:{d}") == tree for d, tree in trees.items())
+    except subprocess.CalledProcessError:  # a directory HEAD does not hold
+        return False
+
+
 def run_workload(name: str) -> dict:
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name, "--seed", "1"]
     child = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
@@ -73,6 +85,7 @@ def main() -> None:
     bench = {
         "rev": git("rev-parse", "HEAD"),
         "trees": trees,
+        "trees_at_rev": trees_at_rev(trees),
         "python": platform.python_version(),
         "workloads": workloads,
     }

@@ -109,9 +109,11 @@ def _load(args: argparse.Namespace, expect_kind: str) -> tuple[str, object, dict
 def _emit(args: argparse.Namespace, report: dict, render: Callable[[dict], Iterable[str]]) -> int:
     """Print the report as JSON under ``--json``, else the lines ``render`` makes of it.
     A reader that closed stdout does not change the exit code: the rest of
-    the output goes to the null device."""
+    the output goes to the null device.  A report holds no cycle, so the
+    encoder skips its cycle check."""
     try:
-        print(json.dumps(report) if args.json else "\n".join(render(report)), flush=True)
+        text = json.dumps(report, check_circular=False) if args.json else "\n".join(render(report))
+        print(text, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

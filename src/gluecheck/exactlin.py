@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of exact scalars: an ``int`` for every integral entry,
-and a ``Fraction`` only where ``_reduce`` divides a row by its pivot, the
-one division in the package; a matrix acts on column vectors by left
-multiplication.  A subspace of Q^n is stored as the reduced row echelon
-basis of its row space, with no zero rows.  RREF is the canonical form:
-``Fraction(1) == 1`` and both hash alike, so two subspaces are equal
-exactly when their fields compare equal, and no epsilon appears anywhere
-in the package.
+and a ``Fraction`` only where an elimination scales a row by its pivot's
+inverse, ``_reduce``'s being the one division in the package; a matrix
+acts on column vectors by left multiplication.  A subspace of Q^n is
+stored as the reduced row echelon basis of its row space, with no zero
+rows.  RREF is the canonical form: ``Fraction(1) == 1`` and both hash
+alike, so two subspaces are equal exactly when their fields compare
+equal, and no epsilon appears anywhere in the package.
 """
 
 from __future__ import annotations
@@ -132,6 +132,46 @@ def _reduce(rows: Iterable[Sequence[Scalar]], cols: int) -> tuple[list[Vector], 
         if r == nrows:
             break
     return [tuple(row) for row in m[:r]], pivots
+
+
+def _echelon(rows: Iterable[Sequence[Scalar]], split: int) -> tuple[int, list[list[Scalar]]]:
+    """Forward elimination over the first ``split`` columns; returns the rank
+    there and the rows left over.
+
+    The rows left over are zero in the first ``split`` columns and span the
+    vectors of the row space that are, so the least column at which one of
+    them is nonzero is the first pivot at or past ``split`` of the RREF.
+    There is no back-substitution, and the other columns are not reduced.
+    Each pivot row is scaled by its pivot's inverse, as in ``_reduce``, so
+    entries stay bounded; ``Fraction(1, head)`` inverts a ``Fraction``
+    pivot as well as an ``int`` one.
+    """
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    r = 0
+    for c in range(split):
+        if r == nrows:
+            break
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        lead = m[r]
+        head = lead[c]
+        lead_nz = [(j, lead[j]) for j in range(c, len(lead)) if lead[j]]
+        if head != 1:
+            inv = -1 if head == -1 else Fraction(1, head)
+            lead_nz = [(j, x * inv) for j, x in lead_nz]
+        for i in range(r + 1, nrows):
+            mi = m[i]
+            f = mi[c]
+            if f:
+                for j, lv in lead_nz:
+                    mi[j] -= f * lv
+        r += 1
+    return r, m[r:]
 
 
 @dataclass(frozen=True)

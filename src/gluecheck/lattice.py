@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
 from gluecheck.algebra import GluingFamily
-from gluecheck.exactlin import Subspace, _span, intersect, subspace_sum
+from gluecheck.exactlin import Subspace, _echelon, intersect, subspace_sum
 
 DEFAULT_CAP = 10_000
 
@@ -183,7 +183,7 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | None:
                 inside.append(set())
             inside[found] |= known
             inside[found].add(i)
-        c = here.dim - _span(below, ambient).dim
+        c = here.dim - _echelon(below, ambient)[0]
         counted += c
         if counted > ambient:
             return None

@@ -25,8 +25,8 @@ from gluecheck.exactlin import (
     Matrix,
     Subspace,
     Vector,
+    _echelon,
     _null_space,
-    _reduce,
     _reduced_subspace,
     _span,
     invert,
@@ -115,7 +115,17 @@ class MultiPullback:
 
 def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> MultiPullback:
     """The pullback over a label subset (all labels by default), built once
-    per label subset of the family and kept in ``fam.pullbacks``.
+    per label subset of the family and kept in ``fam.pullbacks``.  A kept
+    pullback was built from a validated family, so only a new one has the
+    family validated first."""
+    key = frozenset(fam.labels if over is None else over)
+    if key not in fam.pullbacks:
+        fam.require_valid()
+    return _pullback(fam, key)
+
+
+def _pullback(fam: GluingFamily, key: frozenset) -> MultiPullback:
+    """``build_pullback`` for a family already validated.
 
     A tuple is compatible when both maps into each overlap agree on it, so
     the subspace is the kernel of the stacked difference constraints.  The
@@ -123,8 +133,6 @@ def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> Mult
     m_ij and of m_ji are laid out at the subset's blocks, columns
     reversed, for the one elimination that ``kernel`` would run.
     """
-    fam.require_valid()
-    key = frozenset(fam.labels if over is None else over)
     if key in fam.pullbacks:
         return fam.pullbacks[key]
     blocks = _block_layout(fam, key)
@@ -217,12 +225,14 @@ def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> Extensi
     When piece k has an adapted basis of its kernels and P(K + {k}) is
     already built, a dimension count decides a passing entry
     (``_extends_by_count``).  Otherwise, and for every failing entry,
-    one elimination over the columns [y | a] of those equations decides
-    it: it passes iff no pivot lies right of the y block.  The first
-    pivot there, at a_t, names the witness x_t, the first basis row that
-    does not extend: its RREF row reads a_t + sum_{s>t} c_s a_s = 0, so
-    x_t has no extension, and every x_s with s < t has one, since each
-    a-pivot row involves only a-columns right of its pivot."""
+    eliminating the y block of the rows [y | a] of those equations
+    decides it: the rows left over span the constraints on a, and the
+    entry passes iff they are all zero.  The least a-column t at which
+    one is nonzero is the first a-pivot of the RREF of [y | a], and names
+    the witness x_t, the first basis row that does not extend: that RREF
+    row reads a_t + sum_{s>t} c_s a_s = 0, so x_t has no extension, and
+    every x_s with s < t has one, since each a-pivot row involves only
+    a-columns right of its pivot."""
     over, sub = small.over, small.subspace
     if _extends_by_count(fam, small, k):
         return ExtensionEntry(tuple(sorted(over)), k, True, sub, None)
@@ -238,8 +248,9 @@ def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> Extensi
                     if x:
                         rhs[t] -= m * x
             rows.append([*lhs, *rhs])
-    _, pivots = _reduce(rows, d_k + n)
-    first = next((p - d_k for p in pivots if p >= d_k), None)
+    _, left = _echelon(rows, d_k)
+    leads = [next(c for c, x in enumerate(row) if x) for row in left if any(row)]
+    first = min(leads) - d_k if leads else None
     witness = None if first is None else {
         j: sub.basis_rows[first][start:stop] for j, (start, stop) in small.blocks.items()
     }
@@ -248,15 +259,15 @@ def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> Extensi
 
 def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport:
     """Extension entries for every subset K of each size and every k not in
-    K, in label order, each computed once per family.  They are computed
-    from the largest K down, so that P(K + {k}) is built before (K, k)
-    when the sweep builds it at all."""
+    K, in label order, each computed once per family, which the callers
+    have validated.  They are computed from the largest K down, so that
+    P(K + {k}) is built before (K, k) when the sweep builds it at all."""
     labels = sorted(fam.labels)
     subsets = [subset for size in sizes for subset in itertools.combinations(labels, size)]
     for subset in sorted(subsets, key=lambda subset: -len(subset)):
         missing = [k for k in labels if k not in subset and (subset, k) not in fam.extension_entries]
         if missing:
-            small = build_pullback(fam, subset)
+            small = _pullback(fam, frozenset(subset))
             for k in missing:
                 fam.extension_entries[subset, k] = _extension_entry(fam, small, k)
     return ExtensionReport(tuple(fam.extension_entries[subset, k]
@@ -316,13 +327,20 @@ def _trio_loop(fam: GluingFamily, trio: tuple[str, str, str],
     Q_a is the chart of B_a / (ker m_ab + ker m_ac), and c_ab, induced by
     m_ab, carries Q_a onto the chart of B_ab / m_ab(ker m_ac).  Clause 1
     makes c_ab and c_ba land in the same chart, so phi(a<-b) = c_ab^-1 c_ba.
+    For a surjective family each c_ab is then an isomorphism, so the three
+    charts have one dimension: when Q_i has none, the loop is the 0 x 0
+    identity, and no other chart is built.
     """
     i, j, k = trio
     turns = ((i, j, k), (j, k, i), (k, i, j))
-    charts = {
-        a: quotient(fam.pieces[a].dim, subspace_sum(fam.map_kernels[(a, b)], fam.map_kernels[(a, c)]))
-        for a, b, c in turns
-    }
+
+    def chart(a: str, b: str, c: str):
+        return quotient(fam.pieces[a].dim, subspace_sum(fam.map_kernels[(a, b)], fam.map_kernels[(a, c)]))
+
+    charts = {i: chart(*turns[0])}
+    if charts[i].dim == 0:
+        return Matrix.identity(0)
+    charts.update((a, chart(a, b, c)) for a, b, c in turns[1:])
     phis = []
     for a, b, c in turns:
         overlap = quotient(fam.overlap(a, b).dim, pushed[(a, b, c)]).projection
@@ -488,7 +506,7 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
     try:
         all_ext: ExtensionReport | TooManyPieces = check_condition2(fam, max_indices)
     except TooManyPieces as e:
-        all_ext = e
+        all_ext = e.with_traceback(None)  # its frames hold the family
     pair_ext = check_condition3(fam)
     if not dist.ok:
         refusal = HypothesisNotMet(_why_not_distributive(dist))

@@ -439,4 +439,6 @@ def gluing_json(g: FiniteGluing, options: Mapping | None = None) -> dict:
 
 
 def dump_document(doc: Mapping) -> str:
-    return json.dumps(doc) + "\n"
+    """The document as one line of compact JSON.  It holds no cycle, so the
+    encoder skips its cycle check."""
+    return json.dumps(doc, check_circular=False) + "\n"

@@ -34,7 +34,7 @@ from gluecheck.finset import (
     tcirc_c,
     tstar,
 )
-from gluecheck.multipullback import pullback_subspace
+from gluecheck.multipullback import ExtensionEntry, MultiPullback, pullback_subspace
 
 CORPUS_SEEDS = tuple(range(200))
 PROPERTY_INPUTS = ("example1", "example2", "example3") + tuple(f"seed{n}" for n in range(100))
@@ -121,6 +121,41 @@ def _projection_image_reference(fam, p, label):
     m = Matrix(d, len(rows), tuple(tuple(row[block][r] for row in rows) for r in range(d)))
     img = _span((tuple(m.entries[r][c] for r in range(d)) for c in range(m.cols)), d)
     return m, (img.dim == d, img)
+
+
+def _extension_entry_reference(fam: GluingFamily, small: MultiPullback, k: str) -> ExtensionEntry:
+    """Extension entry (K, k), K the labels of P(K) = ``small``, by one
+    Gauss-Jordan elimination over the columns [y | a] of the equations
+    m_kj y - sum_t a_t m_jk x_t|_j = 0, j in K, rows built from
+    ``small.columns`` as the sweep builds them: it passes iff no pivot lies
+    right of the y block, and the first pivot there, at a_t, names the
+    witness x_t."""
+    over, sub = small.over, small.subspace
+    d_k, n = fam.pieces[k].dim, sub.dim
+    rows = []
+    for j in over:
+        block = small.columns[j]
+        for lhs, m_r in zip(fam.map(k, j).matrix.entries, fam.map_rows[(j, k)]):
+            rhs = [F0] * n
+            for c, m in m_r:
+                for t, x in enumerate(block[c]):
+                    if x:
+                        rhs[t] -= m * x
+            rows.append([*lhs, *rhs])
+    _, pivots = _reduce(rows, d_k + n)
+    first = next((p - d_k for p in pivots if p >= d_k), None)
+    witness = None if first is None else {
+        j: sub.basis_rows[first][start:stop] for j, (start, stop) in small.blocks.items()
+    }
+    return ExtensionEntry(tuple(sorted(over)), k, witness is None, sub, witness)
+
+
+@pytest.fixture(scope="session")
+def extension_entry_reference():
+    """``extension_entry_reference(fam, small, k)``: the entry read off the
+    full RREF of [y | a], which the elimination of the y block alone is
+    tested against."""
+    return _extension_entry_reference
 
 
 @pytest.fixture(scope="session")

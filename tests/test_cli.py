@@ -579,6 +579,27 @@ class TestOneAnalysisPerFamily:
         assert induced == []
         assert ideal_tests == []  # kernels of validated homs are ideals
 
+    @pytest.mark.parametrize("source", ["example2", "seed0", "seed7"])
+    def test_each_stage_validates_the_family_once(self, monkeypatch, tmp_path, capsys, source):
+        # analyse, the distributivity check, the whole pullback, the cocycle
+        # and the two sweeps; no pullback of a subset validates it again
+        fam = fixture_family(source) if source.startswith("example") else dualize(random_gluing(int(source[4:])))
+        path = tmp_path / "family.json"
+        path.write_text(specfile.dump_document(specfile.family_json(fam)))
+        calls = []
+        require_valid = algebra.GluingFamily.require_valid
+
+        def recorded(self, *args, **kwargs):
+            calls.append(self)
+            return require_valid(self, *args, **kwargs)
+
+        monkeypatch.setattr(algebra.GluingFamily, "require_valid", recorded)
+        assert main(["check", str(path)]) in (0, 1)
+        capsys.readouterr()
+        assert len(calls) == 6
+        parsed = calls[0]
+        assert all(f is parsed for f in calls) and len(parsed.pullbacks) == 2 ** len(parsed.labels) - 1
+
     def test_glue_duality_glues_each_piece_subset_once(self, record_calls, tmp_path, capsys):
         path = tmp_path / "gluing.json"
         path.write_text(specfile.dump_document(specfile.gluing_json(random_gluing(7))))
@@ -645,13 +666,13 @@ class TestPullbacksTheSweepBuilds:
         assert len(fam.kernel_blocks) == len(self.LABELS)
         layouts = record_calls(multipullback, "_block_layout")
         reduced = []
-        reduce = multipullback._reduce
+        echelon = multipullback._echelon
 
         def recorded(*args):
             reduced.append(args)
-            return reduce(*args)
+            return echelon(*args)
 
-        monkeypatch.setattr(multipullback, "_reduce", recorded)  # the sweep's own eliminations only
+        monkeypatch.setattr(multipullback, "_echelon", recorded)  # the sweep's own eliminations only
         report = multipullback.check_condition3(fam)
         assert sorted(sorted(args[1]) for args in layouts) == self.subsets(2)
         assert len(reduced) == len(report.entries)  # no P(K + {k}) at hand, so each is eliminated
@@ -801,6 +822,44 @@ class TestScripts:
         assert result.returncode == 2, result.stdout + result.stderr
         assert name in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestBenchProvenance:
+    """``bench.py`` says whether the trees it measured are the ones its
+    ``rev`` holds, with git stubbed."""
+
+    @pytest.fixture
+    def bench(self):
+        spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        return script
+
+    @staticmethod
+    def stub_git(monkeypatch, bench, at_head: dict[str, str]) -> list:
+        asked = []
+
+        def git(*args, env=None):
+            asked.append(args)
+            assert args[0] == "rev-parse"
+            d = args[1].removeprefix("HEAD:")
+            if d not in at_head:
+                raise subprocess.CalledProcessError(128, ["git", *args])
+            return at_head[d]
+
+        monkeypatch.setattr(bench, "git", git)
+        return asked
+
+    def test_trees_the_head_holds(self, monkeypatch, bench):
+        asked = self.stub_git(monkeypatch, bench, {"src": "aaa", "perfbench": "bbb"})
+        assert bench.trees_at_rev({"src": "aaa", "perfbench": "bbb"}) is True
+        assert sorted(asked) == [("rev-parse", "HEAD:perfbench"), ("rev-parse", "HEAD:src")]
+
+    @pytest.mark.parametrize("at_head", [{"src": "old", "perfbench": "bbb"}, {"perfbench": "bbb"}])
+    def test_a_tree_the_head_does_not_hold(self, monkeypatch, bench, at_head):
+        # a change measured before it is committed, or a directory HEAD lacks
+        self.stub_git(monkeypatch, bench, at_head)
+        assert bench.trees_at_rev({"src": "aaa", "perfbench": "bbb"}) is False
 
 
 class TestOneParserPerProcess:

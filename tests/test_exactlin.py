@@ -235,6 +235,40 @@ def test_int_entries_reduce_exactly(op, rows):
     assert all(type(x) is int or type(x) is Fraction for x in _entries(result))
 
 
+@st.composite
+def split_rows(draw):
+    """(rows, cols, split): int or Fraction rows, not all pivots units, and
+    a split anywhere from no column to all of them."""
+    entries = draw(st.sampled_from([st.integers(-4, 4), fracs]))
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=6))
+    return rows, cols, draw(st.integers(0, cols))
+
+
+class TestEchelon:
+    """Forward elimination over the first ``split`` columns, against the
+    pivots of ``_reduce``'s RREF."""
+
+    @given(split_rows())
+    def test_rank_and_first_pivot_past_the_split(self, case):
+        rows, cols, split = case
+        reduced, pivots = exactlin._reduce(rows, cols)
+        rank, left = exactlin._echelon(rows, split)
+        assert rank == sum(p < split for p in pivots)
+        assert len(left) == len(rows) - rank
+        assert not any(x for row in left for x in row[:split])
+        leads = [next(c for c, x in enumerate(row) if x) for row in left if any(row)]
+        assert min(leads, default=None) == next((p for p in pivots if p >= split), None)
+        # the rows left over span the row space's vectors that are zero before the split
+        assert span(left, cols) == span([r for r, p in zip(reduced, pivots) if p >= split], cols)
+        assert all(type(x) is int or type(x) is Fraction for row in left for x in row)
+
+    def test_unit_pivots_stay_int(self):
+        rank, left = exactlin._echelon([[-1, 1, 2], [1, 0, 1], [0, 1, 5]], 2)
+        assert (rank, left) == (2, [[0, 0, 2]])
+        assert all(type(x) is int for row in left for x in row)
+
+
 class TestReducedSubspaces:
     """Subspaces built from ``_reduce`` and ``Subspace.full`` skip the RREF
     re-check, which the public constructor keeps for everyone else."""

@@ -316,13 +316,13 @@ class TestExtensionByCount:
     @staticmethod
     def eliminations(monkeypatch, fam: GluingFamily, **kwargs) -> int:
         calls = []
-        reduce = multipullback._reduce
+        echelon = multipullback._echelon
 
         def recorded(*args):
             calls.append(args)
-            return reduce(*args)
+            return echelon(*args)
 
-        monkeypatch.setattr(multipullback, "_reduce", recorded)
+        monkeypatch.setattr(multipullback, "_echelon", recorded)
         analyse(fam, **kwargs)
         return len(calls)
 
@@ -366,6 +366,65 @@ class TestExtensionByCount:
                                                 Subspace.full(fam.pieces[k].dim))
                         width = sum(c for c, inside in blocks if inside.issuperset(js))
                         assert meet.dim == width, (name, k, js)
+
+
+def eliminated_as_reference(fam: GluingFamily, entries, reference) -> list:
+    """Each entry (K, k) computed by ``_extension_entry`` with the family's
+    kernel blocks withheld, so that it runs the elimination, and checked
+    against the full-RREF reference, ``repr`` included."""
+    blocks = dict(fam.kernel_blocks)
+    fam.kernel_blocks.clear()
+    try:
+        computed = []
+        for subset, k in entries:
+            small = build_pullback(fam, subset)
+            e = multipullback._extension_entry(fam, small, k)
+            assert repr(e) == repr(reference(fam, small, k)), (subset, k)
+            computed.append(e)
+        return computed
+    finally:
+        fam.kernel_blocks.update(blocks)
+
+
+class TestExtensionByEchelon:
+    """An entry that runs an elimination eliminates the y block of [y | a]
+    only: it passes when the rows left over are zero, and the least
+    a-column at which one is not names the witness that the first a-pivot
+    of the full RREF names."""
+
+    def test_the_corpus(self, extension_entry_reference):
+        failing = 0
+        for seed in range(200):
+            fam = dualize(random_gluing(seed))
+            analyse(fam)
+            entries = eliminated_as_reference(fam, fam.extension_entries, extension_entry_reference)
+            failing += sum(not e.ok for e in entries)
+        assert failing > 1000
+
+    @pytest.mark.parametrize("chain", [3, 8])
+    def test_the_fixtures(self, chain, extension_entry_reference):
+        for name in FIXTURES:
+            fam = fixture_family(name, chain)
+            analyse(fam)
+            eliminated_as_reference(fam, fam.extension_entries, extension_entry_reference)
+
+    def test_the_rebased_families(self, rebased_families, extension_entry_reference):
+        # their eliminations divide, so witnesses carry Fractions
+        fractions = 0
+        for name, _, fam in rebased_families:
+            analyse(fam)
+            for e in eliminated_as_reference(fam, fam.extension_entries, extension_entry_reference):
+                fractions += sum(type(x) is Fraction for part in (e.witness or {}).values() for x in part)
+        assert fractions > 0
+
+    def test_the_pairwise_sweep_of_many_pieces(self, extension_entry_reference):
+        pieces = set()
+        for seed in range(40):
+            fam = dualize(random_gluing(seed, max_pieces=10))
+            entries = [(e.subset, e.extend_by) for e in check_condition3(fam).entries]
+            eliminated_as_reference(fam, entries, extension_entry_reference)
+            pieces.add(len(fam.labels))
+        assert max(pieces) == 10
 
 
 class TestTripleQuotients:
@@ -446,18 +505,18 @@ class TestCocycle:
 
     def test_each_piece_chart_is_built_once(self, record_calls):
         # a trio quotients each of its pieces once, by the kernels of its
-        # maps to the other two
+        # maps to the other two, and only its first when that quotient is 0
         sums = record_calls(multipullback, "subspace_sum")
-        charts = 0
+        zero_charts = []
         for fam in (fixture_family("example3"), *(dualize(random_gluing(seed)) for seed in range(20))):
             if fam.problems():
                 continue
             del sums[:]
             report = check_cocycle(fam)
-            trios = {tuple(sorted(e.triple)) for e in report.condition2 if e.status != "not evaluable"}
-            assert len(sums) == 3 * len(trios)
-            charts += len(sums)
-        assert charts > 0
+            loops = {tuple(sorted(e.triple)): e.loop for e in report.condition2 if e.loop is not None}
+            assert len(sums) == sum(1 if loop.rows == 0 else 3 for loop in loops.values())
+            zero_charts += [loop.rows == 0 for loop in loops.values()]
+        assert set(zero_charts) == {True, False}
 
     def test_twisted_triangle_fails_clause_two_everywhere(self, twisted_triangle):
         for fam in (twisted_triangle.family, twisted_triangle.rebased):
@@ -470,6 +529,30 @@ class TestCocycle:
             loop = report.condition2[0].loop
             assert all(e.loop is loop for e in report.condition2)
             assert loop != Matrix.identity(2) and loop @ loop == Matrix.identity(2)
+
+    def test_a_trio_s_three_charts_have_one_dimension(self, fresh_families, rebased_families,
+                                                       twisted_triangle, transition_reference):
+        # under clause 1 each c_ab is an isomorphism Q_a = B_ab/m_ab(ker m_ac) = Q_b,
+        # so a trio whose Q_i is 0 has the 0 x 0 identity as its loop
+        families = [*fresh_families,
+                    *((f"seed{n}", dualize(random_gluing(n))) for n in range(100, 200)),
+                    *((f"{name}-rebased", rebased) for name, _, rebased in rebased_families),
+                    ("twisted", twisted_triangle.family), ("twisted-rebased", twisted_triangle.rebased)]
+        dims = set()
+        for name, fam in families:
+            expected = transition_reference(fam).status
+            report = check_cocycle(fam)
+            assert {e.triple: e.status for e in report.condition2} == expected, name
+            for e in report.condition2:
+                if e.loop is None:
+                    continue
+                i, j, k = e.triple
+                charts = {quotient(fam.pieces[a].dim,
+                                   subspace_sum(fam.map_kernels[(a, b)], fam.map_kernels[(a, c)])).dim
+                          for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
+                assert charts == {e.loop.rows}, (name, e.triple)
+                dims |= charts
+        assert 0 in dims and len(dims) > 1
 
     def test_loops_match_the_transition_reference(self, fresh_families, rebased_families,
                                                   twisted_triangle, transition_reference):
@@ -668,4 +751,18 @@ class TestFreedByReferenceCounting:
         finally:
             gc.enable()
         assert len(refs) == 21
+        assert [a for a in alive if a[1] or a[2]] == []
+
+    def test_families_past_the_subset_bound_are_freed(self):
+        # analyse keeps their TooManyPieces refusal, without its traceback
+        seeds = [seed for seed in range(40)
+                 if len(random_gluing(seed, max_pieces=12).labels) > multipullback.DEFAULT_MAX_INDICES]
+        gc.collect()
+        gc.disable()
+        try:
+            refs = [checked_and_released(random_gluing(seed, max_pieces=12)) for seed in seeds]
+            alive = [(seed, fam() is not None, g() is not None) for seed, (fam, g) in zip(seeds, refs)]
+        finally:
+            gc.enable()
+        assert len(refs) == 17
         assert [a for a in alive if a[1] or a[2]] == []
