@@ -59,8 +59,8 @@ def main() -> None:
         if swept is not None:
             extension["entries"] += len(swept.entries)
             extension["failing"] += len(swept.failures)
-        if not analysis.theorem.ran:
-            skipped[analysis.theorem.reason] += 1
+        if analysis.skipped is not None:
+            skipped[analysis.skipped] += 1
         else:
             verdict_counts[analysis.verdicts[0]] += 1
             if not analysis.consistent:

@@ -206,12 +206,11 @@ def cmd_check(args: argparse.Namespace) -> int:
                 serialised[e.subset, e.extend_by] = _entry_json(e)
         report[key] = {"ok": ext.ok, "entries": [serialised[e.subset, e.extend_by] for e in ext.entries]}
 
-    theorem = analysis.theorem
-    if theorem.ran:
+    if analysis.skipped is None:
         report["theorem"] = {"ran": True, "verdicts": list(analysis.verdicts),
-                             "consistent": theorem.consistent}
+                             "consistent": analysis.consistent}
     else:
-        report["theorem"] = {"ran": False, "reason": theorem.reason}
+        report["theorem"] = {"ran": False, "reason": analysis.skipped}
 
     report["pass"] = analysis.ok
     report["exit"] = REFUSED if "refused" in report["extension_all"] else (PASS if analysis.ok else FAIL)

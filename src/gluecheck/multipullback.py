@@ -52,10 +52,6 @@ class StructuralError(RuntimeError):
     """An internal invariant failed; indicates corrupt input or a tool bug."""
 
 
-class HypothesisNotMet(ValueError):
-    """A check was refused because its standing hypothesis fails."""
-
-
 class RepairRefused(ValueError):
     """The re-presentation precondition fails; carries the diagnosis."""
 
@@ -422,36 +418,22 @@ def check_cocycle(fam: GluingFamily) -> CocycleReport:
 
 
 @dataclass(frozen=True)
-class TheoremVerdict:
-    """Gate and consistency test of the theorem: for a surjective family
-    whose kernels generate distributive lattices of ideals, the cocycle
-    condition, subset extension and pairwise extension agree.
-
-    ``refusal`` is what kept the test from running (``HypothesisNotMet``,
-    or the subset check's ``TooManyPieces``) and ``reason`` its short form.
-    Inconsistent verdicts are flagged as a tool bug, never as a finding.
-    """
-
-    consistent: bool = False
-    reason: str = ""
-    refusal: Exception | None = None
-
-    @property
-    def ran(self) -> bool:
-        return self.refusal is None
-
-
-@dataclass(frozen=True)
 class Analysis:
-    """Every verdict on one family, each stage run once.
+    """Every verdict on one family, each stage run once, and the theorem's
+    test: for a surjective family whose kernels generate distributive
+    lattices of ideals, the cocycle condition, subset extension and
+    pairwise extension agree.
 
     A family with a map that is not onto stops after ``distributive``: the
     later stages need surjectivity and are None.  ``all_extensions`` holds
     the ``TooManyPieces`` refusal of a family past the subset bound.
+    ``skipped`` says why the theorem's test did not run, and is None when
+    it ran.  Inconsistent verdicts are flagged as a tool bug, never as a
+    finding.
     """
 
     distributive: DistributiveFamilyReport
-    theorem: TheoremVerdict
+    skipped: str | None
     pullback: MultiPullback | None = None
     projection_images: Mapping[str, tuple[bool, Subspace]] | None = None
     cocycle: CocycleReport | None = None
@@ -460,12 +442,15 @@ class Analysis:
 
     @property
     def verdicts(self) -> tuple[bool, bool, bool]:
-        """Cocycle, subset extension and pairwise extension, once the theorem's test ran."""
+        """Cocycle, subset extension and pairwise extension, whenever the
+        stages ran: the family is surjective and the subset sweep was not
+        refused.  A family that is not distributive has them too."""
         return (self.cocycle.overall, self.all_extensions.ok, self.pairwise_extensions.ok)
 
     @property
     def consistent(self) -> bool:
-        return self.theorem.consistent
+        """The theorem's test ran and its three verdicts agree."""
+        return self.skipped is None and len(set(self.verdicts)) == 1
 
     @property
     def ok(self) -> bool:
@@ -479,13 +464,6 @@ class Analysis:
         return all(reached)
 
 
-def _why_not_distributive(dist: DistributiveFamilyReport) -> str:
-    piece, verdict = next((i, v) for i, v in dist.per_piece.items() if not v)
-    if verdict.status == "indeterminate":
-        return f"kernel lattice of piece {piece} hit the closure cap; distributivity undecided"
-    return f"kernels do not generate a distributive lattice of ideals in piece {piece}"
-
-
 def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
             lattice_cap: int = DEFAULT_CAP) -> Analysis:
     """Run every check on a family: distributivity, the pullback and its
@@ -494,12 +472,9 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
 
     Raises FamilyValidationError when the family breaks an axiom.
     """
-    fam.require_valid(require_surjective=False)
-    dist = check_distributive_family(fam, cap=lattice_cap)
+    dist = check_distributive_family(fam, cap=lattice_cap)  # validates the family first
     if fam.surjectivity_failures:
-        i, j = fam.surjectivity_failures[0]
-        refusal = HypothesisNotMet(f"map ({i}, {j}) is not surjective")
-        return Analysis(dist, TheoremVerdict(reason="family is not surjective", refusal=refusal))
+        return Analysis(dist, "family is not surjective")
     pullback = build_pullback(fam)
     images = {i: projection_surjective(pullback, i) for i in sorted(fam.labels)}
     cocycle = check_cocycle(fam)
@@ -509,23 +484,12 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
         all_ext = e.with_traceback(None)  # its frames hold the family
     pair_ext = check_condition3(fam)
     if not dist.ok:
-        refusal = HypothesisNotMet(_why_not_distributive(dist))
-        theorem = TheoremVerdict(reason="family is not distributive", refusal=refusal)
+        skipped = "family is not distributive"
     elif isinstance(all_ext, TooManyPieces):
-        theorem = TheoremVerdict(reason="subset check refused", refusal=all_ext)
+        skipped = "subset check refused"
     else:
-        theorem = TheoremVerdict(consistent=len({cocycle.overall, all_ext.ok, pair_ext.ok}) == 1)
-    return Analysis(dist, theorem, pullback, images, cocycle, pair_ext, all_ext)
-
-
-def check_theorem_equivalence(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
-                              lattice_cap: int = DEFAULT_CAP) -> Analysis:
-    """``analyse``, raising what kept the theorem's test from running:
-    HypothesisNotMet, or TooManyPieces past the subset bound."""
-    analysis = analyse(fam, max_indices, lattice_cap)
-    if analysis.theorem.refusal is not None:
-        raise analysis.theorem.refusal
-    return analysis
+        skipped = None
+    return Analysis(dist, skipped, pullback, images, cocycle, pair_ext, all_ext)
 
 
 @dataclass(frozen=True)

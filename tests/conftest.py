@@ -739,3 +739,26 @@ def build_three_line_family() -> GluingFamily:
 @pytest.fixture
 def three_line_family() -> GluingFamily:
     return build_three_line_family()
+
+
+def build_augmented_three_line_family() -> GluingFamily:
+    """``build_three_line_family`` with each spoke-to-spoke overlap Q,
+    reached from both spokes by the augmentation: each spoke's chart basis
+    is (unit, nilpotent), so the map is [[1, 0]].  The smallest family
+    known whose hub is not distributive while its cocycle condition and
+    pairwise extension hold and subset extension fails."""
+    fam = build_three_line_family()
+    overlaps, maps = dict(fam.overlaps), dict(fam.maps)
+    point = Algebra.functions(1, "Q")
+    for i, j in itertools.combinations(("P2", "P3", "P4"), 2):
+        overlaps[(i, j)] = point
+        maps[(i, j)] = AlgebraHom(fam.pieces[i], point, matrix_of([[1, 0]]))
+        maps[(j, i)] = AlgebraHom(fam.pieces[j], point, matrix_of([[1, 0]]))
+    augmented = GluingFamily(fam.labels, fam.pieces, overlaps, maps)
+    augmented.require_valid()
+    return augmented
+
+
+@pytest.fixture
+def augmented_three_line_family() -> GluingFamily:
+    return build_augmented_three_line_family()

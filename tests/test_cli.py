@@ -581,8 +581,8 @@ class TestOneAnalysisPerFamily:
 
     @pytest.mark.parametrize("source", ["example2", "seed0", "seed7"])
     def test_each_stage_validates_the_family_once(self, monkeypatch, tmp_path, capsys, source):
-        # analyse, the distributivity check, the whole pullback, the cocycle
-        # and the two sweeps; no pullback of a subset validates it again
+        # the distributivity check, the whole pullback, the cocycle and the
+        # two sweeps; no pullback of a subset validates it again
         fam = fixture_family(source) if source.startswith("example") else dualize(random_gluing(int(source[4:])))
         path = tmp_path / "family.json"
         path.write_text(specfile.dump_document(specfile.family_json(fam)))
@@ -596,7 +596,7 @@ class TestOneAnalysisPerFamily:
         monkeypatch.setattr(algebra.GluingFamily, "require_valid", recorded)
         assert main(["check", str(path)]) in (0, 1)
         capsys.readouterr()
-        assert len(calls) == 6
+        assert len(calls) == 5
         parsed = calls[0]
         assert all(f is parsed for f in calls) and len(parsed.pullbacks) == 2 ** len(parsed.labels) - 1
 

@@ -6,9 +6,10 @@ so the ``"input"`` field and the ``repaired_from`` option match as well.
 
 Golden text: plain ``check``, ``glue --duality`` and ``repair`` on the
 examples and seeds 0, 5 and 7, ``check`` and ``repair`` on the three-line
-family (a non-distributive witness) and ``check`` on the twisted triangle
-(clause-2 loops) must reproduce the stored stdout and exit code byte for
-byte.
+family (a non-distributive witness), ``check`` on the twisted triangle
+(clause-2 loops) and ``check`` on the augmented three-line family (subset
+extension fails alone off the distributivity hypothesis) must reproduce the
+stored stdout and exit code byte for byte.
 
 Regenerate the goldens (only when a report is meant to change) with
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_three_line_family, twisted_triangle_gluing
+from conftest import build_augmented_three_line_family, build_three_line_family, twisted_triangle_gluing
 from gluecheck import specfile
 from gluecheck.cli import main
 from gluecheck.finset import dualize, random_gluing
@@ -41,9 +42,11 @@ TEXT_COMMANDS = {"check": ["check"], "glue": ["glue", "--duality"], "repair": ["
 TEXT_INPUTS = ("example1", "example2", "example3", "seed0", "seed5", "seed7")
 TEXT_CASES = [(command, name) for command in TEXT_COMMANDS for name in TEXT_INPUTS] + [
     ("check", "three-lines"), ("repair", "three-lines"), ("check", "twisted"),
+    ("check", "augmented-lines"),
 ]
 HAND_MADE = {
     "three-lines": build_three_line_family,
+    "augmented-lines": build_augmented_three_line_family,
     "twisted": lambda: dualize(twisted_triangle_gluing()),
 }
 

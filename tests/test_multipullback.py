@@ -21,7 +21,6 @@ from gluecheck.exactlin import Matrix, Subspace, image, intersect, kernel, quoti
 from gluecheck.finset import FIXTURES, FiniteGluing, duality_check, dualize, fixture_family, fixture_gluing, random_gluing
 from gluecheck.lattice import DEFAULT_CAP, check_distributive_family
 from gluecheck.multipullback import (
-    HypothesisNotMet,
     RepairRefused,
     TooManyPieces,
     analyse,
@@ -29,7 +28,6 @@ from gluecheck.multipullback import (
     check_cocycle,
     check_condition2,
     check_condition3,
-    check_theorem_equivalence,
     projection_surjective,
     pullback_subspace,
     repair,
@@ -597,38 +595,73 @@ class TestBracketTransitionIdentity:
 
 class TestTheoremEquivalence:
     def test_verdicts_agree_when_false(self, example2):
-        report = check_theorem_equivalence(example2)
+        report = analyse(example2)
+        assert report.skipped is None
         assert report.verdicts == (False, False, False)
         assert report.consistent
 
     def test_verdicts_agree_when_true(self, example3):
-        report = check_theorem_equivalence(example3)
+        report = analyse(example3)
+        assert report.skipped is None
         assert report.verdicts == (True, True, True)
         assert report.consistent
 
     def test_twisted_triangle_verdicts_agree(self, twisted_triangle):
         for fam in (twisted_triangle.family, twisted_triangle.rebased):
             analysis = analyse(fam)
-            assert analysis.theorem.ran
+            assert analysis.skipped is None
             assert analysis.verdicts == (False, False, False)
             assert analysis.consistent
 
     def test_refuses_non_distributive_families(self, three_line_family):
-        with pytest.raises(HypothesisNotMet, match="distributive"):
-            check_theorem_equivalence(three_line_family)
+        analysis = analyse(three_line_family)
+        assert analysis.skipped == "family is not distributive"
+        assert not analysis.consistent
 
     def test_refuses_non_surjective_families(self, example3):
         squash = matrix_of([[0, 0, 1], [0, 0, 1]])
         bad = AlgebraHom(example3.pieces["I2"], example3.overlap("I2", "I3"), squash)
         broken = GluingFamily(example3.labels, example3.pieces, example3.overlaps,
                               {**example3.maps, ("I2", "I3"): bad})
-        with pytest.raises(HypothesisNotMet, match="surjective"):
-            check_theorem_equivalence(broken)
+        analysis = analyse(broken)
+        assert analysis.skipped == "family is not surjective"
+        assert analysis.cocycle is None
+        assert not analysis.consistent
 
     @pytest.mark.parametrize("seed", range(12))
     def test_small_random_sample_is_consistent(self, seed):
         fam = dualize(random_gluing(seed, max_pieces=4, max_points=6))
-        assert check_theorem_equivalence(fam).consistent
+        analysis = analyse(fam)
+        assert analysis.skipped is None
+        assert analysis.consistent
+
+    def test_smallest_non_distributive_instance(self, augmented_three_line_family):
+        # the values of this one family; no implication between the verdicts
+        # is asserted off the theorem's hypothesis
+        fam = augmented_three_line_family
+        analysis = analyse(fam)
+        assert analysis.skipped == "family is not distributive"
+        assert {i: v.status for i, v in analysis.distributive.per_piece.items()} == {
+            "P1": "not-distributive", "P2": "distributive", "P3": "distributive", "P4": "distributive",
+        }
+        assert analysis.pullback.dim == 3
+        assert all(surjective for surjective, _ in analysis.projection_images.values())
+        assert analysis.verdicts == (True, False, True)
+        assert not analysis.consistent
+        [failure] = analysis.all_extensions.failures
+        assert (failure.subset, failure.extend_by) == (("P2", "P3", "P4"), "P1")
+        assert failure.witness == {"P2": vec([0, 1]), "P3": vec([0, 0]), "P4": vec([0, 0])}
+
+    def test_smallest_non_distributive_instance_subfamilies(self, augmented_three_line_family):
+        fam = augmented_three_line_family
+        for subset in itertools.combinations(fam.labels, 3):
+            sub = GluingFamily(subset, {i: fam.pieces[i] for i in subset},
+                               {k: a for k, a in fam.overlaps.items() if set(k) <= set(subset)},
+                               {k: m for k, m in fam.maps.items() if set(k) <= set(subset)})
+            analysis = analyse(sub)
+            assert analysis.distributive.ok, subset
+            assert analysis.skipped is None, subset
+            assert analysis.verdicts == (True, True, True), subset
 
 
 class TestRepair:
