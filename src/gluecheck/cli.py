@@ -32,6 +32,8 @@ from gluecheck.multipullback import (
     TooManyPieces,
     TransitionEntry,
     analyse,
+    build_pullback,
+    check_cocycle,
     repair,
 )
 from gluecheck import specfile
@@ -332,7 +334,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     render = functools.partial(_repair_text, out=args.out)
     report: dict = {"command": "repair", "input": source}
     try:
-        result = repair(fam, lattice_cap=cap)
+        repaired = repair(fam, lattice_cap=cap)
     except FamilyValidationError as e:
         return _emit(args, _invalid_family(report, e), render)
     except RepairRefused as e:
@@ -342,12 +344,12 @@ def cmd_repair(args: argparse.Namespace) -> int:
         report["exit"] = REFUSED
         return _emit(args, report, render)
 
-    repaired = result.family
-    report["pullback_dim"] = result.pullback.dim
+    report["pullback_dim"] = build_pullback(fam).dim
     report["overlap_dims"] = {
         ",".join(k): repaired.overlaps[k].dim for k in sorted(repaired.overlaps)
     }
-    report["cocycle_after"] = result.cocycle.overall
+    # a theorem for the re-presentation, checked on every repair that is reported
+    report["cocycle_after"] = check_cocycle(repaired).overall
     report["document"] = doc = specfile.family_json(repaired, options={"repaired_from": source})
     if args.out:
         try:
@@ -355,8 +357,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
         except OSError as e:
             raise specfile.DocumentError(f"cannot write {args.out}: {e}", "--out") from None
 
-    report["pass"] = True
-    report["exit"] = PASS
+    report["pass"] = report["cocycle_after"]
+    report["exit"] = PASS if report["pass"] else FAIL
     return _emit(args, report, render)
 
 

@@ -283,7 +283,6 @@ class DualityReport:
     pairwise extension must mirror partial-gluing embeddings.
     """
 
-    gluing: FiniteGluing
     pullback_dim: int
     class_count: int
     projection_embedding: tuple[tuple[str, bool, bool], ...]
@@ -327,7 +326,7 @@ def duality_check(g: FiniteGluing) -> DualityReport:
                 f"extension of ({i},{j}) by {k} ok={entry.ok} but partial-gluing embedding={embedded}"
             )
     return DualityReport(
-        g, pullback.dim, glued.size, tuple(proj_vs_embed), tuple(ext_vs_embed), tuple(mismatches)
+        pullback.dim, glued.size, tuple(proj_vs_embed), tuple(ext_vs_embed), tuple(mismatches)
     )
 
 

@@ -15,6 +15,7 @@ or false.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
@@ -135,9 +136,10 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
     return DistributivityVerdict("distributive")
 
 
-def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | None:
-    """The blocks of an adapted basis of the generators, or None when no
-    basis adapts to them all or their meets pass the cap.
+def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | Literal["refuted", "past cap"]:
+    """The blocks of an adapted basis of the generators, or why there are
+    none: "refuted" when no basis adapts to them all, "past cap" when their
+    meets pass the cap.
 
     Let X run over the distinct meets of Q^d and the generators, and let
     X_< be the sum of the meets strictly inside X, which is the sum of the
@@ -177,7 +179,7 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | None:
             found = index.get(y)
             if found is None:
                 if len(meets) >= cap:
-                    return None
+                    return "past cap"
                 index[y] = found = len(meets)
                 meets.append(y)
                 inside.append(set())
@@ -186,7 +188,7 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | None:
         c = here.dim - _echelon(below, ambient)[0]
         counted += c
         if counted > ambient:
-            return None
+            return "refuted"
         if c:  # known is now every generator that contains this meet
             blocks.append((c, frozenset(known)))
         x += 1
@@ -199,11 +201,18 @@ def decide_distributivity(gens: Iterable[Subspace], cap: int = DEFAULT_CAP) -> D
     An adapted basis proves it, and the verdict carries its blocks as
     ``_adapted_basis`` gives them.  Without one, within the cap, the
     closure and ``is_distributive`` give the verdict and its witness
-    triple.
+    triple.  When the meets pass the cap, a closure would hold ``cap`` of
+    them other than Q^d, and the sum of the generators, which is a meet of
+    generators only by being one of them: a meet lies inside each
+    generator it meets, and the sum contains them all.  So unless the sum
+    is a generator, the closure cannot finish within the cap, and the
+    verdict is indeterminate without running it.
     """
     generators = _generators(gens, cap)
     blocks = _adapted_basis(generators, cap)
-    if blocks is None:
+    if blocks == "past cap" and functools.reduce(subspace_sum, generators) not in generators:
+        return DistributivityVerdict("indeterminate")
+    if isinstance(blocks, str):
         return is_distributive(generate_lattice(generators, cap))
     return DistributivityVerdict("distributive", blocks=blocks)
 

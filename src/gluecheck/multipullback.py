@@ -48,10 +48,6 @@ class TooManyPieces(ValueError):
     """Raised when an exhaustive subset check would enumerate too much."""
 
 
-class StructuralError(RuntimeError):
-    """An internal invariant failed; indicates corrupt input or a tool bug."""
-
-
 class RepairRefused(ValueError):
     """The re-presentation precondition fails; carries the diagnosis."""
 
@@ -323,7 +319,9 @@ def _trio_loop(fam: GluingFamily, trio: tuple[str, str, str],
     Q_a is the chart of B_a / (ker m_ab + ker m_ac), and c_ab, induced by
     m_ab, carries Q_a onto the chart of B_ab / m_ab(ker m_ac).  Clause 1
     makes c_ab and c_ba land in the same chart, so phi(a<-b) = c_ab^-1 c_ba.
-    For a surjective family each c_ab is then an isomorphism, so the three
+    For a surjective family each c_ab is an isomorphism, so ``invert``
+    cannot fail: c_ab is onto because m_ab is, and one to one because
+    m_ab x in m_ab(ker m_ac) puts x in ker m_ab + ker m_ac.  So the three
     charts have one dimension: when Q_i has none, the loop is the 0 x 0
     identity, and no other chart is built.
     """
@@ -340,13 +338,7 @@ def _trio_loop(fam: GluingFamily, trio: tuple[str, str, str],
     phis = []
     for a, b, c in turns:
         overlap = quotient(fam.overlap(a, b).dim, pushed[(a, b, c)]).projection
-        try:
-            c_ab_inv = invert(overlap @ fam.map(a, b).matrix @ charts[a].section)
-        except ValueError as e:
-            raise StructuralError(
-                f"comparison map for triple ({a},{b},{c}) is not invertible; "
-                "this cannot happen for a surjective family"
-            ) from e
+        c_ab_inv = invert(overlap @ fam.map(a, b).matrix @ charts[a].section)
         phis.append(c_ab_inv @ (overlap @ fam.map(b, a).matrix @ charts[b].section))
     return phis[0] @ phis[1] @ phis[2]
 
@@ -492,34 +484,21 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
     return Analysis(dist, skipped, pullback, images, cocycle, pair_ext, all_ext)
 
 
-@dataclass(frozen=True)
-class RepairedFamily:
-    """Canonical re-presentation of a pullback as a cocycle-satisfying family.
-
-    Pieces keep their original coordinates via the isomorphism with the
-    pullback modulo the corresponding projection kernel; overlaps are the
-    pullback modulo sums of two projection kernels.
-    """
-
-    family: GluingFamily
-    pullback: MultiPullback
-    projection_kernels: Mapping[str, Subspace]
-    cocycle: CocycleReport
-
-
-def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
-    """Re-present the pullback through its canonical projection quotients.
+def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> GluingFamily:
+    """Re-present the pullback through its canonical projection quotients:
+    the family of the pieces P/K_i and the overlaps P/(K_i+K_j), with P
+    ``build_pullback(fam)`` and K_i the kernel of its projection onto B_i.
 
     Requires every map of the family and every projection of the pullback
     onto a piece to be surjective, and the projection kernels to generate
     a distributive lattice inside the pullback algebra; refuses with a
-    diagnosis otherwise.  The result is checked to satisfy the cocycle
-    condition, which it reports.  Each overlap P/(K_i+K_j) is presented
-    from the piece B_i = P/K_i, so the pullback's own algebra is never
-    built.  That the projection kernels, and so their pairwise sums, are
-    ideals, that the repaired family is valid and that the original
-    pullback maps bijectively onto the new one are theorems for this
-    construction; the test suite checks them, not each call.
+    diagnosis otherwise.  Each overlap P/(K_i+K_j) is presented from the
+    piece B_i = P/K_i, so the pullback's own algebra is never built.  That
+    the projection kernels, and so their pairwise sums, are ideals, that
+    the repaired family is valid and satisfies the cocycle condition and
+    that the original pullback maps bijectively onto the new one are
+    theorems for this construction; the test suite checks them, not each
+    call.
     """
     fam.require_valid(require_surjective=False)
     if fam.surjectivity_failures:
@@ -567,8 +546,4 @@ def repair(fam: GluingFamily, lattice_cap: int = DEFAULT_CAP) -> RepairedFamily:
         maps[(i, j)] = AlgebraHom(piece, overlap, to_i)
         maps[(j, i)] = AlgebraHom(fam.pieces[j], overlap, chart.projection @ lifts[j])
 
-    repaired = _trusted_family(fam.labels, dict(fam.pieces), overlaps, maps)
-    cocycle = check_cocycle(repaired)
-    if not cocycle.overall:
-        raise StructuralError("re-presented family fails the cocycle condition; this is a tool bug")
-    return RepairedFamily(repaired, p, kernels, cocycle)
+    return _trusted_family(fam.labels, dict(fam.pieces), overlaps, maps)

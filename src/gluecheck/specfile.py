@@ -258,6 +258,9 @@ def _parse_index(doc: Mapping, path: str) -> tuple[str, ...]:
     labels = _get(doc, "index", path)
     _expect(labels, list, "index", "a list of piece labels")
     labels = tuple(_expect(x, str, f"index[{n}]", "a string") for n, x in enumerate(labels))
+    for n, x in enumerate(labels):
+        if "," in x:  # reports key an overlap by its two labels joined with ","
+            raise DocumentError("a label must not contain ','", f"index[{n}]")
     if not labels:
         raise DocumentError("expected at least one piece label", "index")
     if len(set(labels)) != len(labels):

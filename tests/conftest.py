@@ -34,7 +34,7 @@ from gluecheck.finset import (
     tcirc_c,
     tstar,
 )
-from gluecheck.multipullback import ExtensionEntry, MultiPullback, pullback_subspace
+from gluecheck.multipullback import ExtensionEntry, MultiPullback, build_pullback, pullback_subspace
 
 CORPUS_SEEDS = tuple(range(200))
 PROPERTY_INPUTS = ("example1", "example2", "example3") + tuple(f"seed{n}" for n in range(100))
@@ -172,6 +172,13 @@ def _pullback_algebra(fam, p) -> Algebra:
     the closure."""
     ambient = Algebra.direct_sum([fam.pieces[i] for i in p.over])
     return subspace_algebra(ambient, p.subspace)
+
+
+def pullback_kernels(fam) -> dict[str, Subspace]:
+    """K_i, the kernel of the projection of ``build_pullback(fam)`` onto each
+    piece i: the ideals whose quotients ``repair`` presents."""
+    p = build_pullback(fam)
+    return {i: kernel(p.projection(i)) for i in sorted(p.over)}
 
 
 @pytest.fixture(scope="session")

@@ -118,24 +118,23 @@ def test_criterion_4_equivalence_on_the_corpus(corpus):
 def test_criterion_5_repair_suite(example1, example2, example3, matrices):
     with Stopwatch() as watch:
         repaired = repair(example2)
-        assert repaired.cocycle.overall
-        assert repaired.family.overlap("I2", "I3").dim == 2
+        assert check_cocycle(repaired).overall
+        assert repaired.overlap("I2", "I3").dim == 2
 
+        pullback = build_pullback(example2)
         comparison = matrices.stacked(
-            [repaired.pullback.projection(i) for i in repaired.family.labels],
-            repaired.pullback.dim,
+            [pullback.projection(i) for i in repaired.labels],
+            pullback.dim,
         )
         assert kernel(comparison).dim == 0
-        assert image(comparison, Subspace.full(repaired.pullback.dim)) == pullback_subspace(
-            repaired.family
-        )
+        assert image(comparison, Subspace.full(pullback.dim)) == pullback_subspace(repaired)
 
         with pytest.raises(RepairRefused):
             repair(example1)
 
         unchanged = repair(example3)
         for key, overlap in example3.overlaps.items():
-            assert unchanged.family.overlaps[key].dim == overlap.dim
+            assert unchanged.overlaps[key].dim == overlap.dim
     assert watch.elapsed < 1.0
     report(f"ACCEPTANCE 5 repair suite: PASS [{watch.elapsed:.3f}s]")
 

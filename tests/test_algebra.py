@@ -656,7 +656,7 @@ class TestAgainstReferenceValidators:
         repaired = []
         for fam in fams:
             try:
-                repaired.append(repair(fam).family)
+                repaired.append(repair(fam))
             except RepairRefused:
                 pass
         assert repaired

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import _dense_family_json, matrix_of
 from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
 from gluecheck.cli import main
-from gluecheck.finset import dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
+from gluecheck.finset import FiniteGluing, dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
 from gluecheck.lattice import check_distributive_family
 
@@ -408,6 +408,18 @@ class TestMalformedInput:
         code, err = exit_code(capsys, command, str(path))
         assert code == 2
         assert name in err
+
+    @pytest.mark.parametrize("command", ["check", "glue", "repair"])
+    def test_a_label_with_a_comma_exits_two_naming_it(self, capsys, tmp_path, command):
+        # the overlaps (a, "b,c") and ("a,b", c) would share the report key "a,b,c"
+        labels = ("a", "b,c", "a,b", "c")
+        g = FiniteGluing(labels, {i: ("x",) for i in labels}, {})
+        doc = specfile.gluing_json(g) if command == "glue" else specfile.family_json(dualize(g))
+        path = tmp_path / "commas.json"
+        path.write_text(specfile.dump_document(doc))
+        for flags in ([], ["--json"]):
+            assert exit_code(capsys, command, str(path), *flags) == (
+                2, "error: index[1]: a label must not contain ','\n")
 
     @pytest.mark.parametrize("text", [
         json.dumps({**specfile.family_json(fixture_family("example3")), "options": {"max_j": 1}})
@@ -1007,7 +1019,7 @@ class TestRepairCommand:
     def test_round_trip_is_bit_exact(self, capsys, tmp_path):
         from gluecheck.multipullback import repair
 
-        repaired = repair(dualize(tcirc_a())).family
+        repaired = repair(dualize(tcirc_a()))
         text = specfile.dump_document(specfile.family_json(repaired))
         _, reparsed, _ = specfile.parse_document(text)
         assert reparsed == repaired
@@ -1057,6 +1069,20 @@ class TestRepairCommand:
         assert code == 3
         assert report["refused"]["projection"] == "I2"
         assert "witness" not in report["refused"]
+
+    def test_a_repair_that_fails_the_cocycle_condition_exits_one(self, capsys, tmp_path, monkeypatch):
+        def failing(fam):
+            return dataclasses.replace(multipullback.check_cocycle(fam), overall=False)
+
+        monkeypatch.setattr(cli, "check_cocycle", failing)
+        code, report, err = run_json(capsys, "repair", "--fixture", "example2")
+        assert (code, err) == (1, "")
+        assert report["pass"] is False and report["cocycle_after"] is False
+        assert report["exit"] == 1
+        code, out, err = run(capsys, "repair", "--fixture", "example2", "--out", str(tmp_path / "r.json"))
+        assert (code, err) == (1, "")
+        assert "cocycle condition after re-presentation: FAILS\n" in out
+        assert out.endswith("result: FAIL\n")
 
     def test_idempotent_fixture(self, capsys):
         code, report, _ = run_json(capsys, "repair", "--fixture", "example3")

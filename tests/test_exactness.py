@@ -23,6 +23,7 @@ from gluecheck.finset import duality_check, dualize, fixture_gluing, random_glui
 from gluecheck.multipullback import (
     RepairRefused,
     analyse,
+    check_cocycle,
     check_condition2,
     check_condition3,
     repair,
@@ -83,9 +84,10 @@ def assert_exact_battery(gluing):
     duality = duality_check(gluing)
     try:
         repaired = repair(fam)
+        after = check_cocycle(repaired)
     except RepairRefused as e:
-        repaired = e
-    assert inexact(analysis, duality, repaired, fam) == []
+        repaired = after = e
+    assert inexact(analysis, duality, repaired, after, fam) == []
 
 
 @pytest.mark.parametrize("chain", [3, 24])

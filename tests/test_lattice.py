@@ -228,13 +228,24 @@ class TestAdaptedBasisCertificate:
         assert not generate_lattice(axes, cap).complete
         self.assert_matches_closure(axes, (cap,))
 
-    def test_meets_past_the_cap_stay_indeterminate(self):
+    def test_meets_past_the_cap_stay_indeterminate(self, record_calls):
         # the four coordinate hyperplanes of Q^4 have 16 meets, so at cap 10
-        # the count cannot run and the capped closure decides nothing
+        # the count cannot run; a closure would hold ten meets and their
+        # sum Q^4, which is no generator, so it is not run
+        closures = record_calls(lattice, "generate_lattice")
         hyperplanes = [span([[int(c == r) for c in range(4)] for r in range(4) if r != h], 4)
                        for h in range(4)]
         verdict = decide_distributivity(hyperplanes, 10)
         assert (verdict.status, verdict.blocks) == ("indeterminate", None)
+        assert closures == []
+
+    def test_meets_past_the_cap_of_a_chain_run_the_closure(self, record_calls):
+        # a chain's sum is its top, a meet, so its closure may finish within
+        # the cap: three elements at cap 3
+        closures = record_calls(lattice, "generate_lattice")
+        chain = [span([[int(c == r) for c in range(4)] for r in range(n)], 4) for n in (1, 2, 3)]
+        assert decide_distributivity(chain, 3).status == "distributive"
+        assert len(closures) == 1
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
     def test_generators_past_the_cap_keep_the_closure_order(self, order):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matrix_of
+from conftest import matrix_of, pullback_kernels
 from gluecheck import algebra, multipullback, specfile
 from gluecheck.algebra import (
     AlgebraHom,
@@ -17,7 +17,7 @@ from gluecheck.algebra import (
     quotient_algebra,
     validate_hom,
 )
-from gluecheck.exactlin import Matrix, Subspace, image, intersect, kernel, quotient, span, subspace_sum, vec
+from gluecheck.exactlin import Matrix, Subspace, image, intersect, invert, kernel, quotient, span, subspace_sum, vec
 from gluecheck.finset import FIXTURES, FiniteGluing, duality_check, dualize, fixture_family, fixture_gluing, random_gluing
 from gluecheck.lattice import DEFAULT_CAP, check_distributive_family
 from gluecheck.multipullback import (
@@ -531,7 +531,8 @@ class TestCocycle:
     def test_a_trio_s_three_charts_have_one_dimension(self, fresh_families, rebased_families,
                                                        twisted_triangle, transition_reference):
         # under clause 1 each c_ab is an isomorphism Q_a = B_ab/m_ab(ker m_ac) = Q_b,
-        # so a trio whose Q_i is 0 has the 0 x 0 identity as its loop
+        # so a trio whose Q_i is 0 has the 0 x 0 identity as its loop, and
+        # the comparison matrix of each turn inverts
         families = [*fresh_families,
                     *((f"seed{n}", dualize(random_gluing(n))) for n in range(100, 200)),
                     *((f"{name}-rebased", rebased) for name, _, rebased in rebased_families),
@@ -545,11 +546,18 @@ class TestCocycle:
                 if e.loop is None:
                     continue
                 i, j, k = e.triple
-                charts = {quotient(fam.pieces[a].dim,
-                                   subspace_sum(fam.map_kernels[(a, b)], fam.map_kernels[(a, c)])).dim
-                          for a, b, c in ((i, j, k), (j, k, i), (k, i, j))}
-                assert charts == {e.loop.rows}, (name, e.triple)
-                dims |= charts
+                turns = ((i, j, k), (j, k, i), (k, i, j))
+                charts = {a: quotient(fam.pieces[a].dim,
+                                      subspace_sum(fam.map_kernels[(a, b)], fam.map_kernels[(a, c)]))
+                          for a, b, c in turns}
+                assert {chart.dim for chart in charts.values()} == {e.loop.rows}, (name, e.triple)
+                dims.add(e.loop.rows)
+                for a, b, c in turns:
+                    m_ab = fam.map(a, b).matrix
+                    overlap = quotient(fam.overlap(a, b).dim, image(m_ab, fam.map_kernels[(a, c)]))
+                    c_ab = overlap.projection @ m_ab @ charts[a].section
+                    assert (c_ab.rows, c_ab.cols) == (e.loop.rows, e.loop.rows), (name, a, b, c)
+                    assert c_ab @ invert(c_ab) == Matrix.identity(e.loop.rows), (name, a, b, c)
         assert 0 in dims and len(dims) > 1
 
     def test_loops_match_the_transition_reference(self, fresh_families, rebased_families,
@@ -666,21 +674,21 @@ class TestTheoremEquivalence:
 
 class TestRepair:
     def test_single_overlap_circle_gains_the_second_point(self, example2):
-        result = repair(example2)
-        assert result.family.overlap("I2", "I3").dim == 2
-        assert result.family.overlap("I1", "I2").dim == 1
-        assert result.cocycle.overall
-        assert build_pullback(result.family).dim == result.pullback.dim
+        repaired = repair(example2)
+        assert repaired.overlap("I2", "I3").dim == 2
+        assert repaired.overlap("I1", "I2").dim == 1
+        assert check_cocycle(repaired).overall
+        assert build_pullback(repaired).dim == build_pullback(example2).dim
 
     def test_repair_of_a_good_family_preserves_overlap_dimensions(self, example3):
-        result = repair(example3)
+        repaired = repair(example3)
         for key, overlap in example3.overlaps.items():
-            assert result.family.overlaps[key].dim == overlap.dim
+            assert repaired.overlaps[key].dim == overlap.dim
 
     def test_pieces_keep_their_coordinates(self, example2):
-        result = repair(example2)
+        repaired = repair(example2)
         for i in example2.labels:
-            assert result.family.pieces[i] == example2.pieces[i]
+            assert repaired.pieces[i] == example2.pieces[i]
 
     def test_refused_when_a_projection_misses(self, example1):
         with pytest.raises(RepairRefused, match="projection onto piece I2"):
@@ -697,41 +705,48 @@ class TestRepair:
 
     @pytest.fixture(scope="class")
     def repairs(self, fresh_families):
-        """(name, result) for every property input that repair accepts."""
+        """(name, family, repaired family) for every property input that
+        repair accepts."""
         out = []
         for name, fam in fresh_families:
             try:
-                out.append((name, repair(fam)))
+                out.append((name, fam, repair(fam)))
             except RepairRefused:
                 pass
         return out
 
     def test_projection_kernels_are_ideals(self, repairs, pullback_algebra):
-        for name, result in repairs:
-            induced = pullback_algebra(result.family, result.pullback)  # the pieces are kept
-            for i, k in result.projection_kernels.items():
+        for name, fam, repaired in repairs:
+            induced = pullback_algebra(repaired, build_pullback(fam))  # the pieces are kept
+            for i, k in pullback_kernels(fam).items():
                 assert is_ideal(induced, k), (name, i)
 
     def test_overlaps_are_the_checked_quotients(self, repairs, pullback_algebra):
         # repair presents P/(K_i+K_j) from the piece B_i; the checked
         # quotient of the pullback's induced algebra is the reference
-        for name, result in repairs:
-            induced = pullback_algebra(result.family, result.pullback)
-            kernels = result.projection_kernels
-            for (i, j), overlap in result.family.overlaps.items():
+        for name, fam, repaired in repairs:
+            pullback = build_pullback(fam)
+            induced = pullback_algebra(repaired, pullback)
+            kernels = pullback_kernels(fam)
+            for (i, j), overlap in repaired.overlaps.items():
                 ideal = subspace_sum(kernels[i], kernels[j])
                 q, surjection = quotient_algebra(induced, ideal, label=overlap.label)
                 assert overlap == q, (name, i, j)
                 for a, b in ((i, j), (j, i)):
-                    through_piece = result.family.map(a, b).matrix @ result.pullback.projection(a)
+                    through_piece = repaired.map(a, b).matrix @ pullback.projection(a)
                     assert through_piece == surjection.matrix, (name, a, b)
 
     def test_repaired_families_pass_validation(self, repairs):
         # repair builds its family with the validation recorded as empty
-        for name, result in repairs:
-            rep = result.family
+        for name, _, rep in repairs:
             rebuilt = GluingFamily(rep.labels, rep.pieces, rep.overlaps, rep.maps)
             assert rebuilt.problems() == [], name
+
+    def test_repaired_families_satisfy_the_cocycle_condition(self, repairs):
+        # a theorem for the re-presentation, which repair leaves to
+        # cmd_repair's report and to this test
+        for name, _, repaired in repairs:
+            assert check_cocycle(repaired).overall, name
 
     def test_repair_builds_no_pullback_algebra_and_validates_nothing(self, record_calls):
         fam = fixture_family("example2")
@@ -739,19 +754,19 @@ class TestRepair:
         validated = record_calls(algebra, "validate_algebra")
         homs = record_calls(algebra, "validate_hom")
         induced = record_calls(algebra, "subspace_algebra")
-        result = repair(fam)
-        assert result.cocycle.overall
+        assert check_cocycle(repair(fam)).overall
         assert (validated, homs, induced) == ([], [], [])
 
     def test_comparison_with_the_repaired_pullback_is_bijective(self, repairs, matrices):
-        assert {name for name, _ in repairs} >= {"example2", "example3"}
-        for name, result in repairs:
+        assert {name for name, _, _ in repairs} >= {"example2", "example3"}
+        for name, fam, repaired in repairs:
+            pullback = build_pullback(fam)
             comparison = matrices.stacked(
-                [result.pullback.projection(i) for i in result.family.labels],
-                result.pullback.dim,
+                [pullback.projection(i) for i in repaired.labels],
+                pullback.dim,
             )
-            repaired_sub = pullback_subspace(result.family)
-            assert image(comparison, Subspace.full(result.pullback.dim)) == repaired_sub, name
+            repaired_sub = pullback_subspace(repaired)
+            assert image(comparison, Subspace.full(pullback.dim)) == repaired_sub, name
             assert kernel(comparison).dim == 0, name
 
 
