@@ -225,7 +225,10 @@ def _check_text(report: dict, cap: int) -> Iterator[str]:
         yield "invalid family: " + "; ".join(report["error"]["problems"])
         return
     dist = report["distributive"]
-    yield f"distributive family: {'yes' if dist['ok'] else 'NO'}"
+    # a surjective family whose pieces are all distributive or undecided is undecided
+    undecided = not dist["surjectivity_failures"] and all(
+        p["status"] != "not-distributive" for p in dist["per_piece"])
+    yield f"distributive family: {'yes' if dist['ok'] else 'undecided' if undecided else 'NO'}"
     for p in dist["per_piece"]:
         if "witness" in p:
             yield (f"  kernels of piece {p['piece']} are not distributive: "

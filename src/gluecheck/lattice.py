@@ -2,8 +2,11 @@
 intersection.
 
 ``decide_distributivity`` decides it by a dimension count over an adapted
-basis, and a verdict the count proves carries the basis's blocks.  Only
-when the count fails does it run the closure (``generate_lattice``) and
+basis, and a verdict the count proves carries the basis's blocks.  The
+count lists meets by ``intersect`` and ranks by elimination, or, when
+every generator is a coordinate subspace, on the int masks of their
+pivots, where a meet is ``&`` and a rank a bit count.  Only when the
+count fails does it run the closure (``generate_lattice``) and
 the triple test on it (``is_distributive``), which give the verdict and
 its witness.  The cap bounds both: the meets the count lists, then the
 elements the closure lists.  Closure of four or more generators can be
@@ -16,6 +19,7 @@ or false.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Sequence
 
@@ -136,6 +140,20 @@ def is_distributive(closure: LatticeClosure) -> DistributivityVerdict:
     return DistributivityVerdict("distributive")
 
 
+def _pivot_masks(gens: Sequence[Subspace]) -> list[int] | None:
+    """Each generator as the int mask of its pivot columns when every one
+    is a coordinate subspace, spanned by standard basis vectors; else None.
+
+    A coordinate subspace's RREF rows are those vectors, each with a single
+    nonzero entry; the mask sets bit p for each pivot p."""
+    ambient = gens[0].ambient_dim
+    for s in gens:
+        for row in s.basis_rows:
+            if row.count(0) != ambient - 1:
+                return None
+    return [sum(1 << p for p in s.pivots) for s in gens]
+
+
 def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | Literal["refuted", "past cap"]:
     """The blocks of an adapted basis of the generators, or why there are
     none: "refuted" when no basis adapts to them all, "past cap" when their
@@ -156,9 +174,24 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | Literal["refu
     them: its dimension is the sum of their c(X).  Each C_X with c(X) > 0
     is listed as c(X) and the frozenset of the indices of the generators
     containing X.  No C_X is built.
+
+    On coordinate generators the count runs on ``_pivot_masks``: meets and
+    sums of coordinate subspaces are those of the ``&`` and ``|`` of their
+    masks, and equal masks are equal subspaces, so it lists the same meets
+    in the same order against the same cap.
     """
     ambient = gens[0].ambient_dim
-    full = Subspace.full(ambient)
+    masks = _pivot_masks(gens)
+    if masks is None:
+        full, meet, dim = Subspace.full(ambient), intersect, operator.attrgetter("dim")
+
+        def rank(below: list[Subspace]) -> int:
+            return _echelon([row for y in below for row in y.basis_rows], ambient)[0]
+    else:
+        gens, full, meet, dim = masks, (1 << ambient) - 1, operator.and_, int.bit_count
+
+        def rank(below: list[int]) -> int:
+            return functools.reduce(operator.or_, below, 0).bit_count()
     meets = [full]
     index = {full: 0}
     inside: list[set[int]] = [set()]  # generators known to contain each meet
@@ -167,15 +200,16 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | Literal["refu
     x = 0
     while x < len(meets):
         here, known = meets[x], inside[x]
-        below = []  # rows spanning the meets strictly inside this one
+        here_dim = dim(here)
+        below = []  # the meets strictly inside this one, which span X_<
         for i, s in enumerate(gens):
             if i in known:
                 continue
-            y = s if x == 0 else intersect(here, s)
-            if y.dim == here.dim:
+            y = s if x == 0 else meet(here, s)
+            if dim(y) == here_dim:
                 known.add(i)
                 continue
-            below.extend(y.basis_rows)
+            below.append(y)
             found = index.get(y)
             if found is None:
                 if len(meets) >= cap:
@@ -185,7 +219,7 @@ def _adapted_basis(gens: Sequence[Subspace], cap: int) -> Blocks | Literal["refu
                 inside.append(set())
             inside[found] |= known
             inside[found].add(i)
-        c = here.dim - _echelon(below, ambient)[0]
+        c = here_dim - rank(below)
         counted += c
         if counted > ambient:
             return "refuted"

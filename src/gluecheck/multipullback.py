@@ -475,8 +475,10 @@ def analyse(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES,
     except TooManyPieces as e:
         all_ext = e.with_traceback(None)  # its frames hold the family
     pair_ext = check_condition3(fam)
-    if not dist.ok:
+    if any(v.status == "not-distributive" for v in dist.per_piece.values()):
         skipped = "family is not distributive"
+    elif not dist.ok:  # surjective, so some piece is indeterminate
+        skipped = "distributivity undecided (lattice cap)"
     elif isinstance(all_ext, TooManyPieces):
         skipped = "subset check refused"
     else:

@@ -769,3 +769,27 @@ def build_augmented_three_line_family() -> GluingFamily:
 @pytest.fixture
 def augmented_three_line_family() -> GluingFamily:
     return build_augmented_three_line_family()
+
+
+def star_gluing(spokes: int = 14) -> FiniteGluing:
+    """A hub H of ``spokes`` points with a one-point piece glued at each.
+    In the dual, H's kernels are the coordinate hyperplanes of Q^spokes,
+    whose 2^spokes meets pass the default lattice cap at 14 spokes."""
+    hub = tuple(f"h{n}" for n in range(spokes))
+    labels = ("H",) + tuple(f"S{n:02d}" for n in range(spokes))
+    spaces = {"H": hub, **{label: ("p",) for label in labels[1:]}}
+    identifications = {("H", label): ((point, "p"),) for point, label in zip(hub, labels[1:])}
+    return FiniteGluing(labels, spaces, identifications)
+
+
+def spokes_gluing() -> FiniteGluing:
+    """Each spoke matches its points to S1 = {a, b, c} and the spokes share
+    nothing, so in the dual S1's kernels are the three coordinate axes:
+    five meets, whose count proves distributivity, and eight lattice
+    elements."""
+    return FiniteGluing(
+        ("S1", "S2", "S3", "S4"),
+        {"S1": ("a", "b", "c"), "S2": ("b", "c"), "S3": ("a", "c"), "S4": ("a", "b")},
+        {("S1", "S2"): (("b", "b"), ("c", "c")), ("S1", "S3"): (("a", "a"), ("c", "c")),
+         ("S1", "S4"): (("a", "a"), ("b", "b"))},
+    )

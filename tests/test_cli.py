@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _dense_family_json, matrix_of
+from conftest import _dense_family_json, matrix_of, spokes_gluing, star_gluing
 from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
 from gluecheck.cli import main
 from gluecheck.finset import FiniteGluing, dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
@@ -237,26 +237,18 @@ class TestCheckCommand:
         pieces = {p["piece"]: p for p in report["distributive"]["per_piece"]}
         assert pieces["P1"]["status"] == "indeterminate"
         assert pieces["P1"] == {"piece": "P1", "status": "indeterminate"}  # no blocks, no witness
-        assert report["theorem"] == {"ran": False, "reason": "family is not distributive"}
+        assert report["distributive"]["ok"] is False
+        assert report["theorem"] == {"ran": False, "reason": "distributivity undecided (lattice cap)"}
         code, out, _ = run(capsys, "check", str(path), "--cap", str(cap))
         assert code == 1
-        assert "distributive family: NO" in out
+        assert "distributive family: undecided" in out
         assert (f"kernel lattice of piece P1 passed the closure cap ({cap}); "
                 "distributivity undecided") in out
 
     @staticmethod
     def spokes_document(tmp_path) -> Path:
-        # each spoke matches its points to S1 = {a, b, c} and the spokes share
-        # nothing, so S1's kernels are the three coordinate axes: five meets,
-        # whose count proves distributivity, and eight lattice elements
-        g = finset.FiniteGluing(
-            ("S1", "S2", "S3", "S4"),
-            {"S1": ("a", "b", "c"), "S2": ("b", "c"), "S3": ("a", "c"), "S4": ("a", "b")},
-            {("S1", "S2"): (("b", "b"), ("c", "c")), ("S1", "S3"): (("a", "a"), ("c", "c")),
-             ("S1", "S4"): (("a", "a"), ("b", "b"))},
-        )
         path = tmp_path / "spokes.json"
-        path.write_text(specfile.dump_document(specfile.family_json(dualize(g))))
+        path.write_text(specfile.dump_document(specfile.family_json(dualize(spokes_gluing()))))
         return path
 
     def test_a_count_that_succeeds_runs_the_theorem_past_the_cap(self, capsys, tmp_path):
@@ -276,7 +268,35 @@ class TestCheckCommand:
         assert code == 1
         s1 = report["distributive"]["per_piece"][0]
         assert s1 == {"piece": "S1", "status": "indeterminate"}
-        assert report["theorem"] == {"ran": False, "reason": "family is not distributive"}
+        assert report["distributive"]["ok"] is False
+        assert report["theorem"] == {"ran": False, "reason": "distributivity undecided (lattice cap)"}
+
+    def test_the_star_past_the_cap_is_undecided(self, capsys, tmp_path, record_calls):
+        # the hub's 14 kernels are the coordinate hyperplanes of Q^14, whose
+        # 2^14 meets pass the default cap; no piece is refuted, so the family
+        # is undecided, and its masks are counted with no intersection
+        path = family_path(tmp_path, dualize(star_gluing()))
+        meets = record_calls(exactlin, "intersect")
+        code, report, _ = run_json(capsys, "check", path)
+        assert code == 3  # the subset sweep is refused at 15 pieces
+        hub, *spokes = report["distributive"]["per_piece"]
+        assert hub == {"piece": "H", "status": "indeterminate"}
+        assert all(s["status"] == "distributive" for s in spokes) and len(spokes) == 14
+        assert report["distributive"]["ok"] is False
+        assert report["theorem"] == {"ran": False, "reason": "distributivity undecided (lattice cap)"}
+        code, out, _ = run(capsys, "check", path)
+        assert code == 3
+        assert out.splitlines()[1:] == [
+            "distributive family: undecided",
+            "  kernel lattice of piece H passed the closure cap (10000); distributivity undecided",
+            "pullback dimension 14",
+            "cocycle condition: holds",
+            "pairwise extension: holds",
+            "subset extension: refused (family has 15 pieces; the exhaustive subset check is capped at 8)",
+            "equivalence check skipped: distributivity undecided (lattice cap)",
+            "result: FAIL",
+        ]
+        assert meets == []
 
     def test_a_one_piece_family_is_one_block(self, capsys, tmp_path):
         # no map leaves the piece, so its whole algebra is one block in no kernel

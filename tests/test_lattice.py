@@ -1,14 +1,15 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matrix_of
-from gluecheck import lattice
+from conftest import matrix_of, spokes_gluing, star_gluing
+from gluecheck import exactlin, lattice
 from gluecheck.algebra import AlgebraHom, FamilyValidationError, GluingFamily, is_ideal
 from gluecheck.exactlin import Subspace, intersect, kernel, span, subspace_sum
-from gluecheck.finset import FiniteGluing, dualize, tcirc_a, tcirc_c, tstar
+from gluecheck.finset import FIXTURES, FiniteGluing, dualize, fixture_family, random_gluing, tcirc_a, tcirc_c, tstar
 from gluecheck.lattice import (
     DEFAULT_CAP,
     check_distributive_family,
@@ -287,11 +288,97 @@ class TestAdaptedBasisCertificate:
         generators = len(labels) - 1
         assert generators >= 12
         calls = []
+        # the masks withheld, each meet the count lists is one intersect
+        monkeypatch.setattr(lattice, "_pivot_masks", lambda gens: None)
         monkeypatch.setattr(lattice, "intersect", lambda u, v: calls.append(1) or intersect(u, v))
         monkeypatch.setattr(lattice, "generate_lattice", None)  # the closure never runs
         assert check_distributive_family(fam).ok
         meets_bound = sum(2 ** len(spaces[i]) for i in labels)
-        assert len(calls) <= meets_bound * generators < 2 ** generators
+        assert 0 < len(calls) <= meets_bound * generators < 2 ** generators
+
+
+def eliminated(gens, cap):
+    """``_adapted_basis`` with the pivot masks withheld, so that every meet
+    is an ``intersect`` and every rank an elimination: the reference the
+    count on masks must reproduce."""
+    with mock.patch.object(lattice, "_pivot_masks", return_value=None):
+        return lattice._adapted_basis(gens, cap)
+
+
+def coordinate_subspace(ambient: int, columns) -> Subspace:
+    return span([[int(c == p) for c in range(ambient)] for p in columns], ambient)
+
+
+@st.composite
+def coordinate_sets(draw):
+    """1-6 coordinate subspaces of one Q^d, d in 1..6, the zero and the
+    full subspace among the choices."""
+    ambient = draw(st.integers(1, 6))
+    columns = st.one_of(st.just(()), st.just(range(ambient)), st.sets(st.integers(0, ambient - 1)))
+    return [coordinate_subspace(ambient, sorted(draw(columns))) for _ in range(draw(st.integers(1, 6)))]
+
+
+class TestPivotMasks:
+    """The count on pivot masks against the count on eliminations: the same
+    blocks, or "past cap" at the same cap, wherever every generator is a
+    coordinate subspace; anywhere else the eliminations run."""
+
+    @staticmethod
+    def assert_paths_agree(gens, caps=(DEFAULT_CAP,)):
+        assert lattice._pivot_masks(gens) is not None
+        for cap in caps:
+            assert lattice._adapted_basis(gens, cap) == eliminated(gens, cap), cap
+
+    @classmethod
+    def assert_family_agrees(cls, fam, caps=(DEFAULT_CAP,)):
+        for i in sorted(fam.labels):
+            cls.assert_paths_agree(piece_kernels(fam, i), caps)
+
+    def test_every_piece_of_the_corpus_duals(self):
+        for seed in range(200):
+            self.assert_family_agrees(dualize(random_gluing(seed)))
+
+    @pytest.mark.parametrize("chain", [3, 8])
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_the_fixtures(self, name, chain):
+        self.assert_family_agrees(fixture_family(name, chain))
+
+    def test_the_spokes_at_caps_one_to_six(self):
+        # S1's five meets pass every cap below five
+        self.assert_family_agrees(dualize(spokes_gluing()), caps=range(1, 7))
+
+    def test_the_coordinate_hyperplanes_of_q4_at_cap_ten(self):
+        hyperplanes = [coordinate_subspace(4, [c for c in range(4) if c != h]) for h in range(4)]
+        self.assert_paths_agree(hyperplanes, caps=(10,))
+        assert lattice._adapted_basis(hyperplanes, 10) == "past cap"
+
+    def test_the_star(self):
+        fam = dualize(star_gluing())
+        self.assert_family_agrees(fam)
+        assert lattice._adapted_basis(piece_kernels(fam, "H"), DEFAULT_CAP) == "past cap"
+
+    @given(coordinate_sets(), st.sampled_from([1, 2, 3, 5, 8, 20, DEFAULT_CAP]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_coordinate_sets(self, gens, cap):
+        self.assert_paths_agree(gens, caps=(cap,))
+
+    def test_other_subspaces_have_no_masks(self, rebased_families):
+        assert lattice._pivot_masks([LINE_A, LINE_B]) == [0b01, 0b10]
+        assert lattice._pivot_masks([LINE_A, LINE_C]) is None
+        for _, _, rebased in rebased_families:
+            pieces = [piece_kernels(rebased, i) for i in rebased.labels]
+            # the zero and the full subspace are coordinate in any basis
+            if any(0 < k.dim < k.ambient_dim for gens in pieces for k in gens):
+                assert any(lattice._pivot_masks(gens) is None for gens in pieces)
+
+    def test_only_subspaces_that_are_not_coordinate_intersect(self, record_calls, rebased_families):
+        meets = record_calls(exactlin, "intersect")
+        for fam in (dualize(random_gluing(0)), dualize(star_gluing())):
+            check_distributive_family(fam)
+        assert meets == []
+        for _, _, rebased in rebased_families:
+            check_distributive_family(rebased)
+        assert meets
 
 
 class TestDistributiveFamily:

@@ -7,7 +7,6 @@ malformed sparse table exits 2 naming its field; and an algebra past
 
 import contextlib
 import io
-import json
 from fractions import Fraction
 from pathlib import Path
 
