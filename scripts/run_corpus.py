@@ -12,11 +12,13 @@ With --json the scan prints one line instead of its text: a JSON object
 with the seeds scanned, the elapsed seconds, how often the cocycle holds
 and fails, the skips by reason, the violations, and the extension entries
 the families' sweeps decided and how many of them fail (the subset sweep's
-entries, or the pairwise sweep's past the subset bound).  Only a failing
-entry, or one whose extending piece has no adapted basis of its kernels,
-runs an elimination.  It also counts the pieces whose distributivity was
-checked and how many of them had no adapted basis, so that the closure
-decided them.  The exit code is 1 when there is a violation, either way.
+entries, or the pairwise sweep's past the subset bound).  It counts the
+families whose sweeps ran on union-finds: a family whose every map row is
+a single 1 reads each entry off the roots of K and K + {k} and runs no
+elimination, and every dual family is one.  It also counts the pieces
+whose distributivity was checked and how many of them had no adapted
+basis, so that the closure decided them.  The exit code is 1 when there
+is a violation, either way.
 
 Usage: python scripts/run_corpus.py [--count N] [--seed N]
                                     [--max-pieces N] [--max-points N] [--json]
@@ -45,11 +47,13 @@ def main() -> None:
     skipped: Counter = Counter()
     extension: Counter = Counter()
     distributivity: Counter = Counter()
+    on_union_finds = 0
     bad = []
     start = time.perf_counter()
     for seed in range(args.seed, args.seed + args.count):
         gluing = random_gluing(seed, max_pieces=args.max_pieces, max_points=args.max_points)
-        analysis = analyse(dualize(gluing))
+        family = dualize(gluing)
+        analysis = analyse(family)
         for verdict in analysis.distributive.per_piece.values():
             distributivity["pieces"] += 1
             distributivity["by_closure"] += verdict.blocks is None
@@ -59,6 +63,7 @@ def main() -> None:
         if swept is not None:
             extension["entries"] += len(swept.entries)
             extension["failing"] += len(swept.failures)
+            on_union_finds += family.coordinate_index is not None
         if analysis.skipped is not None:
             skipped[analysis.skipped] += 1
         else:
@@ -79,6 +84,7 @@ def main() -> None:
             "violations": [{"seed": seed, "kind": kind, "detail": list(detail)}
                            for seed, kind, detail in bad],
             "extension": {"entries": extension["entries"], "failing": extension["failing"]},
+            "swept_on_union_finds": on_union_finds,
             "distributivity": {"pieces": distributivity["pieces"],
                                "by_closure": distributivity["by_closure"]},
         }))

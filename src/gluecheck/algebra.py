@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from gluecheck.exactlin import F0, F1, Matrix, Scalar, Subspace, Vector, kernel, quotient, vec
+from gluecheck.unionfind import PointIndex, _numbered
 
 SparseVector = tuple[tuple[int, Scalar], ...]
 
@@ -365,8 +366,9 @@ class GluingFamily:
     both directions target the same overlap object by construction.
     Families are immutable by convention, so what is derived from one (its
     validation, the kernels of its maps and their adapted bases, the
-    nonzeros of its maps' rows, its pullbacks and extension
-    entries) is computed once and kept on it.
+    nonzeros of its maps' rows, its coordinate index and the roots of each
+    label subset, its pullbacks and extension entries) is computed once
+    and kept on it.
     """
 
     labels: tuple[str, ...]
@@ -390,6 +392,19 @@ class GluingFamily:
         row r of m_ij and of m_ji make the pullback's constraint row r of
         the pair {i, j}."""
         return _map_rows(self)
+
+    @cached_property
+    def coordinate_index(self) -> PointIndex | None:
+        """The pieces' coordinates numbered in label order, with the pairs
+        (column of row r of m_ij, column of row r of m_ji), when every row
+        of every map is a single 1 (``_coordinate_index``); else None."""
+        return _coordinate_index(self)
+
+    @cached_property
+    def subset_roots(self) -> dict:
+        """Memo of ``_union_find`` over ``coordinate_index``, keyed by the
+        chosen labels in label order."""
+        return {}
 
     @cached_property
     def pullbacks(self) -> dict:
@@ -470,6 +485,19 @@ class GluingFamily:
 
 def _map_rows(fam: GluingFamily) -> dict[tuple[str, str], tuple[SparseVector, ...]]:
     return {key: tuple(map(_sparse, h.matrix.entries)) for key, h in fam.maps.items()}
+
+
+def _coordinate_index(fam: GluingFamily) -> PointIndex | None:
+    """Every row of m_ij and of m_ji that is a single 1 makes the pullback's
+    constraint x_i[a] = x_j[b], so when all rows are, the compatible tuples
+    over a label subset are the functions constant on the classes of a
+    union-find over the coordinates."""
+    rows = fam.map_rows
+    if any(len(row) != 1 or row[0][1] != 1 for m in rows.values() for row in m):
+        return None
+    pairs = {(i, j): [(a, b) for ((a, _),), ((b, _),) in zip(rows[i, j], rows[j, i])]
+             for i, j in itertools.combinations(fam.labels, 2)}
+    return _numbered(fam.labels, {i: range(fam.pieces[i].dim) for i in fam.labels}, pairs)
 
 
 def _trusted_family(labels, pieces, overlaps, maps) -> GluingFamily:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _trusted_family, pair_key
 from gluecheck.exactlin import Matrix
 from gluecheck.multipullback import build_pullback, check_condition3, projection_surjective
+from gluecheck.unionfind import PointIndex, _numbered, _union_find
 
 Point = tuple[str, str]  # (piece label, point label)
 
@@ -125,55 +126,8 @@ class FiniteGluing:
         return _trusted_family(tuple(self.labels), pieces, overlaps, maps)
 
 
-@dataclass(frozen=True)
-class PointIndex:
-    """A gluing's points numbered in label order: piece i holds the ids
-    ``piece_ids[i]``, ``points[x]`` is the point of id x and ``ids[pt]``
-    the id of point pt, and ``pairs`` holds each stored identification as
-    pairs of ids."""
-
-    points: tuple[Point, ...]
-    ids: Mapping[Point, int]
-    piece_ids: Mapping[str, tuple[int, ...]]
-    pairs: Mapping[tuple[str, str], tuple[tuple[int, int], ...]]
-
-
 def _point_index(g: FiniteGluing) -> PointIndex:
-    points: list[Point] = []
-    piece_ids = {}
-    for i in g.labels:
-        start = len(points)
-        points.extend((i, p) for p in g.spaces[i])
-        piece_ids[i] = tuple(range(start, len(points)))
-    ids = {pt: x for x, pt in enumerate(points)}
-    pairs = {(i, j): tuple((ids[i, a], ids[j, b]) for a, b in stored)
-             for (i, j), stored in g.identifications.items()}
-    return PointIndex(tuple(points), ids, piece_ids, pairs)
-
-
-def _union_find(index: PointIndex, over: tuple[str, ...]) -> dict[int, int]:
-    """The root id of each point id of the pieces ``over``, in id order,
-    under the identifications among those pieces.  A point that no such
-    identification names is its own root."""
-    parent = list(range(len(index.points)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    named: list[int] = []
-    for (i, j), pairs in index.pairs.items():
-        if i in over and j in over:
-            for a, b in pairs:
-                parent[find(a)] = find(b)
-                named += a, b
-    ids = list(itertools.chain.from_iterable(map(index.piece_ids.__getitem__, over)))
-    roots = dict(zip(ids, ids))
-    for x in named:
-        roots[x] = find(x)
-    return roots
+    return _numbered(g.labels, g.spaces, g.identifications)
 
 
 def _subset(g: FiniteGluing, over: Iterable[str] | None) -> tuple[str, ...]:

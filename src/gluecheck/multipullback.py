@@ -15,6 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -22,6 +23,7 @@ from typing import Iterable, Mapping
 from gluecheck.algebra import Algebra, AlgebraHom, GluingFamily, _quotient_presentation, _trusted_family, pair_key
 from gluecheck.exactlin import (
     F0,
+    F1,
     Matrix,
     Subspace,
     Vector,
@@ -40,6 +42,7 @@ from gluecheck.lattice import (
     check_distributive_family,
     decide_distributivity,
 )
+from gluecheck.unionfind import _union_find
 
 DEFAULT_MAX_INDICES = 8
 
@@ -117,7 +120,19 @@ def build_pullback(fam: GluingFamily, over: Iterable[str] | None = None) -> Mult
 
 
 def _pullback(fam: GluingFamily, key: frozenset) -> MultiPullback:
-    """``build_pullback`` for a family already validated.
+    """``build_pullback`` for a family already validated: from the classes
+    of the subset's union-find when the family has a coordinate index
+    (``_class_subspace``), else by one elimination (``_constraint_subspace``)."""
+    if key in fam.pullbacks:
+        return fam.pullbacks[key]
+    blocks = _block_layout(fam, key)
+    make = _constraint_subspace if fam.coordinate_index is None else _class_subspace
+    fam.pullbacks[key] = MultiPullback(tuple(blocks), make(fam, blocks), blocks)
+    return fam.pullbacks[key]
+
+
+def _constraint_subspace(fam: GluingFamily, blocks: Mapping[str, tuple[int, int]]) -> Subspace:
+    """P(K), the pieces of K laid out at ``blocks``, as a null space.
 
     A tuple is compatible when both maps into each overlap agree on it, so
     the subspace is the kernel of the stacked difference constraints.  The
@@ -125,9 +140,6 @@ def _pullback(fam: GluingFamily, key: frozenset) -> MultiPullback:
     m_ij and of m_ji are laid out at the subset's blocks, columns
     reversed, for the one elimination that ``kernel`` would run.
     """
-    if key in fam.pullbacks:
-        return fam.pullbacks[key]
-    blocks = _block_layout(fam, key)
     order = tuple(blocks)
     total = blocks[order[-1]][1]
     last = total - 1
@@ -141,9 +153,33 @@ def _pullback(fam: GluingFamily, key: frozenset) -> MultiPullback:
             for c, x in right:
                 row[end_j - c] = -x
             rows.append(row)
-    subspace = _reduced_subspace(total, *_null_space(rows, total))
-    fam.pullbacks[key] = MultiPullback(order, subspace, blocks)
-    return fam.pullbacks[key]
+    return _reduced_subspace(total, *_null_space(rows, total))
+
+
+def _roots(fam: GluingFamily, order: tuple[str, ...]) -> dict[int, int]:
+    """``_union_find`` over the coordinates of a label subset, in family
+    label order, run once per subset of the family."""
+    if order not in fam.subset_roots:
+        fam.subset_roots[order] = _union_find(fam.coordinate_index, order)
+    return fam.subset_roots[order]
+
+
+def _class_subspace(fam: GluingFamily, blocks: Mapping[str, tuple[int, int]]) -> Subspace:
+    """P(K) for a family with a coordinate index: the constraints
+    x_i[a] = x_j[b] make the compatible tuples the functions constant on
+    each class of the union-find over K's coordinates.  The roots come in
+    the order of the direct sum, so the class indicators, disjoint and
+    taken in the order of their first coordinates, are already the RREF
+    basis, with those first coordinates as pivots."""
+    total = max(stop for _, stop in blocks.values())
+    rows: dict[int, list] = {}  # the indicator of each class, keyed by its root
+    pivots = []
+    for p, root in enumerate(_roots(fam, tuple(blocks)).values()):
+        if root not in rows:
+            rows[root] = [F0] * total
+            pivots.append(p)
+        rows[root][p] = F1
+    return _reduced_subspace(total, [tuple(row) for row in rows.values()], pivots)
 
 
 def pullback_subspace(fam: GluingFamily, over: Iterable[str] | None = None) -> Subspace:
@@ -167,16 +203,15 @@ def projection_surjective(p: MultiPullback, label: str) -> tuple[bool, Subspace]
 class ExtensionEntry:
     """Verdict for one partial-pullback extension question.
 
-    ``ok`` says every compatible tuple over ``subset`` (the subspace
-    ``expected``) extends to one over ``subset + (extend_by,)``; otherwise
-    ``witness`` is the first basis tuple of ``expected`` (keyed by label)
-    that admits no extension.
+    ``ok`` says every compatible tuple over ``subset`` extends to one over
+    ``subset + (extend_by,)``; otherwise ``witness`` is the first basis
+    tuple of the pullback over ``subset`` (keyed by label) that admits no
+    extension.
     """
 
     subset: tuple[str, ...]
     extend_by: str
     ok: bool
-    expected: Subspace
     witness: Mapping[str, Vector] | None
 
 
@@ -209,7 +244,41 @@ def _extends_by_count(fam: GluingFamily, small: MultiPullback, k: str) -> bool:
     return big.dim == small.dim + sum(c for c, inside in blocks if inside.issuperset(small.over))
 
 
-def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> ExtensionEntry:
+def _extension_entry(fam: GluingFamily, subset: tuple[str, ...], k: str) -> ExtensionEntry:
+    """The entry (K, k), K the sorted labels ``subset``: read off the roots
+    when the family has a coordinate index (``_entry_on_roots``), else
+    from P(K) (``_eliminated_entry``)."""
+    if fam.coordinate_index is not None:
+        return _entry_on_roots(fam, subset, k)
+    return _eliminated_entry(fam, _pullback(fam, frozenset(subset)), k)
+
+
+def _entry_on_roots(fam: GluingFamily, subset: tuple[str, ...], k: str) -> ExtensionEntry:
+    """The entry (K, k) from the roots of K and of K + {k} alone.
+
+    The basis row x_t of P(K) is the indicator of the class C_t of K's
+    union-find, and every class of K lies in one class of K + {k}.  A
+    tuple over K extends exactly when it takes one value on the classes
+    of K that a class of K + {k} joins, so x_t extends exactly when C_t
+    meets no other class of K there.  The witness is the first x_t that
+    does not, the first basis row with no extension, as the elimination
+    names it."""
+    chosen = set(subset)
+    order = tuple(i for i in fam.labels if i in chosen)
+    small = _roots(fam, order)
+    big = _roots(fam, tuple(i for i in fam.labels if i in chosen or i == k))
+    outer: dict[int, int] = {}  # the outer root of each class, in the order of its first coordinate
+    for x, root in small.items():
+        outer.setdefault(root, big[x])
+    meets = Counter(outer.values())
+    first = next((root for root, o in outer.items() if meets[o] > 1), None)
+    witness = None if first is None else {
+        j: tuple(F1 if small[x] == first else F0 for x in fam.coordinate_index.piece_ids[j]) for j in order
+    }
+    return ExtensionEntry(subset, k, witness is None, witness)
+
+
+def _eliminated_entry(fam: GluingFamily, small: MultiPullback, k: str) -> ExtensionEntry:
     """A compatible tuple x = sum_t a_t x_t over K, with x_t the basis rows
     of P(K) = ``small``, extends by k exactly when some y in B_k solves
     m_kj y - sum_t a_t m_jk x_t|_j = 0 for every j in K.
@@ -227,7 +296,7 @@ def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> Extensi
     a-columns right of its pivot."""
     over, sub = small.over, small.subspace
     if _extends_by_count(fam, small, k):
-        return ExtensionEntry(tuple(sorted(over)), k, True, sub, None)
+        return ExtensionEntry(tuple(sorted(over)), k, True, None)
     d_k, n = fam.pieces[k].dim, sub.dim
     columns = small.columns
     rows = []
@@ -246,7 +315,7 @@ def _extension_entry(fam: GluingFamily, small: MultiPullback, k: str) -> Extensi
     witness = None if first is None else {
         j: sub.basis_rows[first][start:stop] for j, (start, stop) in small.blocks.items()
     }
-    return ExtensionEntry(tuple(sorted(over)), k, witness is None, sub, witness)
+    return ExtensionEntry(tuple(sorted(over)), k, witness is None, witness)
 
 
 def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport:
@@ -257,11 +326,9 @@ def _extension_sweep(fam: GluingFamily, sizes: Iterable[int]) -> ExtensionReport
     labels = sorted(fam.labels)
     subsets = [subset for size in sizes for subset in itertools.combinations(labels, size)]
     for subset in sorted(subsets, key=lambda subset: -len(subset)):
-        missing = [k for k in labels if k not in subset and (subset, k) not in fam.extension_entries]
-        if missing:
-            small = _pullback(fam, frozenset(subset))
-            for k in missing:
-                fam.extension_entries[subset, k] = _extension_entry(fam, small, k)
+        for k in labels:
+            if k not in subset and (subset, k) not in fam.extension_entries:
+                fam.extension_entries[subset, k] = _extension_entry(fam, subset, k)
     return ExtensionReport(tuple(fam.extension_entries[subset, k]
                                  for subset in subsets for k in labels if k not in subset))
 
@@ -278,11 +345,13 @@ def check_condition2(fam: GluingFamily, max_indices: int = DEFAULT_MAX_INDICES) 
 
     The enumeration is exponential in the number of pieces, so families
     larger than ``max_indices`` are refused rather than silently crunched.
-    Entries are computed from the largest K down, so once
+    A family with a coordinate index has each entry read off the roots
+    of K and K + {k}, with no elimination.  For any other family, entries
+    are computed from the largest K down, so once
     ``check_distributive_family`` and ``build_pullback`` have run, as in
     ``analyse``, each passing entry whose k has an adapted basis of its
     kernels is decided by rank-nullity on P(K + {k}) -> P(K), and only the
-    others run an elimination (``_extension_entry``).
+    others run an elimination (``_eliminated_entry``).
     """
     fam.require_valid()
     n = len(fam.labels)

@@ -147,7 +147,7 @@ def _extension_entry_reference(fam: GluingFamily, small: MultiPullback, k: str) 
     witness = None if first is None else {
         j: sub.basis_rows[first][start:stop] for j, (start, stop) in small.blocks.items()
     }
-    return ExtensionEntry(tuple(sorted(over)), k, witness is None, sub, witness)
+    return ExtensionEntry(tuple(sorted(over)), k, witness is None, witness)
 
 
 @pytest.fixture(scope="session")

@@ -78,7 +78,7 @@ def test_criterion_2_single_overlap_circle(example2, projection_reference, repor
         assert [(e.subset, e.extend_by) for e in ext3.failures] == [(("I2", "I3"), "I1")]
         witness = vec([-1, 0, 1]) + vec([-1, -1, -1])  # identity chart with constant -1
         projected, _ = projection_reference(example2, failing.subset, failing.extend_by)
-        assert failing.expected.contains(witness)
+        assert build_pullback(example2, failing.subset).subspace.contains(witness)
         assert not projected.contains(witness)
 
         ext2 = check_condition2(example2)

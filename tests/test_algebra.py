@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import matrix_of
+from conftest import _rebased, matrix_of
 from gluecheck import algebra, exactlin, specfile
 from gluecheck.algebra import (
     Algebra,
@@ -248,17 +248,22 @@ class TestSurjectivityFromKernels:
             assert onto(h) == surjective_reference(h), m
 
     def test_each_map_is_eliminated_once(self, record_calls):
-        text = specfile.dump_document(specfile.family_json(fixture_family("example2", 8)))
-        _, fam, _ = specfile.parse_document(text)
-        reductions = record_calls(exactlin, "_reduce")
-        fam.require_valid()
-        assert len(reductions) == len(fam.maps)
-        # every elimination reads its null space here, pullbacks' included
-        null_spaces = record_calls(exactlin, "_null_space")
-        analyse(fam)
-        maps = {(tuple(r[::-1] for r in h.matrix.entries), h.matrix.cols) for h in fam.maps.values()}
-        eliminated = [(tuple(map(tuple, rows)), n) for rows, n in null_spaces]
-        assert eliminated and not [e for e in eliminated if e in maps]
+        # the dual's pullbacks are read off union-finds and its analysis reads
+        # no null space; its rebased copy eliminates its pullbacks
+        dual = fixture_family("example2", 8)
+        for source, pullbacks_eliminated in ((dual, False), (_rebased(dual, 0), True)):
+            _, fam, _ = specfile.parse_document(specfile.dump_document(specfile.family_json(source)))
+            assert (fam.coordinate_index is None) == pullbacks_eliminated
+            reductions = record_calls(exactlin, "_reduce")
+            fam.require_valid()
+            assert len(reductions) == len(fam.maps)
+            # every elimination reads its null space here, pullbacks' included
+            null_spaces = record_calls(exactlin, "_null_space")
+            analyse(fam)
+            maps = {(tuple(r[::-1] for r in h.matrix.entries), h.matrix.cols) for h in fam.maps.values()}
+            eliminated = [(tuple(map(tuple, rows)), n) for rows, n in null_spaces]
+            assert bool(eliminated) == pullbacks_eliminated
+            assert not [e for e in eliminated if e in maps]
 
 
 class TestTrustedFunctionAlgebras:

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _dense_family_json, matrix_of, spokes_gluing, star_gluing
-from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile
+from conftest import _dense_family_json, _rebased, matrix_of, spokes_gluing, star_gluing
+from gluecheck import algebra, cli, exactlin, finset, multipullback, specfile, unionfind
 from gluecheck.cli import main
 from gluecheck.finset import FiniteGluing, dualize, fixture_family, fixture_gluing, random_gluing, tcirc_a, tcirc_c
 from gluecheck.algebra import AlgebraHom, GluingFamily
@@ -555,16 +555,27 @@ class TestMutatedDocuments:
                 repaired.require_valid()
 
 
+def source_family(source: str) -> GluingFamily:
+    """The family a test names: a fixture's or the dual of a ``seedN``,
+    rebased with seed 0, so that it has no coordinate index, when the name
+    ends in ``-rebased``."""
+    name = source.removesuffix("-rebased")
+    fam = fixture_family(name) if name.startswith("example") else dualize(random_gluing(int(name[4:])))
+    return _rebased(fam, 0) if source.endswith("-rebased") else fam
+
+
+def every_subset(labels) -> list[tuple[str, ...]]:
+    """The nonempty label subsets, each in label order."""
+    return [s for n in range(1, len(labels) + 1) for s in itertools.combinations(labels, n)]
+
+
 class TestOneAnalysisPerFamily:
     """One `check` computes each fact of its family once, one `glue` each fact of its gluing."""
 
-    @pytest.mark.parametrize("source", ["example2", "seed7"])
+    @pytest.mark.parametrize("source", ["example2", "seed7", "example2-rebased", "seed7-rebased"])
     def test_each_fact_is_computed_once(self, monkeypatch, record_calls, tmp_path, capsys, source):
         # read from a document: a fixture family is valid by construction and is not validated
-        if source.startswith("seed"):
-            fam = dualize(random_gluing(int(source[4:])))
-        else:
-            fam = fixture_family(source)
+        fam = source_family(source)
         path = tmp_path / "family.json"
         path.write_text(specfile.dump_document(specfile.family_json(fam)))
         argv = ["check", str(path)]
@@ -579,14 +590,14 @@ class TestOneAnalysisPerFamily:
         validated = record_calls(algebra, "validate_algebra")
         kernels = record_calls(exactlin, "kernel")
         layouts = record_calls(multipullback, "_block_layout")
-        null_spaces = []
-        null_space = multipullback._null_space
+        union_finds = record_calls(unionfind, "_union_find")
+        eliminations = {name: [] for name in ("_null_space", "_echelon")}
+        for name, calls in eliminations.items():
+            def eliminated(*args, _calls=calls, _original=getattr(multipullback, name)):
+                _calls.append(args)
+                return _original(*args)
 
-        def eliminated(*args):
-            null_spaces.append(args)
-            return null_space(*args)
-
-        monkeypatch.setattr(multipullback, "_null_space", eliminated)  # the pullbacks' eliminations only
+            monkeypatch.setattr(multipullback, name, eliminated)  # the pullbacks' and the sweep's only
         map_rows = record_calls(algebra, "_map_rows")
         induced = record_calls(algebra, "subspace_algebra")
         ideal_tests = record_calls(algebra, "is_ideal")
@@ -599,23 +610,28 @@ class TestOneAnalysisPerFamily:
         assert all(sum(a is args[0] for args in validated) == 1 for a in algebras)
         for h in fam.maps.values():
             assert sum(h.matrix is args[0] for args in kernels) == 1
-        subsets = [frozenset(args[1]) for args in layouts]
-        every_subset = {
-            frozenset(s) for n in range(1, len(fam.labels) + 1)
-            for s in itertools.combinations(fam.labels, n)
-        }
-        # each subset laid out and eliminated once: the sweep's K and the whole pullback
-        assert sorted(map(sorted, subsets)) == sorted(map(sorted, every_subset))
-        assert len(null_spaces) == len(every_subset)
+        subsets = sorted(map(sorted, every_subset(fam.labels)))
+        laid_out = sorted(sorted(args[1]) for args in layouts)
+        if source.endswith("-rebased"):
+            # each subset laid out and eliminated once: the sweep's K and the whole pullback
+            assert fam.coordinate_index is None and union_finds == []
+            assert laid_out == subsets
+            assert len(eliminations["_null_space"]) == len(subsets)
+        else:
+            # one union-find per subset, the sweep's K and K + {k}; only
+            # the whole pullback is laid out, and nothing is eliminated
+            assert sorted(args[1] for args in union_finds) == sorted(every_subset(fam.labels))
+            assert laid_out == [sorted(fam.labels)]
+            assert eliminations == {"_null_space": [], "_echelon": []}
         assert len(map_rows) == 1 and map_rows[0][0] is fam  # read by every subset
         assert induced == []
         assert ideal_tests == []  # kernels of validated homs are ideals
 
-    @pytest.mark.parametrize("source", ["example2", "seed0", "seed7"])
+    @pytest.mark.parametrize("source", ["example2", "seed0", "seed7", "seed7-rebased"])
     def test_each_stage_validates_the_family_once(self, monkeypatch, tmp_path, capsys, source):
         # the distributivity check, the whole pullback, the cocycle and the
         # two sweeps; no pullback of a subset validates it again
-        fam = fixture_family(source) if source.startswith("example") else dualize(random_gluing(int(source[4:])))
+        fam = source_family(source)
         path = tmp_path / "family.json"
         path.write_text(specfile.dump_document(specfile.family_json(fam)))
         calls = []
@@ -630,7 +646,12 @@ class TestOneAnalysisPerFamily:
         capsys.readouterr()
         assert len(calls) == 5
         parsed = calls[0]
-        assert all(f is parsed for f in calls) and len(parsed.pullbacks) == 2 ** len(parsed.labels) - 1
+        assert all(f is parsed for f in calls)
+        subsets = 2 ** len(parsed.labels) - 1
+        if source.endswith("-rebased"):  # the sweep builds every pullback
+            assert (len(parsed.pullbacks), len(parsed.subset_roots)) == (subsets, 0)
+        else:  # the sweep reads roots, and only the whole pullback is built
+            assert (len(parsed.pullbacks), len(parsed.subset_roots)) == (1, subsets)
 
     def test_glue_duality_glues_each_piece_subset_once(self, record_calls, tmp_path, capsys):
         path = tmp_path / "gluing.json"
@@ -646,8 +667,12 @@ class TestOneAnalysisPerFamily:
         subsets = {(*labels,)} | {
             s for n in (1, 2, 3) for s in itertools.combinations(labels, n)
         }  # whole gluing, pieces and pairs (embeddings), triples (duality)
-        assert sorted(args[1] for args in union_finds) == sorted(subsets)
         assert len(indexes) == 1
+        points = indexes[0][0].point_index
+        assert sorted(args[1] for args in union_finds if args[0] is points) == sorted(subsets)
+        # the dual family's own: its whole pullback, and the pairwise sweep's K and K + {k}
+        coordinates = {(*labels,)} | {s for n in (2, 3) for s in itertools.combinations(labels, n)}
+        assert sorted(args[1] for args in union_finds if args[0] is not points) == sorted(coordinates)
         assert validated == []  # the dual family is valid by construction
 
     def test_glue_duality_settles_each_embedding_once(self, record_calls, tmp_path, capsys):
@@ -666,37 +691,60 @@ class TestOneAnalysisPerFamily:
 
 
 class TestPullbacksTheSweepBuilds:
-    """Deciding an entry by its dimensions reads P(K + {k}) only when the
-    run builds it anyway: each run builds the pullback subspaces it built
-    when every entry ran an elimination, and no others."""
+    """A family with a coordinate index builds only the pullbacks a run
+    reports, and its sweeps read one union-find per subset K and K + {k}.
+    On any other family, deciding an entry by its dimensions reads
+    P(K + {k}) only when the run builds it anyway: each run builds the
+    pullback subspaces it built when every entry ran an elimination, and
+    no others."""
 
     LABELS = random_gluing(7).labels  # four pieces, so a triple is not the whole family
 
     def subsets(self, *sizes):
         return sorted(sorted(s) for n in sizes for s in itertools.combinations(self.LABELS, n))
 
+    @staticmethod
+    def run(tmp_path, capsys, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(specfile.dump_document(doc))
+        name, *flags = command.split()
+        assert main([name, str(path), *flags]) in (0, 1, 3)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("command", ["check", "check --max-j 2", "glue --duality"])
     def test_each_command_builds_the_same_subspaces(self, record_calls, tmp_path, capsys, command):
         g = random_gluing(7)
         doc = specfile.gluing_json(g) if command.startswith("glue") else specfile.family_json(dualize(g))
-        path = tmp_path / "doc.json"
-        path.write_text(specfile.dump_document(doc))
         layouts = record_calls(multipullback, "_block_layout")
-        name, *flags = command.split()
-        assert main([name, str(path), *flags]) in (0, 1, 3)
-        capsys.readouterr()
+        union_finds = record_calls(multipullback, "_union_find")
+        indexes = record_calls(algebra, "_coordinate_index")
+        self.run(tmp_path, capsys, command, doc)
+        assert sorted(sorted(args[1]) for args in layouts) == self.subsets(4)  # the whole pullback
+        ((fam,),) = indexes
+        read = {
+            "check": self.subsets(1, 2, 3, 4),  # every K and K + {k}
+            "check --max-j 2": self.subsets(2, 3, 4),  # the pairwise sweep's and the whole pullback
+            "glue --duality": self.subsets(2, 3, 4),
+        }[command]
+        assert sorted(sorted(args[1]) for args in union_finds if args[0] is fam.coordinate_index) == read
+
+    @pytest.mark.parametrize("command", ["check", "check --max-j 2"])
+    def test_a_rebased_copy_builds_the_same_subspaces(self, record_calls, tmp_path, capsys, command):
+        doc = specfile.family_json(_rebased(dualize(random_gluing(7)), 0))
+        layouts = record_calls(multipullback, "_block_layout")
+        union_finds = record_calls(multipullback, "_union_find")
+        self.run(tmp_path, capsys, command, doc)
         expected = {
             "check": self.subsets(1, 2, 3, 4),  # every subset: the sweep's K and the whole pullback
             "check --max-j 2": self.subsets(2, 4),  # pairwise sweep and the whole pullback
-            "glue --duality": self.subsets(2, 4),
         }[command]
         assert sorted(sorted(args[1]) for args in layouts) == expected
+        assert union_finds == []
 
     def test_the_pairwise_sweep_alone_builds_no_triple(self, record_calls, monkeypatch):
-        fam = dualize(random_gluing(7))
-        check_distributive_family(fam)
-        assert len(fam.kernel_blocks) == len(self.LABELS)
+        dual = dualize(random_gluing(7))
         layouts = record_calls(multipullback, "_block_layout")
+        union_finds = record_calls(multipullback, "_union_find")
         reduced = []
         echelon = multipullback._echelon
 
@@ -705,6 +753,13 @@ class TestPullbacksTheSweepBuilds:
             return echelon(*args)
 
         monkeypatch.setattr(multipullback, "_echelon", recorded)  # the sweep's own eliminations only
+        multipullback.check_condition3(dual)
+        # the dual reads each pair and triple's roots and builds no pullback
+        assert (layouts, reduced) == ([], [])
+        assert sorted(sorted(args[1]) for args in union_finds) == self.subsets(2, 3)
+        fam = _rebased(dual, 0)
+        check_distributive_family(fam)
+        assert len(fam.kernel_blocks) == len(self.LABELS)
         report = multipullback.check_condition3(fam)
         assert sorted(sorted(args[1]) for args in layouts) == self.subsets(2)
         assert len(reduced) == len(report.entries)  # no P(K + {k}) at hand, so each is eliminated
@@ -804,6 +859,7 @@ class TestScripts:
         assert summary["extension"] == {"entries": sum(len(r.entries) for r in sweeps),
                                         "failing": sum(len(r.failures) for r in sweeps)}
         assert 0 < summary["extension"]["failing"] < summary["extension"]["entries"]
+        assert summary["swept_on_union_finds"] == 5
         # the count decides every piece of these families
         pieces = sum(len(random_gluing(seed).labels) for seed in range(5))
         assert summary["distributivity"] == {"pieces": pieces, "by_closure": 0}
@@ -816,6 +872,14 @@ class TestScripts:
         # past the subset bound, the pairwise sweep's entries
         pairwise = multipullback.check_condition3(dualize(random_gluing(9, max_pieces=12, max_points=2)))
         assert summary["extension"] == {"entries": len(pairwise.entries), "failing": len(pairwise.failures)}
+
+    def test_run_corpus_sweeps_every_family_on_union_finds(self):
+        # a fallback to the elimination on any dual family shows as a lower count
+        result = self.run_corpus("--json")
+        assert result.returncode == 0, result.stdout + result.stderr
+        summary = json.loads(result.stdout)
+        assert summary["seeds"] == {"first": 0, "count": 200}
+        assert summary["swept_on_union_finds"] == 200
 
     def test_run_corpus_past_nine_pieces(self):
         result = self.run_corpus("--max-pieces", "12", "--count", "20", "--json")

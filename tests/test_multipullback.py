@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matrix_of, pullback_kernels
-from gluecheck import algebra, multipullback, specfile
+from conftest import _rebased, _rebased_algebra, matrix_of, pullback_kernels
+from gluecheck import algebra, multipullback, specfile, unionfind
 from gluecheck.algebra import (
     AlgebraHom,
     FamilyValidationError,
@@ -178,7 +178,7 @@ class TestPairwiseExtension:
         projected, _ = projection_reference(example2, entry.subset, entry.extend_by)
         witness = {"I2": vec([-1, 0, 1]), "I3": vec([-1, -1, -1])}
         flat = list(witness["I2"]) + list(witness["I3"])
-        assert entry.expected.contains(flat)
+        assert build_pullback(example2, entry.subset).subspace.contains(flat)
         assert not projected.contains(flat)
         assert entry.witness is not None
 
@@ -214,7 +214,8 @@ class TestSubsetExtension:
         for name, fam in fresh_families:
             for e in check_condition2(fam).entries:
                 projected, _ = projection_reference(fam, e.subset, e.extend_by)
-                assert all(e.expected.contains(r) for r in projected.basis_rows), (name, e.subset, e.extend_by)
+                small = build_pullback(fam, e.subset).subspace
+                assert all(small.contains(r) for r in projected.basis_rows), (name, e.subset, e.extend_by)
 
     def test_entries_match_the_projection_reference(self, fresh_families, projection_reference):
         # a basis row of P(K) extends exactly when it lies in the projection
@@ -223,10 +224,11 @@ class TestSubsetExtension:
         for name, fam in fresh_families + chain8:
             for e in check_condition2(fam).entries:
                 projected, witness = projection_reference(fam, e.subset, e.extend_by)
+                small = build_pullback(fam, e.subset).subspace
                 where = (name, e.subset, e.extend_by)
-                assert e.ok == (projected == e.expected), where
+                assert e.ok == (projected == small), where
                 assert e.witness == witness, where
-                assert all(e.expected.contains(r) for r in projected.basis_rows), where
+                assert all(small.contains(r) for r in projected.basis_rows), where
 
     def test_the_sweep_applies_no_map_and_tests_no_membership(self, monkeypatch):
         # one elimination per entry decides it and names the witness
@@ -255,7 +257,7 @@ class TestRebasedFamilies:
             for e in check_condition2(fam).entries + check_condition3(fam).entries:
                 projected, witness = projection_reference(fam, e.subset, e.extend_by)
                 where = (name, e.subset, e.extend_by)
-                assert e.ok == (projected == e.expected), where
+                assert e.ok == (projected == build_pullback(fam, e.subset).subspace), where
                 assert e.witness == witness, where
 
     def test_verdicts_survive_the_change_of_basis(self, rebased_families):
@@ -268,25 +270,26 @@ class TestRebasedFamilies:
 
 def count_against_elimination(fam: GluingFamily) -> int:
     """Analyse the family, then check each entry whose k has an adapted
-    basis against the entry that ``_extension_entry`` gives with the blocks
+    basis against the entry that ``_eliminated_entry`` gives with the blocks
     withheld: rank-nullity passes it exactly when the elimination does, and
-    a passing entry is the same field for field.  Returns how many entries
-    the count decided."""
+    a passing entry is the same field for field.  The sweep of a family
+    with a coordinate index builds no P(K + {k}), so it is built here for
+    the count to read.  Returns how many entries the count decided."""
     analyse(fam)
     blocks = dict(fam.kernel_blocks)
     counted = {}
     for (subset, k), e in fam.extension_entries.items():
         if k in blocks:
             small = build_pullback(fam, subset)
+            build_pullback(fam, (*subset, k))
             counted[(subset, k)] = (e, multipullback._extends_by_count(fam, small, k))
     fam.kernel_blocks.clear()
     try:
         for (subset, k), (e, by_count) in counted.items():
-            eliminated = multipullback._extension_entry(fam, build_pullback(fam, subset), k)
+            eliminated = multipullback._eliminated_entry(fam, build_pullback(fam, subset), k)
             assert by_count == eliminated.ok, (subset, k)
             if by_count:
-                fields = (eliminated.ok, eliminated.witness, eliminated.expected)
-                assert (e.ok, e.witness, e.expected) == fields, (subset, k)
+                assert (e.ok, e.witness) == (eliminated.ok, eliminated.witness), (subset, k)
     finally:
         fam.kernel_blocks.update(blocks)
     return sum(by_count for _, by_count in counted.values())
@@ -325,9 +328,17 @@ class TestExtensionByCount:
         return len(calls)
 
     @pytest.mark.parametrize("source", ["seed7", "example2-chain8"])
-    def test_only_failing_and_blockless_entries_are_eliminated(self, monkeypatch, source):
-        fam = dualize(random_gluing(7)) if source == "seed7" else fixture_family("example2", 8)
+    def test_only_failing_and_blockless_entries_are_eliminated(self, monkeypatch, record_calls, source):
+        # the dual reads every entry off one union-find per label subset and
+        # eliminates nothing; its rebased copy has no coordinate index
+        dual = dualize(random_gluing(7)) if source == "seed7" else fixture_family("example2", 8)
+        union_finds = record_calls(unionfind, "_union_find")
+        assert self.eliminations(monkeypatch, dual) == 0
+        every = [s for n in range(1, len(dual.labels) + 1) for s in itertools.combinations(dual.labels, n)]
+        assert sorted(args[1] for args in union_finds) == sorted(every)
+        fam = _rebased(dual, 0)
         eliminated = self.eliminations(monkeypatch, fam)
+        assert len(union_finds) == len(every)
         entries = fam.extension_entries.values()
         assert eliminated == sum(not e.ok or e.extend_by not in fam.kernel_blocks for e in entries)
         assert eliminated < len(entries)
@@ -336,16 +347,18 @@ class TestExtensionByCount:
     def test_a_piece_without_blocks_is_eliminated(self, monkeypatch, three_line_family,
                                                   projection_reference, case):
         # P1's kernels are three lines of a plane; at cap 2 the meets of
-        # S3's kernels pass the cap, though S3 is distributive
+        # S3's kernels pass the cap, though S3 is distributive.  Neither
+        # family has a coordinate index: the dual of seed 7 is rebased
         fam, cap, piece = ((three_line_family, DEFAULT_CAP, "P1") if case == "three-lines"
-                           else (dualize(random_gluing(7)), 2, "S3"))
+                           else (_rebased(dualize(random_gluing(7)), 0), 2, "S3"))
+        assert fam.coordinate_index is None
         eliminated = self.eliminations(monkeypatch, fam, lattice_cap=cap)
         assert piece not in fam.kernel_blocks and len(fam.kernel_blocks) == len(fam.labels) - 1
         entries = fam.extension_entries.values()
         assert eliminated == sum(not e.ok or e.extend_by == piece for e in entries)
         for e in entries:
             projected, witness = projection_reference(fam, e.subset, e.extend_by)
-            assert e.ok == (projected == e.expected), (e.subset, e.extend_by)
+            assert e.ok == (projected == build_pullback(fam, e.subset).subspace), (e.subset, e.extend_by)
             assert e.witness == witness, (e.subset, e.extend_by)
 
     def test_blocks_count_the_dimension_of_each_kernel_meet(self, fresh_families, rebased_families):
@@ -367,7 +380,7 @@ class TestExtensionByCount:
 
 
 def eliminated_as_reference(fam: GluingFamily, entries, reference) -> list:
-    """Each entry (K, k) computed by ``_extension_entry`` with the family's
+    """Each entry (K, k) computed by ``_eliminated_entry`` with the family's
     kernel blocks withheld, so that it runs the elimination, and checked
     against the full-RREF reference, ``repr`` included."""
     blocks = dict(fam.kernel_blocks)
@@ -376,7 +389,7 @@ def eliminated_as_reference(fam: GluingFamily, entries, reference) -> list:
         computed = []
         for subset, k in entries:
             small = build_pullback(fam, subset)
-            e = multipullback._extension_entry(fam, small, k)
+            e = multipullback._eliminated_entry(fam, small, k)
             assert repr(e) == repr(reference(fam, small, k)), (subset, k)
             computed.append(e)
         return computed
@@ -423,6 +436,130 @@ class TestExtensionByEchelon:
             eliminated_as_reference(fam, entries, extension_entry_reference)
             pieces.add(len(fam.labels))
         assert max(pieces) == 10
+
+
+def halved_overlap(fam: GluingFamily, key: tuple[str, str]) -> GluingFamily:
+    """The family with the overlap ``key`` presented in the basis 2 e_r, so
+    that each row of its two maps is the single nonzero 1/2."""
+    s = Matrix(fam.overlaps[key].dim, fam.overlaps[key].dim,
+               tuple(tuple(2 * x for x in row) for row in Matrix.identity(fam.overlaps[key].dim).entries))
+    s_inv = invert(s)
+    overlap = _rebased_algebra(fam.overlaps[key], s, s_inv)
+    maps = dict(fam.maps)
+    for i, j in (key, key[::-1]):
+        maps[(i, j)] = AlgebraHom(fam.pieces[i], overlap, s_inv @ fam.maps[(i, j)].matrix)
+    return GluingFamily(fam.labels, fam.pieces, {**fam.overlaps, key: overlap}, maps)
+
+
+class TestSweepOnUnionFinds:
+    """On a family whose map rows are all single 1s, the union-find path
+    and the elimination path give the same P(K) on every label subset, and
+    the same (ok, witness) on every entry, field for field.
+
+    This is what keeps acceptance criterion 6, the duality of a gluing and
+    its dual family, tied to elimination: ``glue --duality`` compares the
+    gluing's union-find with the dual family's pullback and pairwise
+    sweep, and those now read the dual's own union-find, so without this
+    test the cross-check would compare two union-finds with each other."""
+
+    @staticmethod
+    def assert_paths_agree(fam: GluingFamily, sizes, entry_sizes) -> int:
+        """Compare both paths on the subsets of the given sizes, and the
+        entries (K, k) of K of ``entry_sizes``; returns the failing entries."""
+        fam.require_valid()
+        assert fam.coordinate_index is not None and not fam.kernel_blocks
+        labels = sorted(fam.labels)
+        failing = 0
+        for size in sizes:
+            for subset in itertools.combinations(labels, size):
+                blocks = multipullback._block_layout(fam, subset)
+                by_classes = multipullback._class_subspace(fam, blocks)
+                eliminated = multipullback._constraint_subspace(fam, blocks)
+                assert by_classes == eliminated and by_classes.pivots == eliminated.pivots, subset
+                assert repr(by_classes.basis_rows) == repr(eliminated.basis_rows), subset
+                checked = Subspace(by_classes.ambient_dim, by_classes.basis_rows)  # the public RREF check
+                assert checked.pivots == by_classes.pivots, subset
+                if size not in entry_sizes:
+                    continue
+                small = multipullback.MultiPullback(tuple(blocks), eliminated, blocks)
+                for k in labels:
+                    if k not in subset:
+                        on_roots = multipullback._entry_on_roots(fam, subset, k)
+                        assert repr(on_roots) == repr(multipullback._eliminated_entry(fam, small, k)), (subset, k)
+                        failing += not on_roots.ok
+        return failing
+
+    def test_the_duals_of_the_corpus(self):
+        failing = 0
+        for seed in range(200):
+            fam = dualize(random_gluing(seed))
+            n = len(fam.labels)
+            failing += self.assert_paths_agree(fam, range(1, n + 1), range(1, n))
+        assert failing > 1000
+
+    def test_the_pairwise_sweep_of_many_pieces(self):
+        # the pairwise sweep reads the roots of each pair and triple
+        pieces = set()
+        for seed in range(40):
+            fam = dualize(random_gluing(seed, max_pieces=10))
+            n = len(fam.labels)
+            self.assert_paths_agree(fam, {2, 3, n} & set(range(1, n + 1)), {2} - {n})
+            pieces.add(n)
+        assert max(pieces) == 10
+
+    @pytest.mark.parametrize("chain", [3, 8, 24])
+    def test_the_fixtures(self, chain):
+        for name in FIXTURES:
+            self.assert_paths_agree(fixture_family(name, chain), (1, 2, 3), (1, 2))
+
+
+class TestEliminationRouting:
+    """A family with a map row that is not a single 1 has no coordinate
+    index and keeps the elimination path, with its verdicts."""
+
+    @staticmethod
+    def assert_eliminated(fam: GluingFamily, record_calls) -> tuple:
+        """Run the pairwise sweep on a fresh copy: every entry runs an
+        elimination, each pair's pullback one null space, and no union-find
+        runs.  Returns the entries and the verdicts of ``analyse`` on
+        another fresh copy."""
+        fresh = GluingFamily(fam.labels, fam.pieces, fam.overlaps, fam.maps)
+        fresh.require_valid()  # which eliminates each map
+        assert fresh.coordinate_index is None
+        calls = {name: record_calls(multipullback, name) for name in ("_null_space", "_echelon", "_union_find")}
+        entries = check_condition3(fresh).entries
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_null_space": len({e.subset for e in entries}), "_echelon": len(entries), "_union_find": 0}
+        again = GluingFamily(fam.labels, fam.pieces, fam.overlaps, fam.maps)
+        verdicts = analyse(again).verdicts
+        assert calls["_union_find"] == [] and again.subset_roots == {}
+        return [(e.subset, e.extend_by, e.ok, e.witness) for e in entries], verdicts
+
+    def test_rebased_families(self, rebased_families, record_calls):
+        # a family whose overlaps all have dimension 0 has no map row to
+        # rebase, so its coordinate index stays
+        rebased_families = [named for named in rebased_families if any(named[2].map_rows.values())]
+        assert len(rebased_families) > 25
+        for name, fam, rebased in rebased_families:
+            _, verdicts = self.assert_eliminated(rebased, record_calls)
+            assert verdicts == analyse(GluingFamily(fam.labels, fam.pieces, fam.overlaps, fam.maps)).verdicts, name
+
+    def test_the_augmented_three_line_family(self, augmented_three_line_family, record_calls):
+        # cocycle and pairwise extension hold, subset extension fails
+        _, verdicts = self.assert_eliminated(augmented_three_line_family, record_calls)
+        assert verdicts == (True, False, True)
+
+    @pytest.mark.parametrize("name", ["example2", "example3"])
+    def test_an_overlap_in_the_basis_2e(self, record_calls, name):
+        dual = fixture_family(name)
+        halved = halved_overlap(dual, ("I2", "I3"))
+        halved.require_valid()
+        rows = halved.map_rows[("I2", "I3")] + halved.map_rows[("I3", "I2")]
+        assert rows and all(len(row) == 1 and row[0][1] == Fraction(1, 2) for row in rows)
+        entries, verdicts = self.assert_eliminated(halved, record_calls)
+        # the constraints are only scaled, so P(K), verdicts and witnesses are the dual's
+        assert entries == [(e.subset, e.extend_by, e.ok, e.witness) for e in check_condition3(dual).entries]
+        assert verdicts == analyse(dual).verdicts
 
 
 class TestTripleQuotients:
